@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InvariantViolation
 from .games import (
     Coalition,
     DEFAULT_CAP,
@@ -68,8 +68,10 @@ def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
             total -= game.value(_pinned(x, S, 0))
         worths[S] = total * scale
     tu = make_tu_game(game.n, worths, labels=game.labels)
-    assert tu.monotone, "averaging a monotone game must stay monotone"
-    assert all(0 <= q <= 1 for q in tu.worths), "average worths live in [0, 1]"
+    if not tu.monotone:
+        raise InvariantViolation("averaging a monotone game must stay monotone")
+    if not all(0 <= q <= 1 for q in tu.worths):
+        raise InvariantViolation("average worths must lie in [0, 1]")
     return AverageGameResult(tu, scale, game)
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: load game files, run analyses, render reports.
 
-Commands: analyze, mcv, potential, merge, average, axioms, embed. Output
-is a human table by default or a deterministic JSON document with
---format machine. Exit status 0 on success, 1 on domain/validation
-errors, 2 on usage errors.
+Commands: analyze, mcv, potential, merge, average, axioms, embed. Each
+command computes its results once and builds one document: a dict that
+holds the result objects themselves, rendered as deterministic JSON with
+--format machine, and the human table blocks beside it (the default).
+Exit status 0 on success, 1 on domain/validation errors, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -15,13 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
 
-from .algebra import AxiomReport, MergeReport, axiom_report, is_mergeable, mcv_union_check
-from .average import (
-    AverageGameResult,
-    ValueComparison,
-    average_worth_oracle,
-    compare_pgv_vs_jk,
-)
+from .algebra import AxiomResult, axiom_report, is_mergeable, mcv_union_check
+from .average import ValueComparison, average_worth_oracle, compare_pgv_vs_jk
 from .critical import (
     CoalitionSet,
     MCVSet,
@@ -31,8 +28,14 @@ from .critical import (
     minimal_winning_coalitions,
     real_gaining_coalitions,
 )
-from .errors import GameError, TrivialGame, UsageError, ValidationError
-from .gamefile import dumps_game, game_to_dict, load_game, rational_str
+from .errors import (
+    GameError,
+    OracleCapExceeded,
+    TrivialGame,
+    UsageError,
+    ValidationError,
+)
+from .gamefile import dumps_game, game_to_dict, load_game
 from .games import (
     DEFAULT_CAP,
     JKGame,
@@ -44,6 +47,7 @@ from .games import (
     embed_simple,
 )
 from .indices import (
+    TU_FAMILIES,
     IndexReport,
     jk_potential,
     jk_potential_recursive,
@@ -73,11 +77,7 @@ class AnalysisRequest:
 
 
 # ---------------------------------------------------------------------------
-# rendering primitives
-
-
-def _frac_plain(q: Fraction) -> str:
-    return rational_str(q)
+# rendering
 
 
 def _frac_table(q: Fraction) -> str:
@@ -103,36 +103,81 @@ def _aligned(rows) -> list[str]:
 
 
 def _listing_rows(listing, title: str) -> list[str]:
+    if not len(listing):
+        return [f"no {title}"]
     if isinstance(listing, MCVSet):
-        if not listing.vectors:
-            return [f"no {title}"]
         rows = [("vector", "worth")]
         rows += [(_profile_str(x), str(w)) for x, w in listing.pairs()]
     else:
-        if not listing.coalitions:
-            return [f"no {title}"]
         rows = [("coalition", "worth")]
         rows += [(_coalition_str(S), _frac_table(w)) for S, w in listing.pairs()]
     return [f"{title} ({len(listing)})"] + _aligned(rows)
 
 
-def _listing_json(listing) -> list:
-    if isinstance(listing, MCVSet):
-        return [{"vector": list(x), "worth": w} for x, w in listing.pairs()]
-    return [
-        {"coalition": sorted(S), "worth": _frac_plain(w)} for S, w in listing.pairs()
-    ]
+def _game_heading(game) -> str:
+    if isinstance(game, JKGame):
+        head = f"({game.j},{game.k}) game on {game.n} players"
+        if game.provenance is not None:
+            weights = ", ".join(str(w) for w in game.provenance.weights)
+            thresholds = ", ".join(str(t) for t in game.provenance.thresholds)
+            head += f"\nrule: weights {weights}; thresholds {thresholds}"
+        return head
+    if isinstance(game, SimpleGame):
+        return f"simple game on {game.n} players"
+    tone = "monotone" if game.monotone else "not monotone"
+    return f"TU game on {game.n} players ({tone})"
 
 
-def _report_json(report: IndexReport) -> dict:
-    return {
-        "variant": report.variant,
-        "players": list(report.players),
-        "player_values": [_frac_plain(q) for q in report.player_values],
-        "potential": _frac_plain(report.potential),
-        "lambda_total": _frac_plain(report.lambda_total),
-        "listing": _listing_json(report.listing),
-    }
+def _values_table(reports: list[IndexReport]) -> list[str]:
+    rows = [("player",) + tuple(r.variant for r in reports)]
+    for pos, label in enumerate(reports[0].players):
+        rows.append(
+            (str(label),) + tuple(_frac_table(r.player_values[pos]) for r in reports)
+        )
+    return _aligned(rows)
+
+
+def _oracle_line(agrees: bool | None, note: str | None = None) -> str:
+    if agrees is None:
+        return f"oracle cross-check: skipped ({note})"
+    return f"oracle cross-check: {'agrees' if agrees else 'DISAGREES'}"
+
+
+def _json_default(obj):
+    """The JSON form of every result object a machine document holds."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (JKGame, SimpleGame, TUGame)):
+        return _game_json(obj)
+    if isinstance(obj, IndexReport):
+        return {
+            "variant": obj.variant,
+            "players": obj.players,
+            "player_values": obj.player_values,
+            "potential": obj.potential,
+            "lambda_total": obj.lambda_total,
+            "listing": obj.listing,
+        }
+    if isinstance(obj, MCVSet):
+        return [{"vector": x, "worth": w} for x, w in obj.pairs()]
+    if isinstance(obj, CoalitionSet):
+        return [{"coalition": sorted(S), "worth": w} for S, w in obj.pairs()]
+    if isinstance(obj, ValueComparison):
+        return {
+            "pgv_of_average": obj.pgv_of_average,
+            "jk_value": obj.jk_value,
+            "variant": obj.variant,
+            "equal_after_normalization": obj.equal_after_normalization,
+            "degenerate": obj.degenerate,
+        }
+    if isinstance(obj, AxiomResult):
+        return {
+            "axiom": obj.axiom,
+            "status": obj.status,
+            "detail": obj.detail,
+            "witnesses": [str(w) for w in obj.witnesses],
+        }
+    raise TypeError(f"cannot render {type(obj).__name__}")
 
 
 def _game_json(game) -> dict:
@@ -154,342 +199,106 @@ def _game_json(game) -> dict:
     }
 
 
-def _game_heading(game) -> str:
-    if isinstance(game, JKGame):
-        head = f"({game.j},{game.k}) game on {game.n} players"
-        if game.provenance is not None:
-            weights = ", ".join(_frac_plain(w) for w in game.provenance.weights)
-            thresholds = ", ".join(_frac_plain(t) for t in game.provenance.thresholds)
-            head += f"\nrule: weights {weights}; thresholds {thresholds}"
-        return head
-    if isinstance(game, SimpleGame):
-        return f"simple game on {game.n} players"
-    tone = "monotone" if game.monotone else "not monotone"
-    return f"TU game on {game.n} players ({tone})"
-
-
-def _values_table(reports: list[IndexReport]) -> list[str]:
-    header = ("player",) + tuple(r.variant for r in reports)
-    rows = [header]
-    players = reports[0].players
-    for pos, label in enumerate(players):
-        rows.append(
-            (str(label),) + tuple(_frac_table(r.player_values[pos]) for r in reports)
-        )
-    return _aligned(rows)
-
-
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def render(report, format: str = "table") -> str:
-    """Render one report object on its own, in either format."""
-    if format == "machine":
-        return _dumps(_machine_fragment(report))
-    return "\n".join(_table_fragment(report)) + "\n"
-
-
-def _machine_fragment(report):
-    if isinstance(report, IndexReport):
-        return _report_json(report)
-    if isinstance(report, (MCVSet, CoalitionSet)):
-        return _listing_json(report)
-    if isinstance(report, MergeReport):
-        return {
-            "mergeable": report.mergeable,
-            "violations": [
-                {"x": list(v.x), "y": list(v.y), "clause": v.clause}
-                for v in report.violations
-            ],
-        }
-    if isinstance(report, AxiomReport):
-        return {
-            "axioms": [
-                {
-                    "axiom": r.axiom,
-                    "status": r.status,
-                    "detail": r.detail,
-                    "witnesses": [str(w) for w in r.witnesses],
-                }
-                for r in report.results
-            ]
-        }
-    if isinstance(report, AverageGameResult):
-        return {
-            "scale": _frac_plain(report.scale),
-            "average_game": game_to_dict(report.tu),
-        }
-    if isinstance(report, ValueComparison):
-        return _comparison_json(report)
-    raise TypeError(f"cannot render {type(report).__name__}")
-
-
-def _table_fragment(report) -> list[str]:
-    if isinstance(report, IndexReport):
-        lines = _listing_rows(report.listing, _listing_title(report.listing))
-        lines.append(f"potential = {_frac_table(report.potential)}")
-        lines.append(f"distributed total = {_frac_table(report.lambda_total)}")
-        lines += _values_table([report])
-        return lines
-    if isinstance(report, (MCVSet, CoalitionSet)):
-        return _listing_rows(report, _listing_title(report))
-    if isinstance(report, MergeReport):
-        return _merge_lines(report, union=None)
-    if isinstance(report, AxiomReport):
-        return _axiom_lines(report)
-    if isinstance(report, AverageGameResult):
-        return _average_lines(report)
-    if isinstance(report, ValueComparison):
-        return _comparison_lines(report)
-    raise TypeError(f"cannot render {type(report).__name__}")
-
-
-def _listing_title(listing) -> str:
-    if isinstance(listing, MCVSet):
-        return "minimal critical vectors"
-    return "coalitions"
-
-
-def _comparison_json(comp: ValueComparison) -> dict:
-    return {
-        "pgv_of_average": _report_json(comp.pgv_of_average),
-        "jk_value": _report_json(comp.jk_value),
-        "variant": _report_json(comp.variant),
-        "equal_after_normalization": comp.equal_after_normalization,
-        "degenerate": comp.degenerate,
-    }
-
-
-def _comparison_lines(comp: ValueComparison) -> list[str]:
-    lines = _values_table([comp.pgv_of_average, comp.jk_value, comp.variant])
-    lines.append(
-        "equal after normalization: "
-        + ("yes" if comp.equal_after_normalization else "no")
-    )
-    if comp.degenerate:
-        lines.append("comparison degenerate: constant-0 game")
-    return lines
-
-
-def _merge_lines(report: MergeReport, union: bool | None) -> list[str]:
-    lines = [f"mergeable: {'yes' if report.mergeable else 'no'}"]
-    if report.violations:
-        lines.append(f"violations ({len(report.violations)})")
-        rows = [("x", "y", "clause")]
-        rows += [
-            (_profile_str(v.x), _profile_str(v.y), v.clause)
-            for v in report.violations[:MAX_WITNESSES]
-        ]
-        lines += _aligned(rows)
-        hidden = len(report.violations) - MAX_WITNESSES
-        if hidden > 0:
-            lines.append(f"  ... and {hidden} more")
-    if union is not None:
-        lines.append(f"union lemma verified: {'yes' if union else 'NO'}")
-    return lines
-
-
-def _axiom_lines(report: AxiomReport) -> list[str]:
-    rows = [("axiom", "status", "detail")]
-    rows += [(r.axiom, r.status, r.detail) for r in report.results]
-    return _aligned(rows)
-
-
-def _average_lines(result: AverageGameResult) -> list[str]:
-    lines = [f"scale = {_frac_plain(result.scale)}"]
-    rows = [("coalition", "worth")]
-    rows += [
-        (_coalition_str(S), _frac_table(result.tu.worth(S)))
-        for S in all_coalitions(result.tu.n)
-    ]
-    lines += _aligned(rows)
-    return lines
+def _render(request: AnalysisRequest, doc: dict, blocks: list[list[str]]) -> str:
+    """The machine document as JSON, or the table blocks separated by
+    blank lines."""
+    if request.format == "machine":
+        return json.dumps(doc, indent=2, default=_json_default) + "\n"
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (games, request) -> (text, status, errmsg | None)
+# command handlers: (games, request) -> (text, errmsg | None); an error
+# message means exit status 1 after the text is written
 
 
-def _cmd_analyze(games, request: AnalysisRequest):
-    game = games[0]
+def _title(game, family: str) -> str:
     if isinstance(game, JKGame):
-        return _analyze_jk(game, request)
+        return "minimal critical vectors"
     if isinstance(game, SimpleGame):
-        return _analyze_simple(game, request)
-    return _analyze_tu(game, request)
+        return "minimal winning coalitions"
+    return "minimal critical coalitions" if family == "mcc" else "real gaining coalitions"
 
 
-def _analyze_jk(game: JKGame, request: AnalysisRequest):
-    value = public_good_value_jk(game)
-    variant = variant_value(game)
-    reports = [value, variant]
-    error = None
+def _structure(game, family: str):
+    """The minimal critical structure of any game class, with worths."""
+    if isinstance(game, JKGame):
+        return minimal_critical_vectors(game)
+    if isinstance(game, SimpleGame):
+        mwc = minimal_winning_coalitions(game)
+        return CoalitionSet.from_pairs(game.n, ((S, Fraction(1)) for S in mwc))
+    chosen = TU_FAMILIES[family](game)
+    return CoalitionSet.from_pairs(game.n, ((S, game.worth(S)) for S in chosen))
+
+
+def _reports(game, family: str):
+    """The index reports of any game class, and the error that kept the
+    normalized one out (the constant-0 game has none)."""
+    if isinstance(game, TUGame):
+        return [pgv_tu(game, family)], None
+    if isinstance(game, JKGame):
+        reports = [public_good_value_jk(game), variant_value(game)]
+        normalized = normalized_variant
+    else:
+        reports, normalized = [pgi_raw(game)], pgi_normalized
     try:
-        reports.append(normalized_variant(game))
+        reports.append(normalized(game))
     except TrivialGame as exc:
-        error = str(exc)
-    oracle_agrees = None
-    if request.oracle:
-        oracle_agrees = minimal_critical_vectors_oracle(game) == value.listing
-    if request.format == "machine":
-        doc = {
-            "command": "analyze",
-            "game": _game_json(game),
-            "reports": [_report_json(r) for r in reports],
-            "error": error,
-        }
-        if request.oracle:
-            doc["oracle_agrees"] = oracle_agrees
-        return _dumps(doc), 0 if error is None else 1, error
-    lines = [_game_heading(game), ""]
-    lines += _listing_rows(value.listing, "minimal critical vectors")
-    lines.append("")
-    lines.append(f"potential = {_frac_table(value.potential)}")
-    lines.append(f"distributed total = {_frac_table(value.lambda_total)}")
-    lines.append("")
-    lines += _values_table(reports)
-    if request.oracle:
-        lines.append("")
-        lines.append(f"oracle cross-check: {'agrees' if oracle_agrees else 'DISAGREES'}")
-    return "\n".join(lines) + "\n", 0 if error is None else 1, error
+        return reports, str(exc)
+    return reports, None
 
 
-def _analyze_simple(game: SimpleGame, request: AnalysisRequest):
-    raw = pgi_raw(game)
-    reports = [raw]
-    error = None
+def _oracle(game, listing):
+    """Check ``listing`` by an independent route: (agrees or None when
+    skipped, note naming the route or the reason for skipping)."""
     try:
-        reports.append(pgi_normalized(game))
-    except TrivialGame as exc:
-        error = str(exc)
-    oracle_agrees = None
-    if request.oracle:
-        oracle_mcv = minimal_critical_vectors_oracle(embed_simple(game))
-        image = frozenset(coalition_of_profile(x) for x in oracle_mcv.vectors)
-        oracle_agrees = image == frozenset(raw.listing.coalitions)
-    if request.format == "machine":
-        doc = {
-            "command": "analyze",
-            "game": _game_json(game),
-            "reports": [_report_json(r) for r in reports],
-            "error": error,
-        }
-        if request.oracle:
-            doc["oracle_agrees"] = oracle_agrees
-        return _dumps(doc), 0 if error is None else 1, error
-    lines = [_game_heading(game), ""]
-    lines += _listing_rows(raw.listing, "minimal winning coalitions")
-    lines.append("")
-    lines += _values_table(reports)
-    if request.oracle:
-        lines.append("")
-        lines.append(f"oracle cross-check: {'agrees' if oracle_agrees else 'DISAGREES'}")
-    return "\n".join(lines) + "\n", 0 if error is None else 1, error
-
-
-def _analyze_tu(game: TUGame, request: AnalysisRequest):
-    report = pgv_tu(game, request.family)
-    oracle_agrees, oracle_note = _tu_oracle(game, request)
-    if request.format == "machine":
-        doc = {
-            "command": "analyze",
-            "game": _game_json(game),
-            "family": request.family,
-            "reports": [_report_json(report)],
-            "error": None,
-        }
-        if request.oracle:
-            doc["oracle_agrees"] = oracle_agrees
-            doc["oracle_note"] = oracle_note
-        return _dumps(doc), 0, None
-    title = (
-        "minimal critical coalitions"
-        if request.family == "mcc"
-        else "real gaining coalitions"
-    )
-    lines = [_game_heading(game), ""]
-    lines += _listing_rows(report.listing, title)
-    lines.append("")
-    lines.append(f"potential = {_frac_table(report.potential)}")
-    lines.append(f"distributed total = {_frac_table(report.lambda_total)}")
-    lines.append("")
-    lines += _values_table([report])
-    if request.oracle:
-        lines.append("")
-        if oracle_agrees is None:
-            lines.append(f"oracle cross-check: skipped ({oracle_note})")
-        else:
-            lines.append(
-                f"oracle cross-check: {'agrees' if oracle_agrees else 'DISAGREES'}"
-            )
-    return "\n".join(lines) + "\n", 0, None
-
-
-def _tu_oracle(game: TUGame, request: AnalysisRequest):
-    """Cross-route check for TU games: on monotone games the minimal
-    critical and real gaining families must coincide."""
-    if not request.oracle:
-        return None, None
+        if isinstance(game, JKGame):
+            return minimal_critical_vectors_oracle(game) == listing, "full down-set scan"
+        if isinstance(game, SimpleGame):
+            oracle_mcv = minimal_critical_vectors_oracle(embed_simple(game))
+            image = frozenset(coalition_of_profile(x) for x in oracle_mcv.vectors)
+            return image == frozenset(listing.coalitions), "via the (2,2) embedding"
+    except OracleCapExceeded as exc:
+        return None, str(exc)
+    # on monotone TU games the minimal critical and real gaining families coincide
     if not game.monotone:
         return None, "no independent route for non-monotone games"
     agree = minimal_critical_coalitions(game) == real_gaining_coalitions(game)
     return agree, "minimal critical vs real gaining"
 
 
+def _cmd_analyze(games, request: AnalysisRequest):
+    reports, error = _reports(games[0], request.family)
+    return _structure_doc(games[0], request, reports[0].listing, reports, error)
+
+
 def _cmd_mcv(games, request: AnalysisRequest):
-    game = games[0]
-    family = None
-    if isinstance(game, JKGame):
-        listing = minimal_critical_vectors(game)
-        title = "minimal critical vectors"
-        oracle_agrees = (
-            minimal_critical_vectors_oracle(game) == listing if request.oracle else None
-        )
-        oracle_note = "full down-set scan" if request.oracle else None
-    elif isinstance(game, SimpleGame):
-        mwc = minimal_winning_coalitions(game)
-        listing = CoalitionSet.from_pairs(game.n, ((S, Fraction(1)) for S in mwc))
-        title = "minimal winning coalitions"
-        if request.oracle:
-            oracle_mcv = minimal_critical_vectors_oracle(embed_simple(game))
-            image = frozenset(coalition_of_profile(x) for x in oracle_mcv.vectors)
-            oracle_agrees = image == mwc
-            oracle_note = "via the (2,2) embedding"
-        else:
-            oracle_agrees = oracle_note = None
+    return _structure_doc(games[0], request, _structure(games[0], request.family))
+
+
+def _structure_doc(game, request: AnalysisRequest, listing, reports=None, error=None):
+    """The document of ``mcv`` (the listing) and of ``analyze`` (the
+    listing inside the reports): heading, listing, reports, oracle."""
+    doc = {"command": request.command, "game": game}
+    if isinstance(game, TUGame):
+        doc["family"] = request.family
+    title = _title(game, request.family)
+    blocks = [[_game_heading(game)], _listing_rows(listing, title)]
+    if reports is None:
+        doc["listing"] = listing
     else:
-        family = request.family
-        chosen = (
-            minimal_critical_coalitions(game)
-            if family == "mcc"
-            else real_gaining_coalitions(game)
-        )
-        listing = CoalitionSet.from_pairs(game.n, ((S, game.worth(S)) for S in chosen))
-        title = (
-            "minimal critical coalitions" if family == "mcc" else "real gaining coalitions"
-        )
-        oracle_agrees, oracle_note = _tu_oracle(game, request)
-    if request.format == "machine":
-        doc = {"command": "mcv", "game": _game_json(game)}
-        if family is not None:
-            doc["family"] = family
-        doc["listing"] = _listing_json(listing)
-        if request.oracle:
-            doc["oracle_agrees"] = oracle_agrees
-            doc["oracle_note"] = oracle_note
-        return _dumps(doc), 0, None
-    lines = [_game_heading(game), ""]
-    lines += _listing_rows(listing, title)
+        doc["reports"] = reports
+        doc["error"] = error
+        if not isinstance(game, SimpleGame):
+            blocks.append([
+                f"potential = {_frac_table(reports[0].potential)}",
+                f"distributed total = {_frac_table(reports[0].lambda_total)}",
+            ])
+        blocks.append(_values_table(reports))
     if request.oracle:
-        lines.append("")
-        if oracle_agrees is None:
-            lines.append(f"oracle cross-check: skipped ({oracle_note})")
-        else:
-            lines.append(
-                f"oracle cross-check: {'agrees' if oracle_agrees else 'DISAGREES'}"
-            )
-    return "\n".join(lines) + "\n", 0, None
+        doc["oracle_agrees"], doc["oracle_note"] = _oracle(game, listing)
+        blocks.append([_oracle_line(doc["oracle_agrees"], doc["oracle_note"])])
+    return _render(request, doc, blocks), error
 
 
 def _cmd_potential(games, request: AnalysisRequest):
@@ -504,26 +313,21 @@ def _cmd_potential(games, request: AnalysisRequest):
         match = direct == recursive
     else:
         direct = tu_potential(game)
-        recursive = None
-        match = None
-    if request.format == "machine":
-        doc = {
-            "command": "potential",
-            "game": _game_json(games[0]),
-            "potential": _frac_plain(direct),
-            "recursive": None if recursive is None else _frac_plain(recursive),
-            "match": match,
-            "note": note,
-        }
-        return _dumps(doc), 0, None
-    lines = [_game_heading(games[0]), ""]
-    if note:
-        lines.append(f"({note})")
+        recursive = match = None
+    doc = {
+        "command": "potential",
+        "game": games[0],
+        "potential": direct,
+        "recursive": recursive,
+        "match": match,
+        "note": note,
+    }
+    lines = [f"({note})"] if note else []
     lines.append(f"potential (direct)    = {_frac_table(direct)}")
     if recursive is not None:
         lines.append(f"potential (recursive) = {_frac_table(recursive)}")
         lines.append(f"routes agree: {'yes' if match else 'NO'}")
-    return "\n".join(lines) + "\n", 0, None
+    return _render(request, doc, [[_game_heading(games[0])], lines]), None
 
 
 def _require_jk(games, command: str) -> list[JKGame]:
@@ -537,21 +341,28 @@ def _cmd_merge(games, request: AnalysisRequest):
     v, w = _require_jk(games, "merge")
     report = is_mergeable(v, w)
     union = mcv_union_check(v, w) if report.mergeable else None
-    if request.format == "machine":
-        doc = {
-            "command": "merge",
-            "games": [_game_json(v), _game_json(w)],
-            "mergeable": report.mergeable,
-            "violations": [
-                {"x": list(item.x), "y": list(item.y), "clause": item.clause}
-                for item in report.violations
-            ],
-            "union_check": union,
-        }
-        return _dumps(doc), 0, None
-    lines = [_game_heading(v), _game_heading(w), ""]
-    lines += _merge_lines(report, union)
-    return "\n".join(lines) + "\n", 0, None
+    doc = {
+        "command": "merge",
+        "games": [v, w],
+        "mergeable": report.mergeable,
+        "violations": [item._asdict() for item in report.violations],
+        "union_check": union,
+    }
+    lines = [f"mergeable: {'yes' if report.mergeable else 'no'}"]
+    if report.violations:
+        lines.append(f"violations ({len(report.violations)})")
+        rows = [("x", "y", "clause")]
+        rows += [
+            (_profile_str(item.x), _profile_str(item.y), item.clause)
+            for item in report.violations[:MAX_WITNESSES]
+        ]
+        lines += _aligned(rows)
+        hidden = len(report.violations) - MAX_WITNESSES
+        if hidden > 0:
+            lines.append(f"  ... and {hidden} more")
+    if union is not None:
+        lines.append(f"union lemma verified: {'yes' if union else 'NO'}")
+    return _render(request, doc, [[_game_heading(v), _game_heading(w)], lines]), None
 
 
 def _cmd_axioms(games, request: AnalysisRequest):
@@ -559,53 +370,51 @@ def _cmd_axioms(games, request: AnalysisRequest):
     v = games[0]
     w = games[1] if len(games) > 1 else None
     report = axiom_report(v, w)
-    if request.format == "machine":
-        doc = {
-            "command": "axioms",
-            "game": _game_json(v),
-            "second_game": None if w is None else _game_json(w),
-        }
-        doc.update(_machine_fragment(report))
-        return _dumps(doc), 0, None
-    lines = [_game_heading(v)]
-    if w is not None:
-        lines.append(_game_heading(w))
-    lines.append("")
-    lines += _axiom_lines(report)
-    return "\n".join(lines) + "\n", 0, None
+    doc = {
+        "command": "axioms",
+        "game": v,
+        "second_game": w,
+        "axioms": report.results,
+    }
+    rows = [("axiom", "status", "detail")]
+    rows += [(r.axiom, r.status, r.detail) for r in report.results]
+    headings = [_game_heading(g) for g in games]
+    return _render(request, doc, [headings, _aligned(rows)]), None
 
 
 def _cmd_average(games, request: AnalysisRequest):
     (game,) = _require_jk(games, "average")
     comparison = compare_pgv_vs_jk(game, family=request.family, cap=request.cap)
     result = comparison.average
-    oracle_agrees = None
+    doc = {
+        "command": "average",
+        "game": game,
+        "scale": result.scale,
+        "average_game": game_to_dict(result.tu),
+        "comparison": comparison,
+    }
+    worths = [("coalition", "worth")]
+    worths += [
+        (_coalition_str(S), _frac_table(result.tu.worth(S)))
+        for S in all_coalitions(result.tu.n)
+    ]
+    reports = [comparison.pgv_of_average, comparison.jk_value, comparison.variant]
+    verdict = _values_table(reports)
+    verdict.append(
+        "equal after normalization: "
+        + ("yes" if comparison.equal_after_normalization else "no")
+    )
+    if comparison.degenerate:
+        verdict.append("comparison degenerate: constant-0 game")
+    scale = [f"scale = {result.scale}"] + _aligned(worths)
+    blocks = [[_game_heading(game)], scale, verdict]
     if request.oracle:
-        oracle_agrees = all(
+        doc["oracle_agrees"] = all(
             result.tu.worth(S) == average_worth_oracle(game, S)
             for S in all_coalitions(game.n)
         )
-    if request.format == "machine":
-        doc = {
-            "command": "average",
-            "game": _game_json(game),
-            "scale": _frac_plain(result.scale),
-            "average_game": game_to_dict(result.tu),
-            "comparison": _comparison_json(comparison),
-        }
-        if request.oracle:
-            doc["oracle_agrees"] = oracle_agrees
-        return _dumps(doc), 0, None
-    lines = [_game_heading(game), ""]
-    lines += _average_lines(result)
-    lines.append("")
-    lines += _comparison_lines(comparison)
-    if request.oracle:
-        lines.append("")
-        lines.append(
-            f"oracle cross-check: {'agrees' if oracle_agrees else 'DISAGREES'}"
-        )
-    return "\n".join(lines) + "\n", 0, None
+        blocks.append([_oracle_line(doc["oracle_agrees"])])
+    return _render(request, doc, blocks), None
 
 
 def _cmd_embed(games, request: AnalysisRequest):
@@ -616,7 +425,7 @@ def _cmd_embed(games, request: AnalysisRequest):
         embedded = embed_2k_as_tu(game)
     else:
         raise ValidationError("TU games have no further embedding here")
-    return dumps_game(embedded), 0, None
+    return dumps_game(embedded), None
 
 
 _HANDLERS = {
@@ -634,12 +443,16 @@ _HANDLERS = {
 # driver
 
 
-def run(request: AnalysisRequest, out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
-    """Execute one request, writing the report to ``out``."""
+def run(
+    request: AnalysisRequest, out: TextIO | None = None, err: TextIO | None = None
+) -> int:
+    """Execute one request, writing the report to ``out`` (default stdout)."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     try:
         handler = _HANDLERS[request.command]
         games = [load_game(p, cap=request.cap) for p in request.input_paths]
-        text, status, errmsg = handler(games, request)
+        text, errmsg = handler(games, request)
     except GameError as exc:
         err.write(f"error: {exc}\n")
         witnesses = getattr(exc, "witnesses", ())
@@ -649,9 +462,10 @@ def run(request: AnalysisRequest, out: TextIO = sys.stdout, err: TextIO = sys.st
             err.write(f"  ... and {len(witnesses) - MAX_WITNESSES} more\n")
         return 1
     out.write(text)
-    if errmsg is not None:
-        err.write(f"error: {errmsg}\n")
-    return status
+    if errmsg is None:
+        return 0
+    err.write(f"error: {errmsg}\n")
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

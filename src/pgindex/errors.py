@@ -107,6 +107,10 @@ class NotMergeable(GameError):
     """The requested operation needs a mergeable pair of games."""
 
 
+class InvariantViolation(GameError):
+    """A result broke a property its construction guarantees."""
+
+
 class ParseError(GameError):
     """A game file could not be parsed."""
 

@@ -68,8 +68,18 @@ def load_game(path, *, cap: int = DEFAULT_CAP) -> Game:
 
 
 def loads_game(text: str, *, path="<input>", cap: int = DEFAULT_CAP) -> Game:
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):  # find the first repeat
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(path, f"duplicate key {key!r}")
+                seen.add(key)
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
     if not isinstance(doc, dict):
@@ -135,19 +145,26 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
     worth = doc.get("worth")
     if not isinstance(worth, dict):
         raise ParseError(path, '"worth" must be an object keyed by member lists')
-    table = {}
+    table, keys = {}, {}
     for key, value in worth.items():
-        members = []
-        if key:
-            for token in key.split(","):
-                token = token.strip()
-                try:
-                    members.append(int(token))
-                except ValueError:
-                    raise ParseError(
-                        path, f"worth key {key!r} is not a comma-separated member list"
-                    ) from None
-        table[frozenset(members)] = parse_rational(value, path, f"worth of {key!r}")
+        members = set()
+        for token in key.split(",") if key else ():
+            try:
+                member = int(token.strip())
+            except ValueError:
+                raise ParseError(
+                    path, f"worth key {key!r} is not a comma-separated member list"
+                ) from None
+            if member in members:
+                raise ParseError(path, f"worth key {key!r} lists member {member} twice")
+            members.add(member)
+        coalition = frozenset(members)
+        if coalition in keys:
+            raise ParseError(
+                path, f"worth keys {keys[coalition]!r} and {key!r} name the same coalition"
+            )
+        keys[coalition] = key
+        table[coalition] = parse_rational(value, path, f"worth of {key!r}")
     table.setdefault(frozenset(), Fraction(0))  # "": 0 implied
     return make_tu_game(n, table, cap=cap)
 

@@ -12,7 +12,8 @@ from pgindex import (
     pgv_tu,
     zero_game,
 )
-from pgindex.games import all_coalitions
+from pgindex.errors import InvariantViolation
+from pgindex.games import all_coalitions, make_tu_game
 
 from conftest import AVERAGE33_WORTHS
 from gamegen import random_monotone_jk
@@ -66,6 +67,21 @@ class TestAverageProperties:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             average_game(zero_game(3, 3, 3), cap=10)
+
+    @pytest.mark.parametrize(
+        "worths, message",
+        [
+            ({(1,): 1, (2,): 1, (1, 2): 0}, "monotone"),
+            ({(1,): 2, (2,): 0, (1, 2): 2}, r"\[0, 1\]"),
+        ],
+    )
+    def test_broken_invariant_raises(self, example33, monkeypatch, worths, message):
+        # stands in for a faulty reduction: the invariants are checked, not assumed
+        table = {frozenset(S): Fraction(w) for S, w in worths.items()}
+        broken = make_tu_game(2, {frozenset(): Fraction(0), **table})
+        monkeypatch.setattr("pgindex.average.make_tu_game", lambda *args, **kw: broken)
+        with pytest.raises(InvariantViolation, match=message):
+            average_game(example33)
 
     def test_labels_carried(self, example33):
         tu = average_game(example33).tu

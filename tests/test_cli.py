@@ -8,9 +8,35 @@ import pytest
 from pgindex import dump_game, make_simple_game, single_mcv_game, zero_game
 from pgindex.cli import AnalysisRequest, build_parser, main, run
 
-from conftest import DATA
+from conftest import DATA, GOLDEN
 
 EXAMPLE = DATA / "example33.json"
+
+#: (golden name, argv with game files under tests/data, exit status). Both
+#: formats of each must match tests/golden/<name>_<format>.{txt,json} byte
+#: for byte. The goldens were written by the earlier per-class handlers, so
+#: they pin the output independently of the current rendering code.
+GOLDEN_CASES = (
+    ("analyze_example33", ["analyze", "example33.json"], 0),
+    ("analyze_simple", ["analyze", "simple_quota.json"], 0),
+    ("analyze_tu", ["analyze", "tu3.json"], 0),
+    ("analyze_tu_rgc", ["analyze", "tu3.json", "--family", "rgc"], 0),
+    ("analyze_zero", ["analyze", "zero22.json"], 1),
+    ("mcv_example33", ["mcv", "example33.json"], 0),
+    ("mcv_simple", ["mcv", "simple_quota.json"], 0),
+    ("mcv_tu", ["mcv", "tu3.json"], 0),
+    ("mcv_tu_rgc", ["mcv", "tu3.json", "--family", "rgc"], 0),
+    ("potential_example33", ["potential", "example33.json"], 0),
+    ("potential_simple", ["potential", "simple_quota.json"], 0),
+    ("potential_tu", ["potential", "tu3.json"], 0),
+    ("merge_pair", ["merge", "unit_110.json", "unit_011.json"], 0),
+    ("merge_violations", ["merge", "unit_10.json", "unit_11.json"], 0),
+    ("axioms_pair", ["axioms", "unit_110.json", "unit_011.json"], 0),
+    ("axioms_example33", ["axioms", "example33.json"], 0),
+    ("average_example33", ["average", "example33.json"], 0),
+    ("embed_simple", ["embed", "simple_quota.json"], 0),
+    ("embed_unit", ["embed", "unit_110.json"], 0),
+)
 
 
 def invoke(*argv):
@@ -20,6 +46,12 @@ def invoke(*argv):
         text=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def main_captured(capsys, *argv):
+    status = main(list(argv))
+    out, err = capsys.readouterr()
+    return status, out, err
 
 
 def run_inproc(request):
@@ -52,6 +84,42 @@ class TestAnalyze:
         code, stdout, _ = invoke("analyze", str(EXAMPLE), "--format", "machine", "--oracle")
         assert code == 0
         assert json.loads(stdout)["oracle_agrees"] is True
+
+    def test_oracle_note_for_every_class(self, capsys):
+        for name, note in (
+            ("example33.json", "full down-set scan"),
+            ("simple_quota.json", "via the (2,2) embedding"),
+            ("tu3.json", "minimal critical vs real gaining"),
+        ):
+            argv = ["analyze", str(DATA / name), "--format", "machine", "--oracle"]
+            status, stdout, _ = main_captured(capsys, *argv)
+            assert status == 0
+            doc = json.loads(stdout)
+            assert (doc["oracle_agrees"], doc["oracle_note"]) == (True, note)
+
+    # unanimity games just above the oracle's cap of 3**9 profiles
+    WIDE = {
+        "jk": {"kind": "jk", "n": 10, "j": 3, "k": 2, "table": [0] * (3**10 - 1) + [1]},
+        "simple": {"kind": "simple", "n": 15, "winning": [list(range(1, 16))]},
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "mcv"])
+    @pytest.mark.parametrize("kind", ["jk", "simple"])
+    def test_oracle_over_cap_is_skipped(self, kind, command, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.WIDE[kind]))
+        size = 3**10 if kind == "jk" else 2**15
+        reason = f"oracle is capped at 19683 profiles, table has {size}"
+        status, stdout, stderr = main_captured(capsys, command, str(path), "--oracle")
+        assert (status, stderr) == (0, "")
+        assert stdout.endswith(f"\n\noracle cross-check: skipped ({reason})\n")
+        argv = [command, str(path), "--oracle", "--format", "machine"]
+        status, stdout, stderr = main_captured(capsys, *argv)
+        assert (status, stderr) == (0, "")
+        doc = json.loads(stdout)
+        assert (doc["oracle_agrees"], doc["oracle_note"]) == (None, reason)
+        listing = doc["reports"][0]["listing"] if command == "analyze" else doc["listing"]
+        assert len(listing) == 1
 
     def test_trivial_game_exits_1_with_raw_zeros(self, tmp_path):
         path = tmp_path / "z.json"
@@ -88,6 +156,20 @@ class TestMCV:
         listing = {tuple(item["coalition"]) for item in doc["listing"]}
         assert listing == {(1,), (2, 3)}
         assert doc["oracle_agrees"] is True
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("fmt", ["table", "machine"])
+    @pytest.mark.parametrize(
+        "name, argv, status", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES]
+    )
+    def test_output_matches_golden(self, name, argv, status, fmt, capsys):
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = main_captured(capsys, *argv, "--format", fmt)
+        assert code == status
+        suffix = "json" if fmt == "machine" else "txt"
+        assert out.encode("utf-8") == (GOLDEN / f"{name}_{fmt}.{suffix}").read_bytes()
+        assert (err == "") == (status == 0)
 
 
 class TestPotential:

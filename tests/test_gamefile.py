@@ -90,6 +90,19 @@ class TestTUFiles:
         with pytest.raises(ParseError):
             loads_game('{"kind": "tu", "n": 1, "worth": {"1": 0.5}}')
 
+    @pytest.mark.parametrize(
+        "worth, message",
+        [
+            ('{"1,2": "2", "2, 1": "5"}', "worth keys '1,2' and '2, 1' name the same coalition"),
+            ('{"1": "1", "1,1": "7"}', "worth key '1,1' lists member 1 twice"),
+        ],
+        ids=["reordered", "repeated-member"],
+    )
+    def test_repeated_coalition_rejected(self, worth, message):
+        with pytest.raises(ParseError) as info:
+            loads_game(f'{{"kind": "tu", "n": 2, "worth": {worth}}}', path="t.json")
+        assert str(info.value) == f"t.json: {message}"
+
 
 class TestErrors:
     def test_unknown_kind(self):
@@ -101,6 +114,19 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             loads_game("{\n  broken\n}")
         assert ":2:" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"kind": "jk", "n": 1, "j": 2, "k": 2, "table": [0, 1], "table": [0, 0]}', "table"),
+            ('{"kind": "tu", "n": 1, "worth": {"1": "1", "1": "2"}}', "1"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_duplicate_object_key(self, text, key):
+        with pytest.raises(ParseError) as info:
+            loads_game(text, path="g.json")
+        assert str(info.value) == f"g.json: duplicate key {key!r}"
 
     def test_top_level_must_be_object(self):
         with pytest.raises(ParseError):
