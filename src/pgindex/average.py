@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import CapExceeded, InvariantViolation
+from .errors import InvariantViolation
 from .games import (
     Coalition,
     DEFAULT_CAP,
@@ -22,6 +22,7 @@ from .games import (
     TUGame,
     all_coalitions,
     all_profiles,
+    check_cap,
     make_tu_game,
 )
 from .indices import IndexReport, pgv_tu, public_good_value_jk, variant_value
@@ -54,11 +55,7 @@ def _pinned(x, members: Coalition, level: int) -> tuple[int, ...]:
 
 def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
     """Reduce to a TU game by averaging top-versus-bottom pinning gains."""
-    size = (1 << game.n) * game.j ** game.n
-    if size > cap:
-        raise CapExceeded(
-            f"averaging would take {size} evaluations, cap is {cap}"
-        )
+    check_cap(game.n, 2 * game.j, cap, "averaging would take {} evaluations")
     scale = Fraction(1, game.j ** game.n * (game.k - 1))
     worths = {}
     for S in all_coalitions(game.n):

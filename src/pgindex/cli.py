@@ -309,7 +309,7 @@ def _cmd_potential(games, request: AnalysisRequest):
         note = "via the (2,2) embedding"
     if isinstance(game, JKGame):
         direct = jk_potential(game)
-        recursive = jk_potential_recursive(game)
+        recursive = jk_potential_recursive(game, cap=request.cap)
         match = direct == recursive
     else:
         direct = tu_potential(game)

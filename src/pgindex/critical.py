@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -38,10 +39,17 @@ from .games import (
 #: Fixed ceiling on j ** n for the full down-set oracle.
 ORACLE_CAP = 3 ** 9
 
+#: Instance attribute holding a game's minimal critical vectors.
+_CACHE_KEY = "_minimal_critical_vectors"
+
 
 @dataclass(frozen=True)
 class MCVSet:
-    """Minimal critical vectors with their output levels, in table order."""
+    """Minimal critical vectors with their output levels, in table order.
+
+    ``from_pairs`` validates its input pairwise; the constructor itself
+    trusts it, which is how the enumerator hands over its checked output.
+    """
 
     vectors: tuple[Profile, ...]
     worths: tuple[int, ...]
@@ -68,20 +76,24 @@ class MCVSet:
     def pairs(self) -> Iterator[tuple[Profile, int]]:
         return zip(self.vectors, self.worths)
 
+    @cached_property
+    def _worth(self) -> dict[Profile, int]:
+        return dict(self.pairs())
+
     def worth_of(self, x: Profile) -> int:
         try:
-            return self.worths[self.vectors.index(tuple(x))]
-        except ValueError:
+            return self._worth[tuple(x)]
+        except KeyError:
             raise KeyError(x) from None
 
     def as_dict(self) -> dict[Profile, int]:
-        return dict(self.pairs())
+        return dict(self._worth)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def __contains__(self, x) -> bool:
-        return tuple(x) in self.vectors
+        return tuple(x) in self._worth
 
 
 @dataclass(frozen=True)
@@ -159,16 +171,96 @@ def minimal_critical_vectors(game: JKGame) -> MCVSet:
 
     Monotonicity makes this equivalent to beating the whole down-set;
     :func:`minimal_critical_vectors_oracle` checks that claim literally.
+    The result is checked to be an antichain per worth, as
+    :meth:`MCVSet.from_pairs` would, and cached on the game.
     """
-    strides = [game.j ** (game.n - 1 - p) for p in range(game.n)]
-    pairs = []
+    cached = game.__dict__.get(_CACHE_KEY)
+    if cached is not None:
+        return cached
+    found = _predecessor_scan(game)
+    _check_antichain(game, found)
+    mcv = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
+    # a frozen dataclass without slots keeps an instance __dict__, as
+    # functools.cached_property relies on
+    game.__dict__[_CACHE_KEY] = mcv
+    return mcv
+
+
+def _strides(game: JKGame) -> list[int]:
+    return [game.j ** (game.n - 1 - p) for p in range(game.n)]
+
+
+def _predecessor_scan(game: JKGame) -> list[tuple[int, Profile, int]]:
+    """``(idx, x, level)`` in table order for every nonzero profile that
+    beats each of its immediate predecessors."""
+    strides = _strides(game)
+    levels = game.levels
+    found = []
     for idx, x in enumerate(all_profiles(game.n, game.j)):
-        level = game.levels[idx]
+        level = levels[idx]
         if level == 0:
             continue
-        if all(game.levels[idx - strides[p]] < level for p in range(game.n) if x[p]):
-            pairs.append((x, level))
-    return MCVSet.from_pairs(pairs)
+        if all(levels[idx - strides[p]] < level for p in range(game.n) if x[p]):
+            found.append((idx, x, level))
+    return found
+
+
+def _check_antichain(game: JKGame, found: list[tuple[int, Profile, int]]) -> None:
+    """Raise as :meth:`MCVSet.from_pairs` does on the scan's output
+    ``(idx, x, worth)`` in table order: every worth positive, and every
+    vector worth strictly more than each found vector below it.
+
+    With m vectors in a table of N entries, ``from_pairs`` itself checks
+    while m² <= N, otherwise :func:`_antichain_sweep`; either way the cost
+    is linear in the table size.
+    """
+    if len(found) ** 2 <= len(game.levels):
+        MCVSet.from_pairs((x, w) for _, x, w in found)
+    else:
+        _antichain_sweep(game, found)
+
+
+def _antichain_sweep(game: JKGame, found: list[tuple[int, Profile, int]]) -> None:
+    """The check of :func:`_check_antichain` in about n·N steps:
+    ``top[idx]`` becomes the highest found worth at or below ``idx`` by a
+    running maximum along each axis, and each vector has to beat ``top`` at
+    each of its immediate predecessors."""
+    for _, x, w in found:
+        if w <= 0:
+            raise ValidationError(
+                f"vector {x} has worth {w}; minimal critical vectors have positive worth"
+            )
+    strides = _strides(game)
+    size = len(game.levels)
+    top = [0] * size
+    for idx, _, w in found:
+        top[idx] = w
+    for s in strides:
+        block = s * game.j
+        if s <= size // block:
+            # one slice per offset inside a block, running over every block
+            for lo in range(s, block):
+                top[lo::block] = _pointwise_max(top[lo::block], top[lo - s :: block])
+        else:
+            # one slice per level step inside each block
+            for start in range(0, size, block):
+                for lo in range(start + s, start + block, s):
+                    top[lo : lo + s] = _pointwise_max(top[lo : lo + s], top[lo - s : lo])
+    for idx, y, wy in found:
+        if any(y[p] and top[idx - s] >= wy for p, s in enumerate(strides)):
+            x, wx = next(
+                (x, wx)
+                for _, x, wx in found
+                if x != y and wx >= wy and all(a <= b for a, b in zip(x, y))
+            )
+            raise ValidationError(
+                f"{x} <= {y} but worths are {wx} >= {wy}; not an antichain per worth"
+            )
+
+
+def _pointwise_max(a: list[int], b: list[int]) -> list[int]:
+    # a comparison in a comprehension is several times faster than map(max, ...)
+    return [p if p > q else q for p, q in zip(a, b)]
 
 
 def minimal_critical_vectors_oracle(game: JKGame) -> MCVSet:

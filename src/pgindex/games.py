@@ -21,9 +21,11 @@ validity construct results directly.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -115,6 +117,21 @@ def profile_of_coalition(coalition: Iterable[int], n: int) -> Profile:
 def coalition_of_profile(x: Profile) -> Coalition:
     """Support of a profile: the players at a positive level."""
     return frozenset(i for i, level in enumerate(x, start=1) if level)
+
+
+def check_cap(n: int, base: int, cap: int, message: str) -> int:
+    """``base ** n``, or :class:`CapExceeded` when it exceeds ``cap``.
+
+    ``message`` is formatted with the size. Since ``base >= 2``, an ``n`` of
+    at least ``cap.bit_length()`` is refused before the power is taken, so
+    a huge ``n`` never builds a huge integer.
+    """
+    if n >= cap.bit_length():
+        raise CapExceeded(f"{n} players are beyond the cap {cap}")
+    size = base ** n
+    if size > cap:
+        raise CapExceeded(f"{message.format(size)}, cap is {cap}")
+    return size
 
 
 def _check_shape(n: int, j: int, k: int) -> None:
@@ -254,9 +271,10 @@ class TUGame:
 
 
 def zero_game(n: int, j: int, k: int) -> JKGame:
-    """The constant-0 game on n players."""
+    """The constant-0 game on n players, within the default cap."""
     _check_shape(n, j, k)
-    return JKGame(n, j, k, (0,) * j ** n)
+    size = check_cap(n, j, DEFAULT_CAP, "table would need {} entries")
+    return JKGame(n, j, k, (0,) * size)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +323,7 @@ def make_table_game(
     sequence in profile-rank order.
     """
     _check_shape(n, j, k)
-    size = j ** n
-    if size > cap:
-        raise CapExceeded(f"table would need {size} entries, cap is {cap}")
+    size = check_cap(n, j, cap, "table would need {} entries")
     if isinstance(table, Mapping):
         missing = 0
         levels = []
@@ -345,12 +361,15 @@ def make_weighted_game(
         raise NonIncreasingThresholds(f"thresholds {t} are not strictly increasing")
     n = len(w)
     _check_shape(n, j, k)
-    if j ** n > cap:
-        raise CapExceeded(f"table would need {j ** n} entries, cap is {cap}")
-    levels = tuple(
-        bisect_right(t, sum(wi * xi for wi, xi in zip(w, x)))
-        for x in all_profiles(n, j)
-    )
+    check_cap(n, j, cap, "table would need {} entries")
+    # integer weighted sums, built one player at a time in table order
+    scale = math.lcm(*(q.denominator for q in w + t))
+    sums = [0]
+    for wi in w:
+        step = wi.numerator * (scale // wi.denominator)
+        sums = [s + step * level for s in sums for level in range(j)]
+    scaled = [ti.numerator * (scale // ti.denominator) for ti in t]
+    levels = tuple(map(partial(bisect_right, scaled), sums))
     try:
         _check_levels(n, j, k, levels)
     except MonotonicityViolation as exc:
@@ -405,8 +424,7 @@ def simple_game_from_generators(
 ) -> SimpleGame:
     """Build a simple game as the upward closure of the given coalitions."""
     _check_shape(n, 2, 2)
-    if (1 << n) > cap:
-        raise CapExceeded(f"closure would enumerate {1 << n} coalitions, cap is {cap}")
+    check_cap(n, 2, cap, "closure would enumerate {} coalitions")
     gens = [frozenset(S) for S in generators]
     for S in gens:
         _check_players(S, n)
@@ -428,8 +446,7 @@ def make_tu_game(
     """Build a TU game from a coalition -> worth mapping (exact rationals)."""
     if n < 0:
         raise ValidationError(f"player count must be >= 0, got {n}")
-    if (1 << n) > cap:
-        raise CapExceeded(f"worth table would need {1 << n} entries, cap is {cap}")
+    check_cap(n, 2, cap, "worth table would need {} entries")
     table = {}
     for key, value in worth.items():
         S = _check_players(key, n)
@@ -510,12 +527,12 @@ def subgame(game: JKGame | TUGame, coalition: Iterable[int]):
 
 def _subgame_jk(game: JKGame, keep: list[int]) -> JKGame:
     m = len(keep)
-    base = [0] * game.n
-    levels = []
-    for y in all_profiles(m, game.j):
-        for pos, level in zip(keep, y):
-            base[pos - 1] = level
-        levels.append(game.levels[profile_index(base, game.j)])
+    # table rows of the kept profiles, one kept player at a time in table order
+    rows = [0]
+    for pos in keep:
+        stride = game.j ** (game.n - pos)
+        rows = [r + stride * level for r in rows for level in range(game.j)]
+    levels = tuple(map(game.levels.__getitem__, rows))
     provenance = None
     if game.provenance is not None:
         provenance = WeightedRule(
@@ -523,7 +540,7 @@ def _subgame_jk(game: JKGame, keep: list[int]) -> JKGame:
             game.provenance.thresholds,
         )
     labels = tuple(game.labels[pos - 1] for pos in keep)
-    return JKGame(m, game.j, game.k, tuple(levels), provenance=provenance, labels=labels)
+    return JKGame(m, game.j, game.k, levels, provenance=provenance, labels=labels)
 
 
 def _subgame_tu(game: TUGame, keep: list[int]) -> TUGame:

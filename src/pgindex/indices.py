@@ -28,9 +28,11 @@ from .critical import (
     real_gaining_coalitions,
 )
 from .games import (
+    DEFAULT_CAP,
     JKGame,
     SimpleGame,
     TUGame,
+    check_cap,
     decrement,
     subgame,
 )
@@ -184,15 +186,17 @@ def public_good_value_jk(game: JKGame) -> IndexReport:
     )
 
 
-def jk_potential_recursive(game: JKGame) -> Fraction:
+def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
     """The potential by the averaging recursion over all subgames:
     P(v) = (Lambda(v) + sum over players of P(v without that player)) / n,
     anchored at P = 0 for the zero-player game. Memoized over coalitions;
-    capped at 20 players."""
+    capped at 20 players, and at ``cap`` subgame table entries: j^|S|
+    summed over the coalitions S, which is (j+1)^n."""
     if game.n > RECURSION_CAP:
         raise RecursionCapExceeded(
             f"recursive potential capped at {RECURSION_CAP} players, game has {game.n}"
         )
+    check_cap(game.n, game.j + 1, cap, "recursion would build {} subgame table entries")
     memo: dict[frozenset[int], Fraction] = {frozenset(): Fraction(0)}
     for size in range(1, game.n + 1):
         for combo in itertools.combinations(game.players(), size):

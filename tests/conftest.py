@@ -1,3 +1,4 @@
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -5,6 +6,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# `python -m pgindex` in a child process finds the package without an install
+SRC = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH")))
+)
 
 from pgindex import make_simple_game, make_weighted_game
 

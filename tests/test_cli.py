@@ -287,6 +287,22 @@ class TestErrorPaths:
         code, _, _ = invoke()
         assert code == 2
 
+    def test_potential_recursion_over_cap(self):
+        # the table has 27 entries, the recursion would build 64
+        code, stdout, stderr = invoke("potential", str(EXAMPLE), "--cap", "50")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "cap is 50" in stderr
+
+    def test_huge_player_count(self, tmp_path):
+        # would try to build a j ** n integer without the player-count guard
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "jk", "n": 1000000000000, "j": 3, "k": 2, "table": [0]}')
+        code, stdout, stderr = invoke("analyze", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+
     def test_bad_cap(self):
         code, _, _ = invoke("analyze", str(EXAMPLE), "--cap", "0")
         assert code == 2

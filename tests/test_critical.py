@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgindex import (
+    JKGame,
     MCVSet,
     ValidationError,
     is_critical_for,
     make_tu_game,
+    make_weighted_game,
     minimal_critical_below,
     minimal_critical_coalitions,
     minimal_critical_vectors,
@@ -16,7 +20,9 @@ from pgindex import (
     real_gaining_coalitions,
     zero_game,
 )
-from pgindex.critical import CoalitionSet
+from pgindex import critical
+from pgindex.cli import main
+from pgindex.critical import CoalitionSet, _antichain_sweep, _predecessor_scan
 from pgindex.errors import (
     NotMinimalCritical,
     OracleCapExceeded,
@@ -25,6 +31,7 @@ from pgindex.errors import (
 )
 from pgindex.games import all_coalitions, evaluate
 
+from conftest import DATA
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
 
 
@@ -83,6 +90,78 @@ class TestMCVEnumeration:
             for y in example33.profiles():
                 if y != x and all(a <= b for a, b in zip(y, x)):
                     assert evaluate(example33, y) < worth
+
+
+def _raises(check) -> bool:
+    try:
+        check()
+    except ValidationError:
+        return True
+    return False
+
+
+@st.composite
+def unvalidated_tables(draw):
+    n = draw(st.integers(0, 3))
+    j = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 4))
+    levels = draw(st.lists(st.integers(-1, k - 1), min_size=j**n, max_size=j**n))
+    return JKGame(n, j, k, tuple(levels))
+
+
+class TestAntichainCheck:
+    """The sweep the enumerator uses when m² > j^n, against
+    ``MCVSet.from_pairs``, which it uses otherwise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(game=unvalidated_tables())
+    def test_raises_exactly_when_from_pairs_does(self, game):
+        found = _predecessor_scan(game)
+        sweep = _raises(lambda: _antichain_sweep(game, found))
+        pairwise = _raises(lambda: MCVSet.from_pairs((x, w) for _, x, w in found))
+        assert sweep == pairwise
+
+    def test_known_violator(self):
+        game = JKGame(1, 4, 3, (0, 2, 1, 2))
+        with pytest.raises(ValidationError, match=r"\(1,\) <= \(3,\)"):
+            minimal_critical_vectors(game)
+        with pytest.raises(ValidationError):
+            MCVSet.from_pairs([((1,), 2), ((3,), 2)])
+
+    def test_sweep_accepts_many_vectors(self):
+        # 141 vectors of weight sum 6 in a table of 729: checked by the sweep
+        game = make_weighted_game([1] * 6, [6], 3, 2)
+        mcv = minimal_critical_vectors(game)
+        assert len(mcv) ** 2 > len(game.levels)
+        assert mcv == minimal_critical_vectors_oracle(game)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(((1, 4, 3), (2, 3, 3), (3, 2, 4), (3, 3, 3), (4, 2, 2))),
+        seed=st.integers(0, 10**6),
+    )
+    def test_from_pairs_accepts_enumerator_output(self, shape, seed):
+        game = random_monotone_jk(*shape, random.Random(seed))
+        mcv = minimal_critical_vectors(game)
+        assert MCVSet.from_pairs(mcv.pairs()) == mcv
+
+
+class TestOneEnumerationPerGame:
+    def test_repeat_call_returns_cached_set(self, example33):
+        first = minimal_critical_vectors(example33)
+        assert minimal_critical_vectors(example33) is first
+
+    def test_analyze_scans_table_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(game):
+            calls.append(game)
+            return _predecessor_scan(game)
+
+        monkeypatch.setattr(critical, "_predecessor_scan", counting)
+        assert main(["analyze", str(DATA / "example33.json")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestMWC:

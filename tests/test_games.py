@@ -1,7 +1,10 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgindex import (
     CapExceeded,
@@ -112,6 +115,26 @@ class TestTableGames:
         with pytest.raises(CapExceeded):
             make_table_game(30, 2, 2, [], cap=2**10)
 
+    def test_huge_player_count_refused_before_sizing(self):
+        # j ** n for this n would never finish; the guard compares n first
+        huge = 10**12
+        with pytest.raises(CapExceeded, match="beyond the cap"):
+            make_table_game(huge, 3, 2, [])
+        with pytest.raises(CapExceeded, match="beyond the cap"):
+            zero_game(huge, 2, 2)
+        with pytest.raises(CapExceeded, match="beyond the cap"):
+            simple_game_from_generators(huge, [])
+        with pytest.raises(CapExceeded, match="beyond the cap"):
+            make_tu_game(huge, {})
+
+    def test_guard_boundary(self):
+        # n just below cap.bit_length() still reports the table size
+        with pytest.raises(CapExceeded, match="table would need 27 entries"):
+            make_table_game(3, 3, 2, [], cap=15)
+        with pytest.raises(CapExceeded, match="beyond the cap"):
+            make_table_game(4, 2, 2, [], cap=15)
+        assert make_table_game(4, 2, 2, [0] * 16, cap=16).levels == (0,) * 16
+
     def test_evaluate_checks_profile(self):
         game = make_table_game(2, 2, 2, [0, 0, 0, 1])
         assert evaluate(game, (1, 1)) == 1
@@ -148,6 +171,31 @@ class TestWeightedGames:
         # (1,0) reaches the threshold but adding player 2 drops below it
         with pytest.raises(NegativeWeightNonMonotone):
             make_weighted_game((2, -1), (2,), 2, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(
+            st.fractions(-3, 5, max_denominator=6), min_size=1, max_size=4
+        ),
+        thresholds=st.sets(
+            st.fractions(Fraction(1, 12), 12, max_denominator=12), min_size=1, max_size=3
+        ),
+        j=st.integers(2, 3),
+    )
+    def test_integer_table_matches_fraction_sums(self, weights, thresholds, j):
+        t = sorted(thresholds)
+        n, k = len(weights), len(t) + 1
+        naive = [
+            bisect_right(t, sum(w * a for w, a in zip(weights, x)))
+            for x in all_profiles(n, j)
+        ]
+        try:
+            make_table_game(n, j, k, naive)
+        except MonotonicityViolation:
+            with pytest.raises(NegativeWeightNonMonotone):
+                make_weighted_game(weights, t, j, k)
+            return
+        assert list(make_weighted_game(weights, t, j, k).levels) == naive
 
     def test_float_weight_rejected(self):
         with pytest.raises(ValidationError):

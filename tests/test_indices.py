@@ -24,7 +24,7 @@ from pgindex import (
     variant_value,
     zero_game,
 )
-from pgindex.errors import RecursionCapExceeded, UnknownPlayer
+from pgindex.errors import CapExceeded, RecursionCapExceeded, UnknownPlayer
 
 from gamegen import random_monotone_jk, random_monotone_tu
 
@@ -126,6 +126,14 @@ class TestPotentialIdentity:
     def test_recursion_cap(self):
         with pytest.raises(RecursionCapExceeded):
             jk_potential_recursive(zero_game(21, 2, 2))
+
+    def test_recursion_respects_table_cap(self, example33):
+        # the recursion builds (j+1)^n = 64 subgame table entries
+        assert jk_potential_recursive(example33, cap=64) == 6
+        with pytest.raises(CapExceeded, match="64 subgame table entries"):
+            jk_potential_recursive(example33, cap=63)
+        with pytest.raises(RecursionCapExceeded):
+            jk_potential_recursive(zero_game(21, 2, 2), cap=1)
 
     def test_lambda_decomposes_over_supports(self, example33):
         # Lambda counts each MCV worth once per supporter
