@@ -113,6 +113,11 @@ def mcv_union_check(v: JKGame, w: JKGame) -> bool:
         raise NotMergeable(
             f"{len(report.violations)} mergeability violations; union lemma needs a mergeable pair"
         )
+    return _union_holds(v, w)
+
+
+def _union_holds(v: JKGame, w: JKGame) -> bool:
+    """The union lemma on a pair already known to be mergeable."""
     mcv_v = minimal_critical_vectors(v).as_dict()
     mcv_w = minimal_critical_vectors(w).as_dict()
     merged = minimal_critical_vectors(oplus(v, w)).as_dict()

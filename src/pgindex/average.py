@@ -2,10 +2,14 @@
 
 The worth of a coalition S averages, over every profile of the full input
 space, the output gain from pinning S to the top level versus the bottom
-level, scaled by 1/(j^n (k-1)). The sum deliberately runs over all of
-{0..j-1}^n even though only the outside-S coordinates matter, so each
-outside assignment is counted j^|S| times; ``average_worth_oracle``
-recomputes a single worth by the reduced sum and explicit multiplicity.
+level, scaled by 1/(j^n (k-1)). Only the coordinates outside S vary under
+the pinning, so each outside assignment is counted j^|S| times.
+``average_game`` computes all 2^n sums at once by an axis-wise reduction
+of the table (Yates 1937; Björklund, Husfeldt, Kaski and Koivisto, STOC
+2007): each pass replaces one coordinate's j entries by their sum and by
+the pinned entry, once pinning to the top level and once to the bottom.
+``average_worth_oracle`` is its naive twin: it recomputes one worth by
+the explicit sum over the outside profiles and the multiplicity j^|S|.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from typing import Iterable
 
 from .errors import InvariantViolation
 from .games import (
-    Coalition,
     DEFAULT_CAP,
     JKGame,
     TUGame,
@@ -49,21 +52,27 @@ class ValueComparison:
     degenerate: bool
 
 
-def _pinned(x, members: Coalition, level: int) -> tuple[int, ...]:
-    return tuple(level if p + 1 in members else a for p, a in enumerate(x))
+def _pin_or_sum(levels: tuple[int, ...], n: int, j: int, pin: int) -> list[int]:
+    """Reduce the table one coordinate at a time, last to first: each pass
+    replaces the last coordinate's j entries by their sum and the entry at
+    level ``pin``, and puts that two-way choice in front. After n passes the
+    table is in coalition-rank order: members pinned, the others summed."""
+    table = list(levels)
+    for _ in range(n):
+        table = [*map(sum, zip(*(table[a::j] for a in range(j)))), *table[pin::j]]
+    return table
 
 
 def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
     """Reduce to a TU game by averaging top-versus-bottom pinning gains."""
     check_cap(game.n, 2 * game.j, cap, "averaging would take {} evaluations")
     scale = Fraction(1, game.j ** game.n * (game.k - 1))
-    worths = {}
-    for S in all_coalitions(game.n):
-        total = 0
-        for x in game.profiles():
-            total += game.value(_pinned(x, S, game.j - 1))
-            total -= game.value(_pinned(x, S, 0))
-        worths[S] = total * scale
+    top = _pin_or_sum(game.levels, game.n, game.j, game.j - 1)
+    bottom = _pin_or_sum(game.levels, game.n, game.j, 0)
+    worths = {
+        S: game.j ** len(S) * (hi - lo) * scale
+        for S, hi, lo in zip(all_coalitions(game.n), top, bottom)
+    }
     tu = make_tu_game(game.n, worths, labels=game.labels)
     if not tu.monotone:
         raise InvariantViolation("averaging a monotone game must stay monotone")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
 
-from .algebra import AxiomResult, axiom_report, is_mergeable, mcv_union_check
+from .algebra import AxiomResult, _union_holds, axiom_report, is_mergeable
 from .average import ValueComparison, average_worth_oracle, compare_pgv_vs_jk
 from .critical import (
     CoalitionSet,
@@ -340,7 +340,7 @@ def _require_jk(games, command: str) -> list[JKGame]:
 def _cmd_merge(games, request: AnalysisRequest):
     v, w = _require_jk(games, "merge")
     report = is_mergeable(v, w)
-    union = mcv_union_check(v, w) if report.mergeable else None
+    union = _union_holds(v, w) if report.mergeable else None
     doc = {
         "command": "merge",
         "games": [v, w],

@@ -281,6 +281,14 @@ def zero_game(n: int, j: int, k: int) -> JKGame:
 # validated constructors
 
 
+def _check_origin(n: int, j: int, levels: tuple) -> None:
+    if levels[0] != 0:
+        raise NonZeroAtOrigin(
+            f"the all-zero profile maps to {levels[0]}, must map to 0",
+            witnesses=[(index_profile(0, n, j), levels[0])],
+        )
+
+
 def _check_levels(n: int, j: int, k: int, levels: tuple) -> None:
     """Range, origin, and monotonicity checks; collects all witnesses."""
     bad = []
@@ -291,11 +299,7 @@ def _check_levels(n: int, j: int, k: int, levels: tuple) -> None:
         raise OutOfRangeOutput(
             f"{len(bad)} table entries outside 0..{k - 1}", witnesses=bad
         )
-    if levels[0] != 0:
-        raise NonZeroAtOrigin(
-            f"the all-zero profile maps to {levels[0]}, must map to 0",
-            witnesses=[(index_profile(0, n, j), levels[0])],
-        )
+    _check_origin(n, j, levels)
     strides = [j ** (n - 1 - p) for p in range(n)]
     violations = []
     for idx, x in enumerate(all_profiles(n, j)):
@@ -370,15 +374,17 @@ def make_weighted_game(
         sums = [s + step * level for s in sums for level in range(j)]
     scaled = [ti.numerator * (scale // ti.denominator) for ti in t]
     levels = tuple(map(partial(bisect_right, scaled), sums))
-    try:
-        _check_levels(n, j, k, levels)
-    except MonotonicityViolation as exc:
-        if any(wi < 0 for wi in w):
+    if all(wi >= 0 for wi in w):
+        # in 0..k-1 and monotone by construction; only the origin can fail
+        _check_origin(n, j, levels)
+    else:
+        try:
+            _check_levels(n, j, k, levels)
+        except MonotonicityViolation as exc:
             raise NegativeWeightNonMonotone(
                 f"negative weights make the table non-monotone: {exc}",
                 witnesses=exc.witnesses,
             ) from None
-        raise  # unreachable: nonnegative weights give a monotone table
     return JKGame(n, j, k, levels, provenance=WeightedRule(w, t))
 
 

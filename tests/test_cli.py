@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from pgindex import dump_game, make_simple_game, single_mcv_game, zero_game
+from pgindex import algebra, cli, dump_game, make_simple_game, single_mcv_game, zero_game
+from pgindex.algebra import is_mergeable
 from pgindex.cli import AnalysisRequest, build_parser, main, run
 
 from conftest import DATA, GOLDEN
@@ -34,6 +35,8 @@ GOLDEN_CASES = (
     ("axioms_pair", ["axioms", "unit_110.json", "unit_011.json"], 0),
     ("axioms_example33", ["axioms", "example33.json"], 0),
     ("average_example33", ["average", "example33.json"], 0),
+    ("average_table543", ["average", "table543.json"], 0),
+    ("average_table543_oracle", ["average", "table543.json", "--oracle"], 0),
     ("embed_simple", ["embed", "simple_quota.json"], 0),
     ("embed_unit", ["embed", "unit_110.json"], 0),
 )
@@ -197,6 +200,22 @@ class TestMergeAxioms:
         doc = json.loads(stdout)
         assert doc["mergeable"] is True
         assert doc["union_check"] is True
+
+    @pytest.mark.parametrize(
+        "pair", [("unit_110.json", "unit_011.json"), ("unit_10.json", "unit_11.json")]
+    )
+    def test_merge_checks_mergeability_once(self, monkeypatch, capsys, pair):
+        calls = []
+
+        def counting(v, w):
+            calls.append((v, w))
+            return is_mergeable(v, w)
+
+        monkeypatch.setattr(algebra, "is_mergeable", counting)
+        monkeypatch.setattr(cli, "is_mergeable", counting)
+        assert main(["merge", *(str(DATA / name) for name in pair)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_merge_violations_listed(self, tmp_path):
         p1 = tmp_path / "a.json"

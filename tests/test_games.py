@@ -197,6 +197,11 @@ class TestWeightedGames:
             return
         assert list(make_weighted_game(weights, t, j, k).levels) == naive
 
+    def test_threshold_at_zero_reached_by_origin(self):
+        # non-negative weights skip the monotonicity sweep, not the origin check
+        with pytest.raises(NonZeroAtOrigin):
+            make_weighted_game((1, 1), (0,), 2, 2)
+
     def test_float_weight_rejected(self):
         with pytest.raises(ValidationError):
             make_weighted_game((0.5, 1), (1,), 2, 2)

@@ -5,11 +5,12 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgindex import (
     average_game,
+    average_worth_oracle,
     embed_2k_as_tu,
     embed_simple,
     evaluate,
@@ -263,6 +264,21 @@ class TestAverageDiscipline:
             top = evaluate(game, (2, 2, 2))
             assert tu.worth(frozenset({1, 2, 3})) == Fraction(top, game.k - 1)
             assert (tu.worth(frozenset({1, 2, 3})) == 1) == (top == game.k - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 5),
+        j=st.integers(2, 4),
+        k=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=0, j=2, k=2, seed=0)
+    @example(n=1, j=4, k=4, seed=1)
+    def test_reduction_matches_oracle(self, n, j, k, seed):
+        game = random_monotone_jk(n, j, k, random.Random(seed))
+        tu = average_game(game).tu
+        for S in all_coalitions(n):
+            assert tu.worth(S) == average_worth_oracle(game, S)
 
 
 class TestRationalRoundTrip:
