@@ -28,6 +28,7 @@ from .games import (
     JKGame,
     Profile,
     WeightedRule,
+    _axis_max,
     all_profiles,
     profile_index,
 )
@@ -167,11 +168,9 @@ def single_mcv_game(x: Sequence[int], worth: int, j: int, k: int) -> JKGame:
         raise LevelOutOfRange(f"profile {x} has entries outside 0..{j - 1}")
     if not 1 <= worth <= k - 1:
         raise LevelOutOfRange(f"worth {worth} outside 1..{k - 1}")
-    levels = tuple(
-        worth if all(a >= b for a, b in zip(y, x)) else 0
-        for y in all_profiles(len(x), j)
-    )
-    return JKGame(len(x), j, k, levels)
+    levels = [0] * j ** len(x)
+    levels[profile_index(x, j)] = worth
+    return JKGame(len(x), j, k, tuple(_axis_max(levels, len(x), j)))
 
 
 def decompose(v: JKGame) -> tuple[JKGame, ...]:

@@ -22,10 +22,10 @@ from .average import ValueComparison, average_worth_oracle, compare_pgv_vs_jk
 from .critical import (
     CoalitionSet,
     MCVSet,
+    _listing,
     minimal_critical_coalitions,
     minimal_critical_vectors,
     minimal_critical_vectors_oracle,
-    minimal_winning_coalitions,
     real_gaining_coalitions,
 )
 from .errors import (
@@ -47,8 +47,8 @@ from .games import (
     embed_simple,
 )
 from .indices import (
-    TU_FAMILIES,
     IndexReport,
+    _family_listing,
     jk_potential,
     jk_potential_recursive,
     normalized_variant,
@@ -224,11 +224,9 @@ def _structure(game, family: str):
     """The minimal critical structure of any game class, with worths."""
     if isinstance(game, JKGame):
         return minimal_critical_vectors(game)
-    if isinstance(game, SimpleGame):
-        mwc = minimal_winning_coalitions(game)
-        return CoalitionSet.from_pairs(game.n, ((S, Fraction(1)) for S in mwc))
-    chosen = TU_FAMILIES[family](game)
-    return CoalitionSet.from_pairs(game.n, ((S, game.worth(S)) for S in chosen))
+    if isinstance(game, TUGame):
+        return _family_listing(game, family)
+    return _listing(game)
 
 
 def _reports(game, family: str):

@@ -30,17 +30,19 @@ from .games import (
     Profile,
     SimpleGame,
     TUGame,
+    _axis_max,
     all_profiles,
     coalition_from_index,
     coalition_index,
+    coalition_of_profile,
     decrement,
 )
 
 #: Fixed ceiling on j ** n for the full down-set oracle.
 ORACLE_CAP = 3 ** 9
 
-#: Instance attribute holding a game's minimal critical vectors.
-_CACHE_KEY = "_minimal_critical_vectors"
+#: Instance attribute holding a game's minimal structure.
+_CACHE_KEY = "_minimal_listing"
 
 
 @dataclass(frozen=True)
@@ -127,20 +129,12 @@ class CoalitionSet:
 
 def minimal_winning_coalitions(game: SimpleGame) -> frozenset[Coalition]:
     """Winning coalitions all of whose proper subsets lose."""
-    return frozenset(
-        S
-        for S in game.winning
-        if all(S - {i} not in game.winning for i in S)
-    )
+    return frozenset(_listing(game).coalitions)
 
 
 def minimal_critical_coalitions(game: TUGame) -> frozenset[Coalition]:
     """Nonempty coalitions where every member's departure strictly hurts."""
-    out = []
-    for S in game.coalitions():
-        if S and all(game.worth(S) > game.worth(S - {i}) for i in S):
-            out.append(S)
-    return frozenset(out)
+    return frozenset(_listing(game).coalitions)
 
 
 def real_gaining_coalitions(game: TUGame) -> frozenset[Coalition]:
@@ -174,33 +168,48 @@ def minimal_critical_vectors(game: JKGame) -> MCVSet:
     The result is checked to be an antichain per worth, as
     :meth:`MCVSet.from_pairs` would, and cached on the game.
     """
+    return _listing(game)
+
+
+def _listing(game: JKGame | SimpleGame | TUGame) -> MCVSet | CoalitionSet:
+    """Minimal critical vectors, minimal winning or minimal critical
+    coalitions with their worths, by one predecessor scan of the game's
+    table; cached on the game."""
     cached = game.__dict__.get(_CACHE_KEY)
     if cached is not None:
         return cached
-    found = _predecessor_scan(game)
-    _check_antichain(game, found)
-    mcv = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
+    table = game.worths if isinstance(game, TUGame) else game.levels
+    if isinstance(game, JKGame):
+        found = _predecessor_scan(game.n, game.j, table)
+        _check_antichain(game, found)
+        listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
+    else:
+        found = _predecessor_scan(game.n, 2, table)
+        listing = CoalitionSet(
+            game.n,
+            tuple(coalition_of_profile(x) for _, x, _ in found),
+            tuple(Fraction(w) for _, _, w in found),
+        )
     # a frozen dataclass without slots keeps an instance __dict__, as
     # functools.cached_property relies on
-    game.__dict__[_CACHE_KEY] = mcv
-    return mcv
+    game.__dict__[_CACHE_KEY] = listing
+    return listing
 
 
-def _strides(game: JKGame) -> list[int]:
-    return [game.j ** (game.n - 1 - p) for p in range(game.n)]
-
-
-def _predecessor_scan(game: JKGame) -> list[tuple[int, Profile, int]]:
-    """``(idx, x, level)`` in table order for every nonzero profile that
-    beats each of its immediate predecessors."""
-    strides = _strides(game)
-    levels = game.levels
+def _predecessor_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:
+    """``(idx, x, entry)`` in table order for every profile but the origin
+    whose entry exceeds each immediate predecessor's. Entries at the table's
+    minimum (0 on a (j,k) or 0/1 table) can beat nothing and are skipped."""
+    strides = [j ** (n - 1 - p) for p in range(n)]
+    floor = min(table)
+    profiles = all_profiles(n, j)
+    next(profiles)  # the origin has no predecessor to beat
     found = []
-    for idx, x in enumerate(all_profiles(game.n, game.j)):
-        level = levels[idx]
-        if level == 0:
+    for idx, x in enumerate(profiles, 1):
+        level = table[idx]
+        if level == floor:
             continue
-        if all(levels[idx - strides[p]] < level for p in range(game.n) if x[p]):
+        if all(table[idx - strides[p]] < level for p in range(n) if x[p]):
             found.append((idx, x, level))
     return found
 
@@ -230,22 +239,11 @@ def _antichain_sweep(game: JKGame, found: list[tuple[int, Profile, int]]) -> Non
             raise ValidationError(
                 f"vector {x} has worth {w}; minimal critical vectors have positive worth"
             )
-    strides = _strides(game)
-    size = len(game.levels)
-    top = [0] * size
+    top = [0] * len(game.levels)
     for idx, _, w in found:
         top[idx] = w
-    for s in strides:
-        block = s * game.j
-        if s <= size // block:
-            # one slice per offset inside a block, running over every block
-            for lo in range(s, block):
-                top[lo::block] = _pointwise_max(top[lo::block], top[lo - s :: block])
-        else:
-            # one slice per level step inside each block
-            for start in range(0, size, block):
-                for lo in range(start + s, start + block, s):
-                    top[lo : lo + s] = _pointwise_max(top[lo : lo + s], top[lo - s : lo])
+    _axis_max(top, game.n, game.j)
+    strides = [game.j ** (game.n - 1 - p) for p in range(game.n)]
     for idx, y, wy in found:
         if any(y[p] and top[idx - s] >= wy for p, s in enumerate(strides)):
             x, wx = next(
@@ -256,11 +254,6 @@ def _antichain_sweep(game: JKGame, found: list[tuple[int, Profile, int]]) -> Non
             raise ValidationError(
                 f"{x} <= {y} but worths are {wx} >= {wy}; not an antichain per worth"
             )
-
-
-def _pointwise_max(a: list[int], b: list[int]) -> list[int]:
-    # a comparison in a comprehension is several times faster than map(max, ...)
-    return [p if p > q else q for p, q in zip(a, b)]
 
 
 def minimal_critical_vectors_oracle(game: JKGame) -> MCVSet:

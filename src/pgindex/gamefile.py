@@ -62,7 +62,7 @@ def load_game(path, *, cap: int = DEFAULT_CAP) -> Game:
     usual validation errors on well-formed but invalid games."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, str(exc)) from None
     return loads_game(text, path=path, cap=cap)
 
@@ -82,6 +82,9 @@ def loads_game(text: str, *, path="<input>", cap: int = DEFAULT_CAP) -> Game:
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer beyond the digit limit, or nesting beyond the recursion limit
+        raise ParseError(path, str(exc)) from None
     if not isinstance(doc, dict):
         raise ParseError(path, "top-level value must be an object")
     kind = doc.get("kind")
@@ -132,12 +135,10 @@ def _load_simple(doc: dict, path, cap: int) -> SimpleGame:
     winning = doc.get("winning")
     if not isinstance(winning, list):
         raise ParseError(path, '"winning" must be a list of coalitions')
-    generators = []
     for entry in winning:
         if not isinstance(entry, list):
             raise ParseError(path, f"coalitions must be lists of players, got {entry!r}")
-        generators.append(entry)
-    return simple_game_from_generators(n, generators, cap=cap)
+    return simple_game_from_generators(n, winning, cap=cap)
 
 
 def _load_tu(doc: dict, path, cap: int) -> TUGame:

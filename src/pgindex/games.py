@@ -25,7 +25,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from operator import gt
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -134,6 +135,52 @@ def check_cap(n: int, base: int, cap: int, message: str) -> int:
     return size
 
 
+def _axis_steps(n: int, j: int, size: int) -> Iterator[tuple[int, slice, slice]]:
+    """``(stride, lower, upper)`` slices pairing every rank with the rank one
+    level up along each axis, lower levels first: one slice per offset in a
+    block across all blocks, or one per level step in each block, if fewer."""
+    for p in range(n):
+        s = j ** (n - 1 - p)
+        block = s * j
+        if s <= size // block:
+            for lo in range(s, block):
+                yield s, slice(lo - s, None, block), slice(lo, None, block)
+        else:
+            for start in range(0, size, block):
+                for lo in range(start + s, start + block, s):
+                    yield s, slice(lo - s, lo), slice(lo, lo + s)
+
+
+def _axis_max(table: list, n: int, j: int) -> list:
+    """Running maximum along each axis in place (the zeta transform under max):
+    each entry becomes the maximum at or below it. On a 0/1 coalition table
+    this is the upward closure."""
+    for _, lower, upper in _axis_steps(n, j, len(table)):
+        table[upper] = _pointwise_max(table[upper], table[lower])
+    return table
+
+
+def _pointwise_max(a: list, b: list) -> list:
+    # a comparison in a comprehension is several times faster than map(max, ...)
+    return [p if p > q else q for p, q in zip(a, b)]
+
+
+def _descents(n: int, j: int, table: Sequence) -> Iterator[tuple[int, int]]:
+    """``(rank, stride)`` wherever raising one coordinate lowers the entry:
+    ``table[rank] > table[rank + stride]``, axis by axis."""
+    for s, lower, upper in _axis_steps(n, j, len(table)):
+        below, above = table[lower], table[upper]
+        if any(map(gt, below, above)):
+            for rank, a, b in zip(range(len(table))[lower], below, above):
+                if a > b:
+                    yield rank, s
+
+
+def _check_length(table: tuple, size: int, what: str = "table") -> None:
+    if len(table) != size:
+        raise ValidationError(f"{what} has {len(table)} entries, expected {size}")
+
+
 def _check_shape(n: int, j: int, k: int) -> None:
     if n < 0:
         raise ValidationError(f"player count must be >= 0, got {n}")
@@ -144,11 +191,12 @@ def _check_shape(n: int, j: int, k: int) -> None:
 
 
 def _check_players(players: Iterable[int], n: int) -> frozenset[int]:
-    out = frozenset(players)
-    for i in out:
+    members = tuple(players)
+    # checked before hashing, so that a list or dict member is an unknown player too
+    for i in members:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
             raise UnknownPlayer(f"player {i!r} is not one of 1..{n}")
-    return out
+    return frozenset(members)
 
 
 def _as_fraction(value: RationalLike, what: str) -> Fraction:
@@ -194,10 +242,7 @@ class JKGame:
 
     def __post_init__(self):
         _check_shape(self.n, self.j, self.k)
-        if len(self.levels) != self.j ** self.n:
-            raise ValidationError(
-                f"table has {len(self.levels)} entries, expected {self.j ** self.n}"
-            )
+        _check_length(self.levels, self.j ** self.n)
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
         elif len(self.labels) != self.n:
@@ -221,20 +266,31 @@ class JKGame:
 
 @dataclass(frozen=True)
 class SimpleGame:
-    """A monotone yes/no voting game given by its winning coalitions."""
+    """A monotone yes/no voting game. ``levels`` is its (2,2) table, 1 for
+    each winning coalition and 0 for each losing one in coalition-rank
+    order; ``winning`` is derived from it on first use."""
 
     n: int
-    winning: frozenset[Coalition]
+    levels: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_length(self.levels, 1 << self.n)
+
+    @cached_property
+    def winning(self) -> frozenset[Coalition]:
+        return frozenset(
+            coalition_from_index(idx, self.n) for idx, level in enumerate(self.levels) if level
+        )
 
     def wins(self, coalition: Iterable[int]) -> bool:
-        return frozenset(coalition) in self.winning
+        return self.levels[coalition_index(_check_players(coalition, self.n), self.n)] == 1
 
     def players(self) -> range:
         return range(1, self.n + 1)
 
     @property
     def trivial(self) -> bool:
-        return not self.winning
+        return not any(self.levels)
 
 
 @dataclass(frozen=True)
@@ -251,10 +307,7 @@ class TUGame:
     labels: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.worths) != 1 << self.n:
-            raise ValidationError(
-                f"worth table has {len(self.worths)} entries, expected {1 << self.n}"
-            )
+        _check_length(self.worths, 1 << self.n, "worth table")
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
         elif len(self.labels) != self.n:
@@ -300,16 +353,15 @@ def _check_levels(n: int, j: int, k: int, levels: tuple) -> None:
             f"{len(bad)} table entries outside 0..{k - 1}", witnesses=bad
         )
     _check_origin(n, j, levels)
-    strides = [j ** (n - 1 - p) for p in range(n)]
-    violations = []
-    for idx, x in enumerate(all_profiles(n, j)):
-        for p in range(n):
-            if x[p] < j - 1 and levels[idx] > levels[idx + strides[p]]:
-                violations.append((x, increment(x, p + 1, j)))
+    # in table order, first axis first
+    violations = sorted(_descents(n, j, levels), key=lambda d: (d[0], -d[1]))
     if violations:
         raise MonotonicityViolation(
             f"{len(violations)} profile pairs where raising a level lowers the output",
-            witnesses=violations,
+            witnesses=[
+                (index_profile(rank, n, j), index_profile(rank + s, n, j))
+                for rank, s in violations
+            ],
         )
 
 
@@ -329,20 +381,13 @@ def make_table_game(
     _check_shape(n, j, k)
     size = check_cap(n, j, cap, "table would need {} entries")
     if isinstance(table, Mapping):
-        missing = 0
-        levels = []
-        for x in all_profiles(n, j):
-            if x in table:
-                levels.append(table[x])
-            else:
-                missing += 1
+        missing = sum(1 for x in all_profiles(n, j) if x not in table)
         if missing:
             raise IncompleteTable(f"{missing} of {size} profiles have no entry")
-        levels = tuple(levels)
-    else:
-        levels = tuple(table)
-        if len(levels) != size:
-            raise IncompleteTable(f"got {len(levels)} entries, expected {size}")
+        table = [table[x] for x in all_profiles(n, j)]
+    levels = tuple(table)
+    if len(levels) != size:
+        raise IncompleteTable(f"got {len(levels)} entries, expected {size}")
     _check_levels(n, j, k, levels)
     return JKGame(n, j, k, levels)
 
@@ -403,43 +448,39 @@ def evaluate(game: JKGame, x: Sequence[int]) -> int:
     return game.value(xt)
 
 
+def _marked(n: int, coalitions: Iterable[Iterable[int]], cap: int, message: str) -> list[int]:
+    """The 0/1 coalition table with 1 at each given nonempty coalition."""
+    _check_shape(n, 2, 2)
+    levels = [0] * check_cap(n, 2, cap, message)
+    for S in coalitions:
+        members = _check_players(S, n)
+        if not members:
+            raise NonZeroAtOrigin("the empty coalition cannot win")
+        levels[coalition_index(members, n)] = 1
+    return levels
+
+
 def make_simple_game(n: int, winning: Iterable[Iterable[int]]) -> SimpleGame:
     """Build a simple game from its full set of winning coalitions."""
-    _check_shape(n, 2, 2)
-    sets = frozenset(frozenset(S) for S in winning)
-    for S in sets:
-        _check_players(S, n)
-        if not S:
-            raise NonZeroAtOrigin("the empty coalition cannot win")
-    bad = [
-        (S, S | {i})
-        for S in sets
-        for i in range(1, n + 1)
-        if i not in S and S | {i} not in sets
+    levels = _marked(n, winning, DEFAULT_CAP, "table would need {} entries")
+    holes = [
+        (coalition_from_index(rank, n), coalition_from_index(rank + s, n))
+        for rank, s in _descents(n, 2, levels)
     ]
-    if bad:
+    if holes:
         raise MonotonicityViolation(
-            f"winning set is not closed under supersets ({len(bad)} holes)",
-            witnesses=bad,
+            f"winning set is not closed under supersets ({len(holes)} holes)",
+            witnesses=holes,
         )
-    return SimpleGame(n, sets)
+    return SimpleGame(n, tuple(levels))
 
 
 def simple_game_from_generators(
     n: int, generators: Iterable[Iterable[int]], *, cap: int = DEFAULT_CAP
 ) -> SimpleGame:
     """Build a simple game as the upward closure of the given coalitions."""
-    _check_shape(n, 2, 2)
-    check_cap(n, 2, cap, "closure would enumerate {} coalitions")
-    gens = [frozenset(S) for S in generators]
-    for S in gens:
-        _check_players(S, n)
-        if not S:
-            raise NonZeroAtOrigin("the empty coalition cannot win")
-    winning = frozenset(
-        S for S in all_coalitions(n) if any(g <= S for g in gens)
-    )
-    return SimpleGame(n, winning)
+    levels = _marked(n, generators, cap, "closure would enumerate {} coalitions")
+    return SimpleGame(n, tuple(_axis_max(levels, n, 2)))
 
 
 def make_tu_game(
@@ -452,32 +493,23 @@ def make_tu_game(
     """Build a TU game from a coalition -> worth mapping (exact rationals)."""
     if n < 0:
         raise ValidationError(f"player count must be >= 0, got {n}")
-    check_cap(n, 2, cap, "worth table would need {} entries")
+    size = check_cap(n, 2, cap, "worth table would need {} entries")
     table = {}
     for key, value in worth.items():
         S = _check_players(key, n)
-        table[S] = _as_fraction(value, f"worth of {sorted(S)}")
-    worths = []
-    missing = 0
-    for S in all_coalitions(n):
-        if S in table:
-            worths.append(table[S])
-        else:
-            missing += 1
+        table[coalition_index(S, n)] = _as_fraction(value, f"worth of {sorted(S)}")
+    missing = size - len(table)
     if missing:
-        raise IncompleteWorthTable(f"{missing} of {1 << n} coalitions have no worth")
+        raise IncompleteWorthTable(f"{missing} of {size} coalitions have no worth")
+    worths = tuple(map(table.__getitem__, range(size)))
     if worths[0] != 0:
         raise NonZeroEmptyCoalition(f"empty coalition has worth {worths[0]}, must be 0")
-    return TUGame(n, tuple(worths), _monotone_flag(n, worths), labels=labels)
+    return TUGame(n, worths, _monotone_flag(n, worths), labels=labels)
 
 
 def _monotone_flag(n: int, worths: Sequence[Fraction]) -> bool:
-    """Whether adding any one player ever lowers a worth."""
-    for idx in range(1 << n):
-        for p in range(n):
-            if not idx >> (n - 1 - p) & 1 and worths[idx] > worths[idx + (1 << (n - 1 - p))]:
-                return False
-    return True
+    """Whether no added player ever lowers a worth."""
+    return next(_descents(n, 2, worths), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +518,14 @@ def _monotone_flag(n: int, worths: Sequence[Fraction]) -> bool:
 
 def embed_simple(game: SimpleGame) -> JKGame:
     """The (2,2) game of a simple game: v(x^S) = 1 iff S wins."""
-    levels = tuple(1 if S in game.winning else 0 for S in all_coalitions(game.n))
-    return JKGame(game.n, 2, 2, levels)
+    return JKGame(game.n, 2, 2, game.levels)
 
 
 def extract_simple(game: JKGame) -> SimpleGame:
     """Inverse of :func:`embed_simple`; requires j = k = 2."""
     if game.j != 2 or game.k != 2:
         raise NotBinaryGame(f"expected a (2,2) game, got ({game.j},{game.k})")
-    winning = frozenset(
-        S for S, level in zip(all_coalitions(game.n), game.levels) if level
-    )
-    return SimpleGame(game.n, winning)
+    return SimpleGame(game.n, game.levels)
 
 
 def embed_2k_as_tu(game: JKGame) -> TUGame:
@@ -531,14 +559,17 @@ def subgame(game: JKGame | TUGame, coalition: Iterable[int]):
     raise TypeError(f"no subgames for {type(game).__name__}")
 
 
-def _subgame_jk(game: JKGame, keep: list[int]) -> JKGame:
-    m = len(keep)
-    # table rows of the kept profiles, one kept player at a time in table order
+def _kept_rows(n: int, j: int, keep: list[int]) -> list[int]:
+    """Table rows, in order, of the profiles with everyone outside ``keep`` at 0."""
     rows = [0]
     for pos in keep:
-        stride = game.j ** (game.n - pos)
-        rows = [r + stride * level for r in rows for level in range(game.j)]
-    levels = tuple(map(game.levels.__getitem__, rows))
+        stride = j ** (n - pos)
+        rows = [r + stride * level for r in rows for level in range(j)]
+    return rows
+
+
+def _subgame_jk(game: JKGame, keep: list[int]) -> JKGame:
+    levels = tuple(map(game.levels.__getitem__, _kept_rows(game.n, game.j, keep)))
     provenance = None
     if game.provenance is not None:
         provenance = WeightedRule(
@@ -546,18 +577,14 @@ def _subgame_jk(game: JKGame, keep: list[int]) -> JKGame:
             game.provenance.thresholds,
         )
     labels = tuple(game.labels[pos - 1] for pos in keep)
-    return JKGame(m, game.j, game.k, levels, provenance=provenance, labels=labels)
+    return JKGame(len(keep), game.j, game.k, levels, provenance=provenance, labels=labels)
 
 
 def _subgame_tu(game: TUGame, keep: list[int]) -> TUGame:
-    m = len(keep)
-    worths = []
-    for bits in itertools.product((0, 1), repeat=m):
-        S = frozenset(keep[p] for p in range(m) if bits[p])
-        worths.append(game.worth(S))
+    worths = tuple(map(game.worths.__getitem__, _kept_rows(game.n, 2, keep)))
     labels = tuple(game.labels[pos - 1] for pos in keep)
-    monotone = game.monotone or _monotone_flag(m, worths)
-    return TUGame(m, tuple(worths), monotone, labels=labels)
+    monotone = game.monotone or _monotone_flag(len(keep), worths)
+    return TUGame(len(keep), worths, monotone, labels=labels)
 
 
 def remove_player(game: JKGame | TUGame, i: int):

@@ -22,9 +22,9 @@ from .errors import RecursionCapExceeded, TrivialGame, UnknownPlayer
 from .critical import (
     CoalitionSet,
     MCVSet,
+    _listing,
     minimal_critical_coalitions,
     minimal_critical_vectors,
-    minimal_winning_coalitions,
     real_gaining_coalitions,
 )
 from .games import (
@@ -85,25 +85,38 @@ def _normalized(report: IndexReport, variant: str) -> IndexReport:
     )
 
 
+def _tally(variant: str, players: tuple, listing, support, credit=None) -> IndexReport:
+    """One pass over a listing of (x, w): potential, distributed total (w times
+    ``len(support(x))``) and per supporter p the credit ``credit(x, w, p)``, or w."""
+    # (j,k) worths are ints: summed as ints, widened once at the end
+    values = [0] * len(players)
+    potential = lam = 0
+    for x, w in listing.pairs():
+        positions = support(x)
+        potential += w
+        lam += w * len(positions)
+        for p in positions:
+            values[p] += w if credit is None else credit(x, w, p)
+    widened = tuple(map(Fraction, values))
+    return IndexReport(variant, players, widened, Fraction(potential), Fraction(lam), listing)
+
+
+def _members(coalition) -> list[int]:
+    return [i - 1 for i in coalition]
+
+
+def _support(x) -> list[int]:
+    return [p for p, level in enumerate(x) if level]
+
+
 # ---------------------------------------------------------------------------
 # simple games
 
 
 def pgi_raw(game: SimpleGame) -> IndexReport:
-    """Raw Public Good index: memberships in minimal winning coalitions."""
-    mwc = minimal_winning_coalitions(game)
-    values = tuple(
-        Fraction(sum(1 for S in mwc if i in S)) for i in game.players()
-    )
-    listing = CoalitionSet.from_pairs(game.n, ((S, Fraction(1)) for S in mwc))
-    return IndexReport(
-        "raw_pgi",
-        tuple(game.players()),
-        values,
-        Fraction(len(mwc)),
-        Fraction(sum(len(S) for S in mwc)),
-        listing,
-    )
+    """Raw Public Good index: memberships in minimal winning coalitions,
+    each of worth 1."""
+    return _tally("raw_pgi", tuple(game.players()), _listing(game), _members)
 
 
 def pgi_normalized(game: SimpleGame) -> IndexReport:
@@ -122,31 +135,22 @@ def pgv_tu(game: TUGame, family: str = "mcc") -> IndexReport:
     """Public Good value: per player, the summed worths of the coalitions
     in the chosen family (minimal critical by default, real gaining on
     request) that contain them."""
-    try:
-        enumerate_family = TU_FAMILIES[family]
-    except KeyError:
+    return _tally("tu_pgv", tuple(game.labels), _family_listing(game, family), _members)
+
+
+def _family_listing(game: TUGame, family: str) -> CoalitionSet:
+    """The chosen family of coalitions with their worths, in rank order."""
+    if family == "mcc":
+        return _listing(game)
+    if family not in TU_FAMILIES:
         raise ValueError(f"family must be one of {sorted(TU_FAMILIES)}, got {family!r}")
-    chosen = enumerate_family(game)
-    values = [Fraction(0)] * game.n
-    potential = Fraction(0)
-    lam = Fraction(0)
-    for S in chosen:
-        w = game.worth(S)
-        potential += w
-        lam += w * len(S)
-        for i in S:
-            values[i - 1] += w
-    listing = CoalitionSet.from_pairs(game.n, ((S, game.worth(S)) for S in chosen))
-    return IndexReport(
-        "tu_pgv", tuple(game.labels), tuple(values), potential, lam, listing
-    )
+    chosen = TU_FAMILIES[family](game)
+    return CoalitionSet.from_pairs(game.n, ((S, game.worth(S)) for S in chosen))
 
 
 def tu_potential(game: TUGame) -> Fraction:
     """Sum of the worths of all minimal critical coalitions."""
-    return sum(
-        (game.worth(S) for S in minimal_critical_coalitions(game)), Fraction(0)
-    )
+    return pgv_tu(game).potential
 
 
 # ---------------------------------------------------------------------------
@@ -155,35 +159,18 @@ def tu_potential(game: TUGame) -> Fraction:
 
 def jk_potential(game: JKGame) -> Fraction:
     """Sum of the worths of all minimal critical vectors."""
-    mcv = minimal_critical_vectors(game)
-    return sum((Fraction(w) for w in mcv.worths), Fraction(0))
+    return public_good_value_jk(game).potential
 
 
 def lambda_total(game: JKGame) -> Fraction:
     """Total distributed worth: each minimal critical vector's worth times
     the number of players supporting it."""
-    mcv = minimal_critical_vectors(game)
-    return sum(
-        (Fraction(w * sum(1 for level in x if level)) for x, w in mcv.pairs()),
-        Fraction(0),
-    )
+    return public_good_value_jk(game).lambda_total
 
 
 def public_good_value_jk(game: JKGame) -> IndexReport:
     """Potential-based value: summed worths of the supported vectors."""
-    mcv = minimal_critical_vectors(game)
-    values = [Fraction(0)] * game.n
-    potential = Fraction(0)
-    lam = Fraction(0)
-    for x, w in mcv.pairs():
-        potential += w
-        support = [p for p in range(game.n) if x[p]]
-        lam += w * len(support)
-        for p in support:
-            values[p] += w
-    return IndexReport(
-        "potential_value", tuple(game.labels), tuple(values), potential, lam, mcv
-    )
+    return _tally("potential_value", tuple(game.labels), minimal_critical_vectors(game), _support)
 
 
 def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
@@ -211,18 +198,12 @@ def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
 def variant_value(game: JKGame) -> IndexReport:
     """Marginal-surplus variant: each supporter of a minimal critical
     vector is credited with the output drop their own level prevents."""
-    mcv = minimal_critical_vectors(game)
-    values = [Fraction(0)] * game.n
-    potential = Fraction(0)
-    lam = Fraction(0)
-    for x, w in mcv.pairs():
-        potential += w
-        support = [p for p in range(game.n) if x[p]]
-        lam += w * len(support)
-        for p in support:
-            values[p] += w - game.value(decrement(x, p + 1))
-    return IndexReport(
-        "surplus_variant", tuple(game.labels), tuple(values), potential, lam, mcv
+    return _tally(
+        "surplus_variant",
+        tuple(game.labels),
+        minimal_critical_vectors(game),
+        _support,
+        lambda x, w, p: w - game.value(decrement(x, p + 1)),
     )
 
 

@@ -302,6 +302,14 @@ class TestErrorPaths:
         assert code == 1
         assert "witness" in stderr
 
+    def test_unhashable_member(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind":"simple","n":2,"winning":[[[1]]]}')
+        code, stdout, stderr = invoke("analyze", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: player [1] is not one of 1..2\n"
+
     def test_no_command_usage_error(self):
         code, _, _ = invoke()
         assert code == 2

@@ -116,7 +116,7 @@ class TestAntichainCheck:
     @settings(max_examples=300, deadline=None)
     @given(game=unvalidated_tables())
     def test_raises_exactly_when_from_pairs_does(self, game):
-        found = _predecessor_scan(game)
+        found = _predecessor_scan(game.n, game.j, game.levels)
         sweep = _raises(lambda: _antichain_sweep(game, found))
         pairwise = _raises(lambda: MCVSet.from_pairs((x, w) for _, x, w in found))
         assert sweep == pairwise
@@ -154,9 +154,9 @@ class TestOneEnumerationPerGame:
     def test_analyze_scans_table_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(game):
-            calls.append(game)
-            return _predecessor_scan(game)
+        def counting(n, j, table):
+            calls.append(table)
+            return _predecessor_scan(n, j, table)
 
         monkeypatch.setattr(critical, "_predecessor_scan", counting)
         assert main(["analyze", str(DATA / "example33.json")]) == 0

@@ -221,6 +221,12 @@ class TestSimpleGames:
         assert frozenset({1, 3}) in game.winning
         assert frozenset({2}) not in game.winning
 
+    def test_unhashable_member_is_unknown_player(self):
+        with pytest.raises(UnknownPlayer, match=r"^player \[1\] is not one of 1\.\.2$"):
+            make_simple_game(2, [[[1]]])
+        with pytest.raises(UnknownPlayer, match=r"^player \{'a': 1\} is not one of 1\.\.2$"):
+            simple_game_from_generators(2, [[{"a": 1}]])
+
     def test_trivial_flag(self):
         assert simple_game_from_generators(2, []).trivial
         assert not simple_game_from_generators(2, [{1}]).trivial

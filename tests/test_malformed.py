@@ -1,0 +1,157 @@
+"""Malformed game files through the CLI: every one must end in exit 1 or
+2 with an ``error:`` line, never in a traceback.
+
+Each case takes a valid document of one kind and puts a value of a wrong
+JSON type (or an out-of-range one) at one place: a member, a key, a
+level, a weight, a threshold, a count or a whole section.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pgindex.cli import main
+
+VALID = {
+    "table": {"kind": "jk", "n": 2, "j": 2, "k": 3, "table": [0, 1, 1, 2]},
+    "weighted": {
+        "kind": "jk", "n": 3, "j": 3, "k": 3,
+        "weighted": {"weights": ["3", "2", 1], "thresholds": [7, "12"]},
+    },
+    "simple": {"kind": "simple", "n": 3, "winning": [[1], [2, 3]]},
+    "tu": {"kind": "tu", "n": 2, "worth": {"1": "1", "2": "1/2", "1,2": 2}},
+}
+
+COMMANDS = ("analyze", "mcv", "potential", "average", "axioms", "embed")
+
+#: (document, path to the slot, what the slot must hold)
+SLOTS = [
+    *((kind, (key,), "int") for kind in ("table", "weighted") for key in ("n", "j", "k")),
+    ("simple", ("n",), "int"),
+    ("tu", ("n",), "int"),
+    *((kind, ("kind",), "kind") for kind in VALID),
+    ("table", ("table",), "list"),
+    *(("table", ("table", i), "level") for i in range(4)),
+    ("weighted", ("weighted",), "object"),
+    *(("weighted", ("weighted", key), "list") for key in ("weights", "thresholds")),
+    *(("weighted", ("weighted", "weights", i), "rational") for i in range(3)),
+    *(("weighted", ("weighted", "thresholds", i), "rational") for i in range(2)),
+    ("simple", ("winning",), "list"),
+    *(("simple", ("winning", i), "list") for i in range(2)),
+    ("simple", ("winning", 0, 0), "member"),
+    ("simple", ("winning", 1, 1), "member"),
+    ("tu", ("worth",), "object"),
+    *(("tu", ("worth", key), "rational") for key in ("1", "2", "1,2")),
+    *(("tu", ("worth", key), "key") for key in ("1", "2", "1,2")),
+]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=8),
+    st.integers(-3, 12),
+    st.sampled_from((10**12, -(10**12), 2**63)),
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_rational(value) -> bool:
+    if _is_int(value):
+        return True
+    if not isinstance(value, str):
+        return False
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _members(key: str):
+    try:
+        return frozenset(int(token) for token in key.split(",")) if key else frozenset()
+    except ValueError:
+        return None
+
+
+#: per slot, the values that would still be valid there
+STILL_VALID = {
+    "int": _is_int,
+    "kind": lambda value: value in ("jk", "simple", "tu"),
+    "list": lambda value: isinstance(value, list),
+    "object": lambda value: isinstance(value, dict),
+    "level": lambda value: _is_int(value) and 0 <= value < 3,
+    "rational": _is_rational,
+    "member": lambda value: _is_int(value) and 1 <= value <= 3,
+}
+
+
+@st.composite
+def malformed(draw):
+    kind, path, slot = draw(st.sampled_from(SLOTS))
+    doc = json.loads(json.dumps(VALID[kind]))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    if slot == "key":
+        new = draw(st.text(alphabet="0123, -x.[]", max_size=6))
+        if _members(new) == _members(last):  # the same coalition: repeat a member instead
+            new = "1,1"
+        parent[new] = parent.pop(last)
+    else:
+        value = draw(json_values.filter(lambda v: not STILL_VALID[slot](v)))
+        parent[last] = value
+    return doc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+class TestMalformedFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=malformed(), command=st.sampled_from(COMMANDS))
+    def test_exit_one_with_error_line(self, doc, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "game.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            status, out, err = _run([command, str(path)])
+        assert status in (1, 2), (status, out, err)
+        assert any(line.startswith("error:") for line in err.splitlines()), err
+
+    def test_unreadable_texts(self, tmp_path):
+        cases = {
+            "latin1.json": b'{"kind": "simple", "n": 1, "winning": [[1]], "x": "\xe9"}',
+            "deep.json": b"[" * 100000 + b"]" * 100000,
+            "digits.json": b'{"kind": "jk", "n": ' + b"9" * 5000 + b', "j": 2, "k": 2, "table": [0]}',
+        }
+        for name, data in cases.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            status, out, err = _run(["analyze", str(path)])
+            assert status == 1, name
+            assert out == "" and err.startswith("error: "), (name, err)

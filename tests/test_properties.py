@@ -19,10 +19,12 @@ from pgindex import (
     jk_potential,
     jk_potential_recursive,
     loads_game,
+    make_simple_game,
     make_table_game,
     make_weighted_game,
     minimal_critical_coalitions,
     minimal_critical_vectors,
+    minimal_critical_vectors_oracle,
     minimal_winning_coalitions,
     oplus,
     permute,
@@ -30,6 +32,7 @@ from pgindex import (
     public_good_value_jk,
     rational_str,
     remove_player,
+    simple_game_from_generators,
     subgame,
     variant_value,
 )
@@ -37,7 +40,7 @@ from pgindex.errors import MonotonicityViolation
 from pgindex.gamefile import parse_rational
 from pgindex.games import all_coalitions, all_profiles, coalition_of_profile
 
-from gamegen import enumerate_monotone_jk, random_monotone_jk, random_monotone_tu
+from gamegen import enumerate_monotone_jk, random_monotone_jk, random_monotone_tu, random_tu
 
 
 class TestWeightedAgainstTable:
@@ -310,3 +313,104 @@ class TestCLIRoundTrip:
         assert public_good_value_jk(reloaded).player_values == pgi_raw(
             quota_simple
         ).player_values
+
+
+def _naive_closure(n, generators):
+    """Every coalition containing some generator, by the subset test."""
+    gens = [frozenset(g) for g in generators]
+    return frozenset(S for S in all_coalitions(n) if any(g <= S for g in gens))
+
+
+@st.composite
+def generator_lists(draw):
+    n = draw(st.integers(0, 5))
+    nonempty = [S for S in all_coalitions(n) if S]
+    gens = draw(st.lists(st.sampled_from(nonempty), max_size=5)) if nonempty else []
+    return n, gens
+
+
+class TestKernelTwins:
+    """The flat-table routes (axis closure, descent finder, predecessor
+    scan) against literal frozenset scans that share no code with them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=generator_lists())
+    def test_closure_matches_naive_closure(self, case):
+        n, gens = case
+        assert simple_game_from_generators(n, gens).winning == _naive_closure(n, gens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=generator_lists())
+    def test_mwc_matches_subset_scan_and_oracle(self, case):
+        n, gens = case
+        winning = _naive_closure(n, gens)
+        game = make_simple_game(n, winning)
+        literal = frozenset(
+            S
+            for S in winning
+            if not any(
+                frozenset(T) in winning for r in range(len(S)) for T in combinations(S, r)
+            )
+        )
+        assert minimal_winning_coalitions(game) == literal
+        oracle = minimal_critical_vectors_oracle(embed_simple(game))
+        assert frozenset(coalition_of_profile(x) for x in oracle.vectors) == literal
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 5), seed=st.integers(0, 10**6))
+    def test_mcc_matches_departure_scan_with_negative_worths(self, n, seed):
+        game = random_tu(n, random.Random(seed))
+        literal = frozenset(
+            S
+            for S in all_coalitions(n)
+            if S and all(game.worth(S) > game.worth(S - {i}) for i in S)
+        )
+        assert minimal_critical_coalitions(game) == literal
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 4), data=st.data())
+    def test_hole_count_matches_brute_force(self, n, data):
+        nonempty = [S for S in all_coalitions(n) if S]
+        family = frozenset(data.draw(st.lists(st.sampled_from(nonempty)))) if n else frozenset()
+        holes = [
+            (S, S | {i}) for S in family for i in range(1, n + 1) if S | {i} not in family
+        ]
+        if not holes:
+            assert make_simple_game(n, family).winning == family
+            return
+        with pytest.raises(MonotonicityViolation, match=rf"\({len(holes)} holes\)") as info:
+            make_simple_game(n, family)
+        assert sorted(info.value.witnesses, key=str) == sorted(holes, key=str)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 5), seed=st.integers(0, 10**6), monotone=st.booleans())
+    def test_tu_monotone_flag_matches_brute_force(self, n, seed, monotone):
+        rng = random.Random(seed)
+        game = random_monotone_tu(n, rng) if monotone else random_tu(n, rng)
+        literal = all(
+            game.worth(S) <= game.worth(S | {i})
+            for S in all_coalitions(n)
+            for i in range(1, n + 1)
+        )
+        assert game.monotone == literal
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(((1, 4, 3), (2, 3, 3), (3, 2, 2), (3, 3, 3), (2, 4, 2))),
+        data=st.data(),
+    )
+    def test_table_witnesses_in_table_order(self, shape, data):
+        n, j, k = shape
+        tail = data.draw(st.lists(st.integers(0, k - 1), min_size=j**n - 1, max_size=j**n - 1))
+        levels = (0, *tail)
+        table = dict(zip(all_profiles(n, j), levels))
+        raised = [
+            (x, x[:p] + (x[p] + 1,) + x[p + 1 :]) for x in table for p in range(n) if x[p] < j - 1
+        ]
+        literal = [(x, y) for x, y in raised if table[x] > table[y]]
+        if not literal:
+            make_table_game(n, j, k, levels)
+            return
+        with pytest.raises(MonotonicityViolation) as info:
+            make_table_game(n, j, k, levels)
+        assert list(info.value.witnesses) == literal
