@@ -11,7 +11,7 @@ exactly the disjoint union of both sets, and criticality counts add up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -20,19 +20,19 @@ from .errors import (
     NotAPermutation,
     NotMergeable,
     TrivialGame,
-    UnknownPlayer,
     ValidationError,
 )
 from .critical import minimal_critical_vectors
 from .games import (
     JKGame,
     Profile,
-    WeightedRule,
     _axis_max,
-    all_profiles,
+    _axis_steps,
+    _check_players,
+    _subgame_jk,
     profile_index,
 )
-from .indices import normalized_variant, total_criticality
+from .indices import normalized_variant, variant_value
 
 CLAUSE_SHARED = "C1_shared_mcv"
 CLAUSE_LE = "C2_le_not_less"
@@ -118,14 +118,11 @@ def mcv_union_check(v: JKGame, w: JKGame) -> bool:
 
 
 def _union_holds(v: JKGame, w: JKGame) -> bool:
-    """The union lemma on a pair already known to be mergeable."""
-    mcv_v = minimal_critical_vectors(v).as_dict()
-    mcv_w = minimal_critical_vectors(w).as_dict()
-    merged = minimal_critical_vectors(oplus(v, w)).as_dict()
-    if set(mcv_v) & set(mcv_w):
-        return False
-    union = {**mcv_v, **mcv_w}
-    return merged == union
+    """The union lemma on a pair already known to be mergeable. Listings
+    are in table order, which is sorted profile order; a vector shared by
+    v and w appears twice in the union, so the lengths differ."""
+    union = sorted([*minimal_critical_vectors(v).pairs(), *minimal_critical_vectors(w).pairs()])
+    return union == list(minimal_critical_vectors(oplus(v, w)).pairs())
 
 
 def permute(v: JKGame, pi: Sequence[int]) -> JKGame:
@@ -134,28 +131,21 @@ def permute(v: JKGame, pi: Sequence[int]) -> JKGame:
     pi = tuple(pi)
     if sorted(pi) != list(range(1, v.n + 1)):
         raise NotAPermutation(f"{pi} is not a permutation of 1..{v.n}")
-    levels = []
-    for x in all_profiles(v.n, v.j):
-        inner = tuple(x[pi[p] - 1] for p in range(v.n))
-        levels.append(v.levels[profile_index(inner, v.j)])
-    provenance = None
-    if v.provenance is not None:
-        weights = [None] * v.n
-        for p in range(v.n):
-            weights[pi[p] - 1] = v.provenance.weights[p]
-        provenance = WeightedRule(tuple(weights), v.provenance.thresholds)
-    return JKGame(v.n, v.j, v.k, tuple(levels), provenance=provenance, labels=v.labels)
+    # the subgame keeping every player in the order pi^-1 reads old
+    # coordinate i at position pi(i), table rows and weights alike
+    inverse = sorted(v.players(), key=lambda p: pi[p - 1])
+    return replace(_subgame_jk(v, inverse), labels=v.labels)
 
 
 def is_null_player(v: JKGame, i: int) -> bool:
     """Whether the output never depends on player i's level."""
-    if not 1 <= i <= v.n:
-        raise UnknownPlayer(f"player {i} is not one of 1..{v.n}")
+    _check_players((i,), v.n)
     stride = v.j ** (v.n - i)
-    for idx, x in enumerate(all_profiles(v.n, v.j)):
-        if x[i - 1] < v.j - 1 and v.levels[idx] != v.levels[idx + stride]:
-            return False
-    return True
+    return all(
+        v.levels[lower] == v.levels[upper]
+        for s, lower, upper in _axis_steps(v.n, v.j, len(v.levels))
+        if s == stride
+    )
 
 
 def single_mcv_game(x: Sequence[int], worth: int, j: int, k: int) -> JKGame:
@@ -197,7 +187,7 @@ def axiom_report(v: JKGame, w: JKGame | None = None) -> AxiomReport:
     if w is None:
         results.append(AxiomResult("A4", "skipped", "no second game given"))
     else:
-        results.append(_axiom_merge(v, w, norm_v))
+        results.append(_axiom_merge(v, w))
     return AxiomReport(tuple(results))
 
 
@@ -239,21 +229,21 @@ def _axiom_shares(v: JKGame, norm_v) -> AxiomResult:
     return AxiomResult("A3", "pass", f"all {len(support)} supporters share equally")
 
 
-def _axiom_merge(v: JKGame, w: JKGame, norm_v) -> AxiomResult:
+def _axiom_merge(v: JKGame, w: JKGame) -> AxiomResult:
     report = is_mergeable(v, w)
     if not report.mergeable:
         raise NotMergeable(
             f"A4 requested on a non-mergeable pair ({len(report.violations)} violations)"
         )
-    norm_w = normalized_variant(w)
+    variant_v, variant_w = variant_value(v), variant_value(w)
     norm_sum = normalized_variant(oplus(v, w))
-    cv = total_criticality(v)
-    cw = total_criticality(w)
+    # total criticality is the sum of the surplus credits (criticality_count),
+    # so (cv * s_v / cv + cw * s_w / cw) / (cv + cw) is (s_v + s_w) / (cv + cw)
+    cv = int(sum(variant_v.player_values))
+    cw = int(sum(variant_w.player_values))
     bad = []
     for i in v.players():
-        expected = (cv * norm_v.player_values[i - 1] + cw * norm_w.player_values[i - 1]) / (
-            cv + cw
-        )
+        expected = (variant_v.player_values[i - 1] + variant_w.player_values[i - 1]) / (cv + cw)
         got = norm_sum.player_values[i - 1]
         if got != expected:
             bad.append((i, got, expected))

@@ -7,7 +7,8 @@ the pinning, so each outside assignment is counted j^|S| times.
 ``average_game`` computes all 2^n sums at once by an axis-wise reduction
 of the table (Yates 1937; Björklund, Husfeldt, Kaski and Koivisto, STOC
 2007): each pass replaces one coordinate's j entries by their sum and by
-the pinned entry, once pinning to the top level and once to the bottom.
+j times the pinned entry, once pinning to the top level and once to the
+bottom, so the multiplicity j^|S| is built in.
 ``average_worth_oracle`` is its naive twin: it recomputes one worth by
 the explicit sum over the outside profiles and the multiplicity j^|S|.
 """
@@ -23,10 +24,9 @@ from .games import (
     DEFAULT_CAP,
     JKGame,
     TUGame,
-    all_coalitions,
+    _monotone_flag,
     all_profiles,
     check_cap,
-    make_tu_game,
 )
 from .indices import IndexReport, pgv_tu, public_good_value_jk, variant_value
 
@@ -54,12 +54,13 @@ class ValueComparison:
 
 def _pin_or_sum(levels: tuple[int, ...], n: int, j: int, pin: int) -> list[int]:
     """Reduce the table one coordinate at a time, last to first: each pass
-    replaces the last coordinate's j entries by their sum and the entry at
-    level ``pin``, and puts that two-way choice in front. After n passes the
-    table is in coalition-rank order: members pinned, the others summed."""
+    replaces the last coordinate's j entries by their sum and j times the
+    entry at level ``pin``, and puts that two-way choice in front. After n
+    passes the table is in coalition-rank order: members pinned, the others
+    summed, each entry counted j^|S| times."""
     table = list(levels)
     for _ in range(n):
-        table = [*map(sum, zip(*(table[a::j] for a in range(j)))), *table[pin::j]]
+        table = [*map(sum, zip(*(table[a::j] for a in range(j)))), *(j * e for e in table[pin::j])]
     return table
 
 
@@ -69,11 +70,8 @@ def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
     scale = Fraction(1, game.j ** game.n * (game.k - 1))
     top = _pin_or_sum(game.levels, game.n, game.j, game.j - 1)
     bottom = _pin_or_sum(game.levels, game.n, game.j, 0)
-    worths = {
-        S: game.j ** len(S) * (hi - lo) * scale
-        for S, hi, lo in zip(all_coalitions(game.n), top, bottom)
-    }
-    tu = make_tu_game(game.n, worths, labels=game.labels)
+    worths = tuple((hi - lo) * scale for hi, lo in zip(top, bottom))
+    tu = TUGame(game.n, worths, _monotone_flag(game.n, worths), labels=game.labels)
     if not tu.monotone:
         raise InvariantViolation("averaging a monotone game must stay monotone")
     if not all(0 <= q <= 1 for q in tu.worths):

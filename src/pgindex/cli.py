@@ -393,8 +393,8 @@ def _cmd_average(games, request: AnalysisRequest):
     }
     worths = [("coalition", "worth")]
     worths += [
-        (_coalition_str(S), _frac_table(result.tu.worth(S)))
-        for S in all_coalitions(result.tu.n)
+        (_coalition_str(S), _frac_table(w))
+        for S, w in zip(all_coalitions(result.tu.n), result.tu.worths)
     ]
     reports = [comparison.pgv_of_average, comparison.jk_value, comparison.variant]
     verdict = _values_table(reports)
@@ -408,8 +408,8 @@ def _cmd_average(games, request: AnalysisRequest):
     blocks = [[_game_heading(game)], scale, verdict]
     if request.oracle:
         doc["oracle_agrees"] = all(
-            result.tu.worth(S) == average_worth_oracle(game, S)
-            for S in all_coalitions(game.n)
+            w == average_worth_oracle(game, S)
+            for S, w in zip(all_coalitions(game.n), result.tu.worths)
         )
         blocks.append([_oracle_line(doc["oracle_agrees"])])
     return _render(request, doc, blocks), None

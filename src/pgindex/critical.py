@@ -20,7 +20,6 @@ from .errors import (
     LevelOutOfRange,
     NotMinimalCritical,
     OracleCapExceeded,
-    UnknownPlayer,
     ValidationError,
     ZeroLevelPlayer,
 )
@@ -31,6 +30,7 @@ from .games import (
     SimpleGame,
     TUGame,
     _axis_max,
+    _check_players,
     all_profiles,
     coalition_from_index,
     coalition_index,
@@ -303,8 +303,7 @@ def is_critical_for(game: JKGame, x: Profile, i: int, tau: int) -> bool:
     """Whether player i at minimal critical vector x is critical for
     reaching output level tau: v(x) >= tau but v(x with i lowered) < tau."""
     x = tuple(x)
-    if not 1 <= i <= game.n:
-        raise UnknownPlayer(f"player {i} is not one of 1..{game.n}")
+    _check_players((i,), game.n)
     if not 1 <= tau <= game.k - 1:
         raise LevelOutOfRange(f"tau={tau} outside 1..{game.k - 1}")
     if x not in minimal_critical_vectors(game):

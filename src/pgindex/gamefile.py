@@ -16,12 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .critical import minimal_winning_coalitions
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .games import (
     DEFAULT_CAP,
     JKGame,
     SimpleGame,
     TUGame,
+    _check_exponent,
     all_coalitions,
     make_table_game,
     make_tu_game,
@@ -38,16 +39,15 @@ def rational_str(q: Fraction) -> str:
 
 
 def parse_rational(obj, path, what: str) -> Fraction:
-    if isinstance(obj, bool) or isinstance(obj, float):
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise ParseError(path, f'{what} must be an integer or a "p/q" string, got {obj!r}')
-    if isinstance(obj, int):
+    try:
+        _check_exponent(obj, what)
         return Fraction(obj)
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(path, f"{what} is not a rational: {obj!r}") from None
-    raise ParseError(path, f'{what} must be an integer or a "p/q" string, got {obj!r}')
+    except ValidationError as exc:
+        raise ParseError(path, str(exc)) from None
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(path, f"{what} is not a rational: {obj!r}") from None
 
 
 def _get_int(doc: dict, key: str, path) -> int:
@@ -198,8 +198,8 @@ def game_to_dict(game: Game) -> dict:
         return {"kind": "simple", "n": game.n, "winning": generators}
     if isinstance(game, TUGame):
         worth = {
-            coalition_key(S): rational_str(game.worth(S))
-            for S in all_coalitions(game.n)
+            coalition_key(S): rational_str(w)
+            for S, w in zip(all_coalitions(game.n), game.worths)
         }
         return {"kind": "tu", "n": game.n, "worth": worth}
     raise TypeError(f"cannot serialize {type(game).__name__}")

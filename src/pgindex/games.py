@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -199,11 +201,25 @@ def _check_players(players: Iterable[int], n: int) -> frozenset[int]:
     return frozenset(members)
 
 
+def _check_exponent(value, what: str) -> None:
+    """Refuse a decimal exponent beyond ``sys.get_int_max_str_digits()`` in
+    magnitude: ``Fraction`` would build ten to that power (12 s for
+    ``"1e10000000"``), more digits than that limit allows an integer."""
+    match = isinstance(value, str) and re.search(r"e[-+]?0*(\d[\d_]*)\s*\Z", value, re.I)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    digits = match[1].replace("_", "") if match and limit else "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise ValidationError(
+            f"{what} {value!r} has a decimal exponent beyond {limit} in magnitude"
+        )
+
+
 def _as_fraction(value: RationalLike, what: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValidationError(
             f"{what} must be an exact rational (int, Fraction, or 'p/q'), got {value!r}"
         )
+    _check_exponent(value, what)
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -314,7 +330,7 @@ class TUGame:
             raise ValidationError("one label per player required")
 
     def worth(self, coalition: Iterable[int]) -> Fraction:
-        return self.worths[coalition_index(coalition, self.n)]
+        return self.worths[coalition_index(_check_players(coalition, self.n), self.n)]
 
     def coalitions(self) -> Iterator[Coalition]:
         return all_coalitions(self.n)

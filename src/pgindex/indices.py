@@ -15,10 +15,10 @@ Values are exact Fractions; raw counts are widened to Fraction in reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import RecursionCapExceeded, TrivialGame, UnknownPlayer
+from .errors import RecursionCapExceeded, TrivialGame
 from .critical import (
     CoalitionSet,
     MCVSet,
@@ -32,8 +32,9 @@ from .games import (
     JKGame,
     SimpleGame,
     TUGame,
+    _check_players,
     check_cap,
-    decrement,
+    profile_index,
     subgame,
 )
 
@@ -75,28 +76,27 @@ class IndexReport:
 
 def _normalized(report: IndexReport, variant: str) -> IndexReport:
     total = sum(report.player_values)
-    return IndexReport(
-        variant,
-        report.players,
-        tuple(q / total for q in report.player_values),
-        report.potential,
-        report.lambda_total,
-        report.listing,
-    )
+    shares = tuple(q / total for q in report.player_values)
+    return replace(report, variant=variant, player_values=shares)
 
 
-def _tally(variant: str, players: tuple, listing, support, credit=None) -> IndexReport:
+def _tally(variant: str, players: tuple, listing, support, surplus_of=None) -> IndexReport:
     """One pass over a listing of (x, w): potential, distributed total (w times
-    ``len(support(x))``) and per supporter p the credit ``credit(x, w, p)``, or w."""
+    ``len(support(x))``) and per supporter p the credit w, or, given the game
+    ``surplus_of``, the surplus w - v(x - e_p) read from its table by rank."""
     # (j,k) worths are ints: summed as ints, widened once at the end
     values = [0] * len(players)
     potential = lam = 0
+    if surplus_of is not None:
+        levels, j = surplus_of.levels, surplus_of.j
+        strides = [j ** (surplus_of.n - 1 - p) for p in range(surplus_of.n)]
     for x, w in listing.pairs():
         positions = support(x)
         potential += w
         lam += w * len(positions)
+        rank = None if surplus_of is None else profile_index(x, j)
         for p in positions:
-            values[p] += w if credit is None else credit(x, w, p)
+            values[p] += w if rank is None else w - levels[rank - strides[p]]
     widened = tuple(map(Fraction, values))
     return IndexReport(variant, players, widened, Fraction(potential), Fraction(lam), listing)
 
@@ -196,36 +196,31 @@ def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
 
 
 def variant_value(game: JKGame) -> IndexReport:
-    """Marginal-surplus variant: each supporter of a minimal critical
-    vector is credited with the output drop their own level prevents."""
+    """Marginal-surplus variant: each supporter i of a minimal critical
+    vector x is credited w - v(x - e_i), the drop their level prevents."""
     return _tally(
-        "surplus_variant",
-        tuple(game.labels),
-        minimal_critical_vectors(game),
-        _support,
-        lambda x, w, p: w - game.value(decrement(x, p + 1)),
+        "surplus_variant", tuple(game.labels), minimal_critical_vectors(game), _support, game
     )
 
 
 def criticality_count(game: JKGame, i: int) -> int:
     """Number of (vector, threshold) pairs at which player i is critical:
     pairs (x, tau) with x minimal critical, v(x) >= tau, and lowering i's
-    level at x dropping the output below tau."""
-    if not 1 <= i <= game.n:
-        raise UnknownPlayer(f"player {i} is not one of 1..{game.n}")
-    mcv = minimal_critical_vectors(game)
-    count = 0
-    for x, w in mcv.pairs():
-        if x[i - 1] == 0:
-            continue
-        below = game.value(decrement(x, i))
-        count += sum(1 for tau in range(1, game.k) if w >= tau > below)
-    return count
+    level at x dropping the output below tau.
+
+    This is player i's surplus credit. If x_i > 0, x beats its immediate
+    predecessor x - e_i, so 0 <= v(x - e_i) < v(x) = w <= k - 1, and i is
+    critical exactly for tau = v(x - e_i) + 1, ..., w: w - v(x - e_i)
+    thresholds. If x_i = 0, i is critical for none and gets no credit.
+    """
+    _check_players((i,), game.n)
+    return int(variant_value(game).player_values[i - 1])
 
 
 def total_criticality(game: JKGame) -> int:
-    """Criticality count summed over all players."""
-    return sum(criticality_count(game, i) for i in game.players())
+    """Criticality count summed over all players: the surplus credits'
+    total (see :func:`criticality_count`)."""
+    return int(sum(variant_value(game).player_values))
 
 
 def normalized_variant(game: JKGame) -> IndexReport:

@@ -22,7 +22,7 @@ from pgindex import (
     variant_value,
     zero_game,
 )
-from pgindex.algebra import CLAUSE_GE, CLAUSE_LE, CLAUSE_SHARED
+from pgindex.algebra import CLAUSE_GE, CLAUSE_LE, CLAUSE_SHARED, _union_holds
 from pgindex.errors import (
     DimensionMismatch,
     LevelOutOfRange,
@@ -117,6 +117,10 @@ class TestMergeability:
         assert is_mergeable(u1, u2).mergeable
         merged = minimal_critical_vectors(oplus(u1, u2))
         assert merged.as_dict() == {(2, 0): 1, (0, 2): 2}
+        # the listings concatenate out of table order one way round
+        assert mcv_union_check(u1, u2) and mcv_union_check(u2, u1)
+        # a shared vector is listed once in the merged game, twice in the union
+        assert not _union_holds(u1, u1)
 
     def test_criticality_additive_on_mergeable(self):
         u1 = single_mcv_game((1, 1, 0), 1, 2, 2)

@@ -13,7 +13,7 @@ from pgindex import (
     zero_game,
 )
 from pgindex.errors import InvariantViolation
-from pgindex.games import all_coalitions, make_tu_game
+from pgindex.games import all_coalitions
 
 from conftest import AVERAGE33_WORTHS
 from gamegen import random_monotone_jk
@@ -71,15 +71,19 @@ class TestAverageProperties:
     @pytest.mark.parametrize(
         "worths, message",
         [
-            ({(1,): 1, (2,): 1, (1, 2): 0}, "monotone"),
-            ({(1,): 2, (2,): 0, (1, 2): 2}, r"\[0, 1\]"),
+            # coalition-rank order: {}, {3}, {2}, {2,3}, {1}, {1,3}, {1,2}, {1,2,3}
+            ((0, 1, 1, 0, 1, 1, 1, 1), "monotone"),
+            ((0, 0, 0, 0, 0, 0, 0, 2), r"\[0, 1\]"),
         ],
     )
     def test_broken_invariant_raises(self, example33, monkeypatch, worths, message):
         # stands in for a faulty reduction: the invariants are checked, not assumed
-        table = {frozenset(S): Fraction(w) for S, w in worths.items()}
-        broken = make_tu_game(2, {frozenset(): Fraction(0), **table})
-        monkeypatch.setattr("pgindex.average.make_tu_game", lambda *args, **kw: broken)
+        unit = 3 ** 3 * (3 - 1)  # 1/scale of example33, a (3,3) game on 3 players
+
+        def broken(levels, n, j, pin):
+            return [w * unit if pin else 0 for w in worths]
+
+        monkeypatch.setattr("pgindex.average._pin_or_sum", broken)
         with pytest.raises(InvariantViolation, match=message):
             average_game(example33)
 

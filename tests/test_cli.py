@@ -310,6 +310,25 @@ class TestErrorPaths:
         assert stdout == ""
         assert stderr == "error: player [1] is not one of 1..2\n"
 
+    @pytest.mark.parametrize("text", ["1e10000000", "1e-10000000"])
+    def test_huge_decimal_exponent(self, tmp_path, text):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"kind": "jk", "n": 1, "j": 2, "k": 2, '
+                        f'"weighted": {{"weights": ["{text}"], "thresholds": ["1"]}}}}')
+        code, stdout, stderr = invoke("analyze", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            f"error: {path}: weight {text!r} has a decimal exponent beyond 4300 in magnitude\n"
+        )
+
+    def test_decimal_exponent_within_limit(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"kind": "tu", "n": 1, "worth": {"1": "1.5e300"}}')
+        code, stdout, stderr = invoke("mcv", str(path))
+        assert (code, stderr) == (0, "")
+        assert str(15 * 10 ** 299) in stdout
+
     def test_no_command_usage_error(self):
         code, _, _ = invoke()
         assert code == 2

@@ -23,6 +23,20 @@ class TestRationalStrings:
         assert rational_str(Fraction(6)) == "6"
         assert rational_str(Fraction(-1, 2)) == "-1/2"
 
+    @pytest.mark.parametrize("text", ["1e10000000", "1e-10000000"])
+    def test_huge_decimal_exponent_refused(self, text):
+        # refused before Fraction spends seconds on ten to the exponent
+        doc = f'{{"kind": "tu", "n": 1, "worth": {{"1": "{text}"}}}}'
+        with pytest.raises(ParseError) as info:
+            loads_game(doc, path="t.json")
+        assert str(info.value) == (
+            f"t.json: worth of '1' {text!r} has a decimal exponent beyond 4300 in magnitude"
+        )
+
+    def test_decimal_exponent_within_limit_loads(self):
+        game = loads_game('{"kind": "tu", "n": 1, "worth": {"1": "1.5e300"}}')
+        assert game.worths == (0, 15 * 10 ** 299)
+
 
 class TestJKFiles:
     def test_weighted_roundtrip(self, example33, tmp_path):

@@ -206,6 +206,17 @@ class TestWeightedGames:
         with pytest.raises(ValidationError):
             make_weighted_game((0.5, 1), (1,), 2, 2)
 
+    @pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "1E+1_000_000", "2.5e4301"])
+    def test_huge_decimal_exponent_refused(self, text):
+        # Fraction would build ten to the exponent first: 12 s for 1e10000000
+        with pytest.raises(ValidationError, match="decimal exponent beyond"):
+            make_weighted_game((text, 1), (1,), 2, 2)
+
+    def test_decimal_exponent_within_limit_loads(self):
+        game = make_weighted_game(("1e4300", "1e-4300"), ("1.5e300",), 2, 2)
+        assert game.provenance.thresholds[0] == 15 * 10 ** 299
+        assert game.levels == (0, 0, 1, 1)
+
 
 class TestSimpleGames:
     def test_strict_constructor_requires_closure(self):
@@ -251,6 +262,18 @@ class TestTUGames:
     def test_unknown_member_rejected(self):
         with pytest.raises(UnknownPlayer):
             make_tu_game(2, {frozenset({3}): 1})
+
+    def test_worth_collapses_repeated_members(self):
+        worths = {S: Fraction(len(S) * 10 + min(S, default=0)) for S in all_coalitions(3)}
+        tu = make_tu_game(3, worths)
+        assert tu.worth([2, 2]) == tu.worth({2}) == 12
+        assert make_tu_game(2, {S: len(S) for S in all_coalitions(2)}).worth([1, 1]) == 1
+
+    @pytest.mark.parametrize("member", [0, 3, -1, True, "1", [1]])
+    def test_worth_rejects_outsiders(self, member):
+        tu = make_tu_game(2, {S: len(S) for S in all_coalitions(2)})
+        with pytest.raises(UnknownPlayer):
+            tu.worth([1, member])
 
 
 class TestEmbeddings:

@@ -8,10 +8,12 @@ from pgindex import (
     criticality_count,
     embed_2k_as_tu,
     embed_simple,
+    evaluate,
     jk_potential,
     jk_potential_recursive,
     lambda_total,
     make_tu_game,
+    minimal_critical_vectors_oracle,
     normalized_variant,
     pgi_normalized,
     pgi_raw,
@@ -25,6 +27,7 @@ from pgindex import (
     zero_game,
 )
 from pgindex.errors import CapExceeded, RecursionCapExceeded, UnknownPlayer
+from pgindex.games import decrement
 
 from gamegen import random_monotone_jk, random_monotone_tu
 
@@ -147,12 +150,24 @@ class TestCriticalityCounts:
         assert total_criticality(example33) == 12
 
     def test_counts_equal_variant(self):
+        # criticality_count reads the variant report, so the reference side
+        # counts (x, tau) pairs literally, over the down-set oracle's vectors
         rng = random.Random(41)
-        for _ in range(20):
-            game = random_monotone_jk(3, 3, 3, rng)
-            variant = variant_value(game).player_values
-            counts = [criticality_count(game, i) for i in game.players()]
-            assert list(variant) == counts
+        for shape in [(3, 3, 3)] * 20 + [(2, 4, 4), (3, 2, 4), (4, 3, 2)] * 5:
+            game = random_monotone_jk(*shape, rng)
+            literal = [
+                sum(
+                    1
+                    for x, w in minimal_critical_vectors_oracle(game).pairs()
+                    if x[i - 1]
+                    for tau in range(1, game.k)
+                    if w >= tau > evaluate(game, decrement(x, i))
+                )
+                for i in game.players()
+            ]
+            assert [criticality_count(game, i) for i in game.players()] == literal
+            assert list(variant_value(game).player_values) == literal
+            assert total_criticality(game) == sum(literal)
 
     def test_unknown_player(self, example33):
         with pytest.raises(UnknownPlayer):

@@ -331,7 +331,8 @@ def generator_lists(draw):
 
 class TestKernelTwins:
     """The flat-table routes (axis closure, descent finder, predecessor
-    scan) against literal frozenset scans that share no code with them."""
+    scan, row maps and axis slices) against literal frozenset and
+    per-profile scans that share no code with them."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=generator_lists())
@@ -393,6 +394,39 @@ class TestKernelTwins:
             for i in range(1, n + 1)
         )
         assert game.monotone == literal
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), j=st.integers(2, 4), seed=st.integers(0, 10**6), data=st.data())
+    def test_permute_matches_per_profile_definition(self, n, j, seed, data):
+        game = random_monotone_jk(n, j, 3, random.Random(seed))
+        pi = data.draw(st.permutations(range(1, n + 1)))
+        # the new game reads coordinate pi(i) where the old one read coordinate i
+        literal = tuple(
+            evaluate(game, tuple(x[pi[p] - 1] for p in range(n)))
+            for x in product(range(j), repeat=n)
+        )
+        assert permute(game, pi).levels == literal
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), j=st.integers(2, 4), seed=st.integers(0, 10**6), data=st.data())
+    def test_null_player_matches_per_profile_definition(self, n, j, seed, data):
+        rng = random.Random(seed)
+        dead = data.draw(st.integers(0, n))
+        # a game with coordinate `dead` grafted on unused, when dead > 0
+        flat = random_monotone_jk(n - (dead > 0), j, rng.randrange(2, 4), rng)
+        levels = [
+            evaluate(flat, x[: dead - 1] + x[dead:] if dead else x)
+            for x in product(range(j), repeat=n)
+        ]
+        game = make_table_game(n, j, flat.k, levels)
+        for i in game.players():
+            literal = all(
+                evaluate(game, x) == evaluate(game, x[: i - 1] + (0,) + x[i:])
+                for x in product(range(j), repeat=n)
+            )
+            assert is_null_player(game, i) == literal
+            if i == dead:
+                assert literal
 
     @settings(max_examples=60, deadline=None)
     @given(
