@@ -24,6 +24,7 @@ from .games import (
     DEFAULT_CAP,
     JKGame,
     TUGame,
+    _check_players,
     _monotone_flag,
     all_profiles,
     check_cap,
@@ -81,7 +82,7 @@ def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
 
 def average_worth_oracle(game: JKGame, coalition: Iterable[int]) -> Fraction:
     """One coalition's average worth by the reduced outside-profile sum."""
-    members = frozenset(coalition)
+    members = _check_players(coalition, game.n)
     outside = [p for p in game.players() if p not in members]
     total = 0
     base = [0] * game.n

@@ -29,13 +29,14 @@ from .games import (
     Profile,
     SimpleGame,
     TUGame,
-    _axis_max,
     _check_players,
+    _check_premise,
     all_profiles,
     coalition_from_index,
     coalition_index,
     coalition_of_profile,
     decrement,
+    evaluate,
 )
 
 #: Fixed ceiling on j ** n for the full down-set oracle.
@@ -50,7 +51,7 @@ class MCVSet:
     """Minimal critical vectors with their output levels, in table order.
 
     ``from_pairs`` validates its input pairwise; the constructor itself
-    trusts it, which is how the enumerator hands over its checked output.
+    trusts it, as the enumerator's output is exact on a checked game.
     """
 
     vectors: tuple[Profile, ...]
@@ -163,10 +164,14 @@ def real_gaining_coalitions(game: TUGame) -> frozenset[Coalition]:
 def minimal_critical_vectors(game: JKGame) -> MCVSet:
     """Fast enumeration: beat every immediate predecessor strictly.
 
-    Monotonicity makes this equivalent to beating the whole down-set;
-    :func:`minimal_critical_vectors_oracle` checks that claim literally.
-    The result is checked to be an antichain per worth, as
-    :meth:`MCVSet.from_pairs` would, and cached on the game.
+    First the premise of a (j,k) simple game is checked as at construction:
+    v(0) = 0 and no one-step raise lowers the output, so v is monotone.
+    Under it the scan is exact, as any y < x has y <= x - e_p with x_p > 0,
+    so v(y) <= v(x - e_p) < v(x). The output is an antichain per worth: if
+    x < y are both found, x <= y - e_p for some p, so v(x) <= v(y - e_p) <
+    v(y). Worths are positive: v(x) > v(x - e_p) >= v(0) = 0.
+    :func:`minimal_critical_vectors_oracle` checks the scan literally. The
+    result is cached on the game.
     """
     return _listing(game)
 
@@ -174,14 +179,14 @@ def minimal_critical_vectors(game: JKGame) -> MCVSet:
 def _listing(game: JKGame | SimpleGame | TUGame) -> MCVSet | CoalitionSet:
     """Minimal critical vectors, minimal winning or minimal critical
     coalitions with their worths, by one predecessor scan of the game's
-    table; cached on the game."""
+    table, after the premise check on a (j,k) game; cached on the game."""
     cached = game.__dict__.get(_CACHE_KEY)
     if cached is not None:
         return cached
     table = game.worths if isinstance(game, TUGame) else game.levels
     if isinstance(game, JKGame):
+        _check_premise(game.n, game.j, table)
         found = _predecessor_scan(game.n, game.j, table)
-        _check_antichain(game, found)
         listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
     else:
         found = _predecessor_scan(game.n, 2, table)
@@ -214,48 +219,6 @@ def _predecessor_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:
     return found
 
 
-def _check_antichain(game: JKGame, found: list[tuple[int, Profile, int]]) -> None:
-    """Raise as :meth:`MCVSet.from_pairs` does on the scan's output
-    ``(idx, x, worth)`` in table order: every worth positive, and every
-    vector worth strictly more than each found vector below it.
-
-    With m vectors in a table of N entries, ``from_pairs`` itself checks
-    while m² <= N, otherwise :func:`_antichain_sweep`; either way the cost
-    is linear in the table size.
-    """
-    if len(found) ** 2 <= len(game.levels):
-        MCVSet.from_pairs((x, w) for _, x, w in found)
-    else:
-        _antichain_sweep(game, found)
-
-
-def _antichain_sweep(game: JKGame, found: list[tuple[int, Profile, int]]) -> None:
-    """The check of :func:`_check_antichain` in about n·N steps:
-    ``top[idx]`` becomes the highest found worth at or below ``idx`` by a
-    running maximum along each axis, and each vector has to beat ``top`` at
-    each of its immediate predecessors."""
-    for _, x, w in found:
-        if w <= 0:
-            raise ValidationError(
-                f"vector {x} has worth {w}; minimal critical vectors have positive worth"
-            )
-    top = [0] * len(game.levels)
-    for idx, _, w in found:
-        top[idx] = w
-    _axis_max(top, game.n, game.j)
-    strides = [game.j ** (game.n - 1 - p) for p in range(game.n)]
-    for idx, y, wy in found:
-        if any(y[p] and top[idx - s] >= wy for p, s in enumerate(strides)):
-            x, wx = next(
-                (x, wx)
-                for _, x, wx in found
-                if x != y and wx >= wy and all(a <= b for a, b in zip(x, y))
-            )
-            raise ValidationError(
-                f"{x} <= {y} but worths are {wx} >= {wy}; not an antichain per worth"
-            )
-
-
 def minimal_critical_vectors_oracle(game: JKGame) -> MCVSet:
     """Reference enumeration scanning the entire down-set of every profile."""
     if game.j ** game.n > ORACLE_CAP:
@@ -282,10 +245,10 @@ def minimal_critical_below(game: JKGame, x: Profile) -> Profile:
 
     Descends one level at a time, always at the lowest-index coordinate
     whose decrement keeps the output unchanged; the fixpoint is minimal
-    critical. Requires v(x) > 0.
+    critical. Requires a valid profile with v(x) > 0.
     """
+    level = evaluate(game, x)
     x = tuple(x)
-    level = game.value(x)
     if level == 0:
         raise ValueError(f"profile {x} has output 0; no critical vector below it")
     moved = True

@@ -23,6 +23,7 @@ from .critical import (
     CoalitionSet,
     MCVSet,
     _listing,
+    _predecessor_scan,
     minimal_critical_coalitions,
     minimal_critical_vectors,
     real_gaining_coalitions,
@@ -36,16 +37,6 @@ from .games import (
     check_cap,
     profile_index,
     subgame,
-)
-
-#: Recognized report variants.
-VARIANTS = (
-    "raw_pgi",
-    "normalized_pgi",
-    "tu_pgv",
-    "potential_value",
-    "surplus_variant",
-    "normalized_variant",
 )
 
 RECURSION_CAP = 20
@@ -176,23 +167,28 @@ def public_good_value_jk(game: JKGame) -> IndexReport:
 def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
     """The potential by the averaging recursion over all subgames:
     P(v) = (Lambda(v) + sum over players of P(v without that player)) / n,
-    anchored at P = 0 for the zero-player game. Memoized over coalitions;
-    capped at 20 players, and at ``cap`` subgame table entries: j^|S|
-    summed over the coalitions S, which is (j+1)^n."""
+    anchored at P = 0 for the zero-player game. Memoized over coalition
+    masks; capped at 20 players, and at ``cap`` subgame table entries:
+    j^|S| summed over the coalitions S, which is (j+1)^n.
+
+    The game is validated once, by its listing. A subgame table keeps the
+    origin and gains no descent, so each Lambda(S) comes from the
+    predecessor scan of the subgame's table alone.
+    """
     if game.n > RECURSION_CAP:
         raise RecursionCapExceeded(
             f"recursive potential capped at {RECURSION_CAP} players, game has {game.n}"
         )
     check_cap(game.n, game.j + 1, cap, "recursion would build {} subgame table entries")
-    memo: dict[frozenset[int], Fraction] = {frozenset(): Fraction(0)}
+    minimal_critical_vectors(game)  # the premise check every subgame inherits
+    memo = [Fraction(0)] * (1 << game.n)
     for size in range(1, game.n + 1):
         for combo in itertools.combinations(game.players(), size):
-            S = frozenset(combo)
-            total = lambda_total(subgame(game, combo))
-            for i in combo:
-                total += memo[S - {i}]
-            memo[S] = total / size
-    return memo[frozenset(game.players())]
+            found = _predecessor_scan(size, game.j, subgame(game, combo).levels)
+            lam = sum(w * (size - x.count(0)) for _, x, w in found)
+            mask = sum(1 << (i - 1) for i in combo)
+            memo[mask] = (lam + sum(memo[mask ^ (1 << (i - 1))] for i in combo)) / size
+    return memo[-1]
 
 
 def variant_value(game: JKGame) -> IndexReport:

@@ -12,7 +12,7 @@ from pgindex import (
     pgv_tu,
     zero_game,
 )
-from pgindex.errors import InvariantViolation
+from pgindex.errors import InvariantViolation, UnknownPlayer
 from pgindex.games import all_coalitions
 
 from conftest import AVERAGE33_WORTHS
@@ -45,6 +45,11 @@ class TestExampleAverage:
         result = average_game(example33)
         for S in all_coalitions(3):
             assert result.tu.worth(S) == average_worth_oracle(example33, S)
+
+    def test_oracle_checks_its_coalition(self, example33):
+        for S in ([0], [True], [4], [1, "2"]):
+            with pytest.raises(UnknownPlayer):
+                average_worth_oracle(example33, S)
 
 
 class TestAverageProperties:

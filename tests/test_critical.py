@@ -22,14 +22,19 @@ from pgindex import (
 )
 from pgindex import critical
 from pgindex.cli import main
-from pgindex.critical import CoalitionSet, _antichain_sweep, _predecessor_scan
+from pgindex.critical import CoalitionSet, _predecessor_scan
 from pgindex.errors import (
+    LevelOutOfRange,
+    MonotonicityViolation,
+    NonZeroAtOrigin,
     NotMinimalCritical,
     OracleCapExceeded,
+    ProfileDimensionMismatch,
     UnknownPlayer,
     ZeroLevelPlayer,
 )
-from pgindex.games import all_coalitions, evaluate
+from pgindex.games import all_coalitions, evaluate, increment, subgame
+from pgindex.indices import jk_potential_recursive, public_good_value_jk, variant_value
 
 from conftest import DATA
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
@@ -109,27 +114,57 @@ def unvalidated_tables(draw):
     return JKGame(n, j, k, tuple(levels))
 
 
+def _premise_fails(game) -> bool:
+    """Literally: the origin is nonzero or some one-step raise lowers the output."""
+    if game.levels[0] != 0:
+        return True
+    return any(
+        game.value(increment(x, p + 1, game.j)) < game.value(x)
+        for x in game.profiles()
+        for p in range(game.n)
+        if x[p] < game.j - 1
+    )
+
+
 class TestAntichainCheck:
-    """The sweep the enumerator uses when m² > j^n, against
-    ``MCVSet.from_pairs``, which it uses otherwise."""
+    """The listing checks the premise (origin at 0, monotone) once; under
+    it the scan is exact and an antichain per worth."""
 
     @settings(max_examples=300, deadline=None)
     @given(game=unvalidated_tables())
-    def test_raises_exactly_when_from_pairs_does(self, game):
+    def test_raises_exactly_when_premise_fails(self, game):
+        raised = _raises(lambda: minimal_critical_vectors(game))
+        assert raised == _premise_fails(game)
+        # every table the pairwise check of the scan's output rejects stays rejected
         found = _predecessor_scan(game.n, game.j, game.levels)
-        sweep = _raises(lambda: _antichain_sweep(game, found))
-        pairwise = _raises(lambda: MCVSet.from_pairs((x, w) for _, x, w in found))
-        assert sweep == pairwise
+        if _raises(lambda: MCVSet.from_pairs((x, w) for _, x, w in found)):
+            assert raised
+        if not raised:
+            assert minimal_critical_vectors(game) == minimal_critical_vectors_oracle(game)
 
     def test_known_violator(self):
         game = JKGame(1, 4, 3, (0, 2, 1, 2))
-        with pytest.raises(ValidationError, match=r"\(1,\) <= \(3,\)"):
+        with pytest.raises(MonotonicityViolation) as info:
             minimal_critical_vectors(game)
+        assert info.value.witnesses == (((1,), (2,)),)
         with pytest.raises(ValidationError):
             MCVSet.from_pairs([((1,), 2), ((3,), 2)])
 
-    def test_sweep_accepts_many_vectors(self):
-        # 141 vectors of weight sum 6 in a table of 729: checked by the sweep
+    def test_nonzero_origin(self):
+        # the scan alone would list (2,) with worth 1, which the oracle does not
+        game = JKGame(1, 3, 3, (2, 0, 1))
+        assert minimal_critical_vectors_oracle(game).as_dict() == {}
+        for route in (
+            minimal_critical_vectors,
+            jk_potential_recursive,
+            public_good_value_jk,
+            variant_value,
+        ):
+            with pytest.raises(NonZeroAtOrigin):
+                route(game)
+
+    def test_many_vectors_match_oracle(self):
+        # 141 vectors of weight sum 6 in a table of 729
         game = make_weighted_game([1] * 6, [6], 3, 2)
         mcv = minimal_critical_vectors(game)
         assert len(mcv) ** 2 > len(game.levels)
@@ -144,6 +179,32 @@ class TestAntichainCheck:
         game = random_monotone_jk(*shape, random.Random(seed))
         mcv = minimal_critical_vectors(game)
         assert MCVSet.from_pairs(mcv.pairs()) == mcv
+
+
+class TestSubgameLemma:
+    """Players outside S frozen at 0: the MCVs of the subgame on S are the
+    MCVs of the game supported inside S, with the same worths."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(((1, 4, 3), (2, 3, 3), (3, 2, 4), (3, 3, 3), (4, 2, 3), (4, 3, 2))),
+        seed=st.integers(0, 10**6),
+    )
+    def test_subgame_mcvs_are_the_mcvs_inside(self, shape, seed):
+        game = random_monotone_jk(*shape, random.Random(seed))
+        mcv = minimal_critical_vectors(game).as_dict()
+        for S in all_coalitions(game.n):
+            keep = sorted(S)
+            lifted = {}
+            for y, w in minimal_critical_vectors(subgame(game, keep)).pairs():
+                x = [0] * game.n
+                for i, level in zip(keep, y):
+                    x[i - 1] = level
+                lifted[tuple(x)] = w
+            inside = {
+                x: w for x, w in mcv.items() if all(i in S for i, level in enumerate(x, 1) if level)
+            }
+            assert lifted == inside
 
 
 class TestOneEnumerationPerGame:
@@ -247,6 +308,13 @@ class TestCriticality:
         assert evaluate(example33, x) == evaluate(example33, (2, 2, 1))
         with pytest.raises(ValueError):
             minimal_critical_below(example33, (0, 0, 1))
+
+    def test_minimal_critical_below_validates_the_profile(self, example33):
+        for x in ((1, 3, 2), (5, 0, 0), (-1, 2, 2), (True, 2, 2)):
+            with pytest.raises(LevelOutOfRange):
+                minimal_critical_below(example33, x)
+        with pytest.raises(ProfileDimensionMismatch):
+            minimal_critical_below(example33, (2, 2))
 
     def test_minimal_critical_below_randomly(self):
         rng = random.Random(31)
