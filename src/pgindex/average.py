@@ -67,7 +67,7 @@ def _pin_or_sum(levels: tuple[int, ...], n: int, j: int, pin: int) -> list[int]:
 
 def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
     """Reduce to a TU game by averaging top-versus-bottom pinning gains."""
-    check_cap(game.n, 2 * game.j, cap, "averaging would take {} evaluations")
+    check_cap(game.n, game.j, cap, "averaging would reduce {} table entries")
     scale = Fraction(1, game.j ** game.n * (game.k - 1))
     top = _pin_or_sum(game.levels, game.n, game.j, game.j - 1)
     bottom = _pin_or_sum(game.levels, game.n, game.j, 0)

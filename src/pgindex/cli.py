@@ -11,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -23,10 +24,7 @@ from .critical import (
     CoalitionSet,
     MCVSet,
     _listing,
-    minimal_critical_coalitions,
-    minimal_critical_vectors,
     minimal_critical_vectors_oracle,
-    real_gaining_coalitions,
 )
 from .errors import (
     GameError,
@@ -42,13 +40,13 @@ from .games import (
     SimpleGame,
     TUGame,
     all_coalitions,
+    check_cap,
     coalition_of_profile,
     embed_2k_as_tu,
     embed_simple,
 )
 from .indices import (
     IndexReport,
-    _family_listing,
     jk_potential,
     jk_potential_recursive,
     normalized_variant,
@@ -220,15 +218,6 @@ def _title(game, family: str) -> str:
     return "minimal critical coalitions" if family == "mcc" else "real gaining coalitions"
 
 
-def _structure(game, family: str):
-    """The minimal critical structure of any game class, with worths."""
-    if isinstance(game, JKGame):
-        return minimal_critical_vectors(game)
-    if isinstance(game, TUGame):
-        return _family_listing(game, family)
-    return _listing(game)
-
-
 def _reports(game, family: str):
     """The index reports of any game class, and the error that kept the
     normalized one out (the constant-0 game has none)."""
@@ -261,8 +250,7 @@ def _oracle(game, listing):
     # on monotone TU games the minimal critical and real gaining families coincide
     if not game.monotone:
         return None, "no independent route for non-monotone games"
-    agree = minimal_critical_coalitions(game) == real_gaining_coalitions(game)
-    return agree, "minimal critical vs real gaining"
+    return _listing(game) == _listing(game, "rgc"), "minimal critical vs real gaining"
 
 
 def _cmd_analyze(games, request: AnalysisRequest):
@@ -271,7 +259,7 @@ def _cmd_analyze(games, request: AnalysisRequest):
 
 
 def _cmd_mcv(games, request: AnalysisRequest):
-    return _structure_doc(games[0], request, _structure(games[0], request.family))
+    return _structure_doc(games[0], request, _listing(games[0], request.family))
 
 
 def _structure_doc(game, request: AnalysisRequest, listing, reports=None, error=None):
@@ -407,6 +395,7 @@ def _cmd_average(games, request: AnalysisRequest):
     scale = [f"scale = {result.scale}"] + _aligned(worths)
     blocks = [[_game_heading(game)], scale, verdict]
     if request.oracle:
+        check_cap(game.n, game.j + 1, request.cap, "the oracle would take {} evaluations")
         doc["oracle_agrees"] = all(
             w == average_worth_oracle(game, S)
             for S, w in zip(all_coalitions(game.n), result.tu.worths)
@@ -524,11 +513,16 @@ def main(argv=None) -> int:
         oracle=args.oracle,
         cap=args.cap,
     )
-    if request.output is not None:
+    if request.output is None:
+        return run(request)
+    # the report is built before the target is opened, which may be an input
+    report = io.StringIO()
+    status = run(request, out=report)
+    if report.getvalue():
         try:
             with open(request.output, "w", encoding="utf-8") as handle:
-                return run(request, out=handle)
+                handle.write(report.getvalue())
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    return run(request)
+    return status

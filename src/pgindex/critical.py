@@ -29,22 +29,17 @@ from .games import (
     Profile,
     SimpleGame,
     TUGame,
+    _check_levels,
     _check_players,
-    _check_premise,
     all_profiles,
     coalition_from_index,
     coalition_index,
-    coalition_of_profile,
     decrement,
     evaluate,
 )
 
 #: Fixed ceiling on j ** n for the full down-set oracle.
 ORACLE_CAP = 3 ** 9
-
-#: Instance attribute holding a game's minimal structure.
-_CACHE_KEY = "_minimal_listing"
-
 
 @dataclass(frozen=True)
 class MCVSet:
@@ -141,64 +136,76 @@ def minimal_critical_coalitions(game: TUGame) -> frozenset[Coalition]:
 def real_gaining_coalitions(game: TUGame) -> frozenset[Coalition]:
     """Nonempty coalitions worth strictly more than every proper subset.
 
-    Always runs the literal all-proper-subsets scan, so on monotone games
-    it is an independent route to the minimal critical coalitions.
+    Found by the literal all-proper-subsets scan, so on monotone games it
+    is an independent route to the minimal critical coalitions.
     """
-    out = []
-    for mask in range(1, 1 << game.n):
-        w = game.worths[mask]
-        gaining = True
-        sub = (mask - 1) & mask
-        while True:
-            if game.worths[sub] >= w:
-                gaining = False
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        if gaining:
-            out.append(coalition_from_index(mask, game.n))
-    return frozenset(out)
+    return frozenset(_listing(game, "rgc").coalitions)
 
 
 def minimal_critical_vectors(game: JKGame) -> MCVSet:
     """Fast enumeration: beat every immediate predecessor strictly.
 
-    First the premise of a (j,k) simple game is checked as at construction:
-    v(0) = 0 and no one-step raise lowers the output, so v is monotone.
-    Under it the scan is exact, as any y < x has y <= x - e_p with x_p > 0,
-    so v(y) <= v(x - e_p) < v(x). The output is an antichain per worth: if
-    x < y are both found, x <= y - e_p for some p, so v(x) <= v(y - e_p) <
-    v(y). Worths are positive: v(x) > v(x - e_p) >= v(0) = 0.
-    :func:`minimal_critical_vectors_oracle` checks the scan literally. The
-    result is cached on the game.
+    First the table of a (j,k) simple game is checked as at construction:
+    its entries lie in 0..k-1, v(0) = 0 and no one-step raise lowers the
+    output, so v is monotone. Under it the scan is exact, as any y < x has
+    y <= x - e_p with x_p > 0, so v(y) <= v(x - e_p) < v(x). The output is
+    an antichain per worth: if x < y are both found, x <= y - e_p for some
+    p, so v(x) <= v(y - e_p) < v(y). Worths are positive: v(x) > v(x - e_p)
+    >= v(0) = 0. :func:`minimal_critical_vectors_oracle` checks the scan
+    literally. The result is cached on the game.
     """
     return _listing(game)
 
 
-def _listing(game: JKGame | SimpleGame | TUGame) -> MCVSet | CoalitionSet:
-    """Minimal critical vectors, minimal winning or minimal critical
-    coalitions with their worths, by one predecessor scan of the game's
-    table, after the premise check on a (j,k) game; cached on the game."""
-    cached = game.__dict__.get(_CACHE_KEY)
+def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet | CoalitionSet:
+    """The minimal structure a game's values credit, with its worths, in
+    rank order: minimal critical vectors after the table check of a (j,k)
+    game, minimal winning coalitions, or for a TU game the minimal critical
+    (``family="mcc"``) or real gaining (``"rgc"``) coalitions. Cached on
+    the game, one entry per family; ``family`` matters for TU games only."""
+    if not isinstance(game, TUGame):
+        family = "mcc"
+    elif family not in ("mcc", "rgc"):
+        raise ValueError(f"family must be one of ['mcc', 'rgc'], got {family!r}")
+    key = "_listing_" + family
+    cached = game.__dict__.get(key)
     if cached is not None:
         return cached
-    table = game.worths if isinstance(game, TUGame) else game.levels
     if isinstance(game, JKGame):
-        _check_premise(game.n, game.j, table)
-        found = _predecessor_scan(game.n, game.j, table)
+        _check_levels(game.n, game.j, game.k, game.levels)
+        found = _predecessor_scan(game.n, game.j, game.levels)
         listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
     else:
-        found = _predecessor_scan(game.n, 2, table)
+        table = game.worths if isinstance(game, TUGame) else game.levels
+        if family == "rgc":
+            ranks = _real_gaining(game.n, table)
+        else:
+            ranks = [idx for idx, _, _ in _predecessor_scan(game.n, 2, table)]
         listing = CoalitionSet(
             game.n,
-            tuple(coalition_of_profile(x) for _, x, _ in found),
-            tuple(Fraction(w) for _, _, w in found),
+            tuple(coalition_from_index(idx, game.n) for idx in ranks),
+            tuple(Fraction(table[idx]) for idx in ranks),
         )
     # a frozen dataclass without slots keeps an instance __dict__, as
     # functools.cached_property relies on
-    game.__dict__[_CACHE_KEY] = listing
+    game.__dict__[key] = listing
     return listing
+
+
+def _real_gaining(n: int, worths) -> list[int]:
+    """Ranks of the coalitions worth more than every proper subset, by the
+    literal scan of all of them, kept apart from :func:`_predecessor_scan`."""
+    found = []
+    for mask in range(1, 1 << n):
+        w = worths[mask]
+        sub = mask
+        while sub:
+            sub = (sub - 1) & mask
+            if worths[sub] >= w:
+                break
+        else:
+            found.append(mask)
+    return found
 
 
 def _predecessor_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:

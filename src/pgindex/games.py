@@ -358,22 +358,21 @@ def _check_origin(n: int, j: int, levels: tuple) -> None:
         )
 
 
-def _check_levels(n: int, j: int, k: int, levels: tuple) -> None:
-    """Range check, then :func:`_check_premise`; collects all witnesses."""
-    bad = []
-    for idx, level in enumerate(levels):
-        if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level < k:
-            bad.append((index_profile(idx, n, j), level))
-    if bad:
-        raise OutOfRangeOutput(
-            f"{len(bad)} table entries outside 0..{k - 1}", witnesses=bad
-        )
-    _check_premise(n, j, levels)
-
-
-def _check_premise(n: int, j: int, levels: Sequence) -> None:
-    """The origin maps to 0 and no one-step raise lowers the output, which
-    by transitivity makes the table monotone; collects all descents."""
+def _check_levels(n: int, j: int, k: int, levels: Sequence) -> None:
+    """Every entry is an int in 0..k-1, the origin maps to 0, and no
+    one-step raise lowers the output, which by transitivity makes the table
+    monotone; collects all witnesses of the first check that fails."""
+    # C-speed pre-pass; the loop runs only to collect the witnesses
+    if set(map(type, levels)) != {int} or min(levels) < 0 or max(levels) >= k:
+        bad = [
+            (index_profile(idx, n, j), level)
+            for idx, level in enumerate(levels)
+            if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level < k
+        ]
+        if bad:
+            raise OutOfRangeOutput(
+                f"{len(bad)} table entries outside 0..{k - 1}", witnesses=bad
+            )
     _check_origin(n, j, levels)
     # in table order, first axis first
     violations = sorted(_descents(n, j, levels), key=lambda d: (d[0], -d[1]))

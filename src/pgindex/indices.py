@@ -24,9 +24,7 @@ from .critical import (
     MCVSet,
     _listing,
     _predecessor_scan,
-    minimal_critical_coalitions,
     minimal_critical_vectors,
-    real_gaining_coalitions,
 )
 from .games import (
     DEFAULT_CAP,
@@ -40,11 +38,6 @@ from .games import (
 )
 
 RECURSION_CAP = 20
-
-TU_FAMILIES = {
-    "mcc": minimal_critical_coalitions,
-    "rgc": real_gaining_coalitions,
-}
 
 
 @dataclass(frozen=True)
@@ -126,17 +119,7 @@ def pgv_tu(game: TUGame, family: str = "mcc") -> IndexReport:
     """Public Good value: per player, the summed worths of the coalitions
     in the chosen family (minimal critical by default, real gaining on
     request) that contain them."""
-    return _tally("tu_pgv", tuple(game.labels), _family_listing(game, family), _members)
-
-
-def _family_listing(game: TUGame, family: str) -> CoalitionSet:
-    """The chosen family of coalitions with their worths, in rank order."""
-    if family == "mcc":
-        return _listing(game)
-    if family not in TU_FAMILIES:
-        raise ValueError(f"family must be one of {sorted(TU_FAMILIES)}, got {family!r}")
-    chosen = TU_FAMILIES[family](game)
-    return CoalitionSet.from_pairs(game.n, ((S, game.worth(S)) for S in chosen))
+    return _tally("tu_pgv", tuple(game.labels), _listing(game, family), _members)
 
 
 def tu_potential(game: TUGame) -> Fraction:
@@ -180,7 +163,7 @@ def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
             f"recursive potential capped at {RECURSION_CAP} players, game has {game.n}"
         )
     check_cap(game.n, game.j + 1, cap, "recursion would build {} subgame table entries")
-    minimal_critical_vectors(game)  # the premise check every subgame inherits
+    minimal_critical_vectors(game)  # the table check every subgame inherits
     memo = [Fraction(0)] * (1 << game.n)
     for size in range(1, game.n + 1):
         for combo in itertools.combinations(game.players(), size):

@@ -73,6 +73,11 @@ class TestAverageProperties:
         with pytest.raises(CapExceeded):
             average_game(zero_game(3, 3, 3), cap=10)
 
+    def test_cap_counts_table_entries(self):
+        # the reduction holds at most j^n = 27 entries, not the oracle's (2j)^n
+        tu = average_game(zero_game(3, 3, 3), cap=27).tu
+        assert tu.worths == (0,) * 8
+
     @pytest.mark.parametrize(
         "worths, message",
         [

@@ -266,6 +266,19 @@ class TestAverage:
         assert doc["comparison"]["equal_after_normalization"] is False
         assert doc["oracle_agrees"] is True
 
+    def test_oracle_capped_by_its_own_evaluations(self, capsys):
+        # the table has 27 entries; the oracle's sums take (j+1)^n = 64 evaluations
+        status, stdout, stderr = main_captured(
+            capsys, "average", str(EXAMPLE), "--oracle", "--cap", "50"
+        )
+        assert (status, stdout) == (1, "")
+        assert stderr.startswith("error: ") and "64" in stderr and "cap is 50" in stderr
+        status, stdout, stderr = main_captured(
+            capsys, "average", str(EXAMPLE), "--oracle", "--cap", "64"
+        )
+        assert (status, stderr) == (0, "")
+        assert stdout.endswith("oracle cross-check: agrees\n")
+
 
 class TestEmbed:
     def test_simple_to_jk(self, tmp_path):
@@ -361,6 +374,36 @@ class TestErrorPaths:
         assert code == 0
         assert stdout == ""
         assert json.loads(target.read_text())["command"] == "analyze"
+
+    def test_output_may_name_the_input(self, tmp_path, capsys):
+        path = tmp_path / "example33.json"
+        path.write_bytes(EXAMPLE.read_bytes())
+        _, report, _ = main_captured(capsys, "analyze", str(EXAMPLE))
+        status, stdout, stderr = main_captured(
+            capsys, "analyze", str(path), "--output", str(path)
+        )
+        assert (status, stdout, stderr) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == report
+
+    def test_failing_load_leaves_the_target(self, tmp_path, capsys):
+        bad, target = tmp_path / "bad.json", tmp_path / "report.txt"
+        bad.write_text("not json")
+        target.write_bytes(b"earlier report\n")
+        status, stdout, stderr = main_captured(
+            capsys, "analyze", str(bad), "--output", str(target)
+        )
+        assert (status, stdout) == (1, "")
+        assert stderr.startswith("error: ")
+        assert target.read_bytes() == b"earlier report\n"
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        status, stdout, stderr = main_captured(
+            capsys, "analyze", str(EXAMPLE), "--output", str(target)
+        )
+        assert (status, stdout) == (1, "")
+        assert stderr.startswith("error: ")
+        assert not target.parent.exists()
 
 
 class TestInProcess:

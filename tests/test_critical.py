@@ -10,6 +10,7 @@ from pgindex import (
     MCVSet,
     ValidationError,
     is_critical_for,
+    make_table_game,
     make_tu_game,
     make_weighted_game,
     minimal_critical_below,
@@ -29,12 +30,18 @@ from pgindex.errors import (
     NonZeroAtOrigin,
     NotMinimalCritical,
     OracleCapExceeded,
+    OutOfRangeOutput,
     ProfileDimensionMismatch,
     UnknownPlayer,
     ZeroLevelPlayer,
 )
 from pgindex.games import all_coalitions, evaluate, increment, subgame
-from pgindex.indices import jk_potential_recursive, public_good_value_jk, variant_value
+from pgindex.indices import (
+    jk_potential_recursive,
+    pgv_tu,
+    public_good_value_jk,
+    variant_value,
+)
 
 from conftest import DATA
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
@@ -163,6 +170,20 @@ class TestAntichainCheck:
             with pytest.raises(NonZeroAtOrigin):
                 route(game)
 
+    @pytest.mark.parametrize(
+        "n, levels",
+        [(1, (0, 5)), (2, (0, 0.5, 1, 1)), (1, (0, True))],
+    )
+    def test_out_of_range_entries(self, n, levels):
+        # the constructor would refuse these tables; the listing does the same
+        with pytest.raises(OutOfRangeOutput) as built:
+            make_table_game(n, 2, 2, levels)
+        for route in (minimal_critical_vectors, variant_value, jk_potential_recursive):
+            with pytest.raises(OutOfRangeOutput) as listed:
+                route(JKGame(n, 2, 2, levels))
+            assert str(listed.value) == str(built.value)
+            assert listed.value.witnesses == built.value.witnesses
+
     def test_many_vectors_match_oracle(self):
         # 141 vectors of weight sum 6 in a table of 729
         game = make_weighted_game([1] * 6, [6], 3, 2)
@@ -282,6 +303,34 @@ class TestCoalitionFamilies:
                     if T < S
                 )
                 assert (S in rgc) == gaining
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(0, 6),
+        seed=st.integers(0, 10**6),
+        monotone=st.booleans(),
+    )
+    def test_rgc_listing_matches_literal_definition(self, n, seed, monotone):
+        make = random_monotone_tu if monotone else random_tu
+        game = make(n, random.Random(seed))
+        literal = [
+            S
+            for S in all_coalitions(n)
+            if S and all(game.worth(S) > game.worth(T) for T in all_coalitions(n) if T < S)
+        ]
+        listing = critical._listing(game, "rgc")
+        assert listing.coalitions == tuple(literal)  # all_coalitions walks rank order
+        assert listing.worths == tuple(game.worth(S) for S in literal)
+        tally = [sum(game.worth(S) for S in literal if i in S) for i in game.players()]
+        assert pgv_tu(game, "rgc").player_values == tuple(tally)
+
+    def test_listing_cached_per_family(self):
+        game = random_tu(4, random.Random(8))
+        mcc, rgc = critical._listing(game), critical._listing(game, "rgc")
+        assert mcc is not rgc
+        assert critical._listing(game, "mcc") is mcc
+        assert critical._listing(game, "rgc") is rgc
+        assert pgv_tu(game, "rgc").listing is rgc
 
 
 class TestCriticality:

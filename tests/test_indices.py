@@ -94,7 +94,7 @@ class TestPGV:
 
     def test_unknown_family(self, example33):
         tu = make_tu_game(1, {frozenset(): 0, frozenset({1}): 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must be one of \['mcc', 'rgc'\], got 'nope'"):
             pgv_tu(tu, family="nope")
 
     def test_simple_embedding_matches_pgi(self, quota_simple):
