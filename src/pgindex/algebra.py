@@ -24,12 +24,14 @@ from .errors import (
 )
 from .critical import minimal_critical_vectors
 from .games import (
+    DEFAULT_CAP,
     JKGame,
     Profile,
     _axis_max,
     _axis_steps,
     _check_players,
     _subgame_jk,
+    check_cap,
     profile_index,
 )
 from .indices import normalized_variant, variant_value
@@ -49,8 +51,11 @@ class MergeViolation(NamedTuple):
 class MergeReport:
     """Outcome of the mergeability test with every clause violation."""
 
-    mergeable: bool
     violations: tuple[MergeViolation, ...]
+
+    @property
+    def mergeable(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def is_mergeable(v: JKGame, w: JKGame) -> MergeReport:
             if all(a >= b for a, b in zip(x, y)) and not wx > wy:
                 violations.append(MergeViolation(x, y, CLAUSE_GE))
     violations.sort()
-    return MergeReport(not violations, tuple(violations))
+    return MergeReport(tuple(violations))
 
 
 def mcv_union_check(v: JKGame, w: JKGame) -> bool:
@@ -158,7 +163,7 @@ def single_mcv_game(x: Sequence[int], worth: int, j: int, k: int) -> JKGame:
         raise LevelOutOfRange(f"profile {x} has entries outside 0..{j - 1}")
     if not 1 <= worth <= k - 1:
         raise LevelOutOfRange(f"worth {worth} outside 1..{k - 1}")
-    levels = [0] * j ** len(x)
+    levels = [0] * check_cap(len(x), j, DEFAULT_CAP, "table would need {} entries")
     levels[profile_index(x, j)] = worth
     return JKGame(len(x), j, k, tuple(_axis_max(levels, len(x), j)))
 

@@ -25,7 +25,6 @@ from .games import (
     JKGame,
     TUGame,
     _check_players,
-    _monotone_flag,
     all_profiles,
     check_cap,
 )
@@ -34,11 +33,10 @@ from .indices import IndexReport, pgv_tu, public_good_value_jk, variant_value
 
 @dataclass(frozen=True)
 class AverageGameResult:
-    """The reduced TU game, the scale 1/(j^n (k-1)), and the source game."""
+    """The reduced TU game and the scale 1/(j^n (k-1))."""
 
     tu: TUGame
     scale: Fraction
-    source: JKGame
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,12 @@ def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
     top = _pin_or_sum(game.levels, game.n, game.j, game.j - 1)
     bottom = _pin_or_sum(game.levels, game.n, game.j, 0)
     worths = tuple((hi - lo) * scale for hi, lo in zip(top, bottom))
-    tu = TUGame(game.n, worths, _monotone_flag(game.n, worths), labels=game.labels)
+    tu = TUGame(game.n, worths, labels=game.labels)
     if not tu.monotone:
         raise InvariantViolation("averaging a monotone game must stay monotone")
     if not all(0 <= q <= 1 for q in tu.worths):
         raise InvariantViolation("average worths must lie in [0, 1]")
-    return AverageGameResult(tu, scale, game)
+    return AverageGameResult(tu, scale)
 
 
 def average_worth_oracle(game: JKGame, coalition: Iterable[int]) -> Fraction:

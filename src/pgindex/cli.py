@@ -69,7 +69,6 @@ class AnalysisRequest:
     input_paths: tuple[str, ...]
     format: str = "table"
     family: str = "mcc"
-    output: str | None = None
     oracle: bool = False
     cap: int = DEFAULT_CAP
 
@@ -370,6 +369,8 @@ def _cmd_axioms(games, request: AnalysisRequest):
 
 def _cmd_average(games, request: AnalysisRequest):
     (game,) = _require_jk(games, "average")
+    if request.oracle:
+        check_cap(game.n, game.j + 1, request.cap, "the oracle would take {} evaluations")
     comparison = compare_pgv_vs_jk(game, family=request.family, cap=request.cap)
     result = comparison.average
     doc = {
@@ -395,7 +396,6 @@ def _cmd_average(games, request: AnalysisRequest):
     scale = [f"scale = {result.scale}"] + _aligned(worths)
     blocks = [[_game_heading(game)], scale, verdict]
     if request.oracle:
-        check_cap(game.n, game.j + 1, request.cap, "the oracle would take {} evaluations")
         doc["oracle_agrees"] = all(
             w == average_worth_oracle(game, S)
             for S, w in zip(all_coalitions(game.n), result.tu.worths)
@@ -509,18 +509,17 @@ def main(argv=None) -> int:
         input_paths=tuple(args.paths),
         format=args.format,
         family=args.family,
-        output=args.output,
         oracle=args.oracle,
         cap=args.cap,
     )
-    if request.output is None:
+    if args.output is None:
         return run(request)
     # the report is built before the target is opened, which may be an input
     report = io.StringIO()
     status = run(request, out=report)
     if report.getvalue():
         try:
-            with open(request.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(report.getvalue())
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ from .games import (
     _check_players,
     all_profiles,
     coalition_from_index,
-    coalition_index,
     decrement,
     evaluate,
 )
@@ -98,20 +97,8 @@ class MCVSet:
 class CoalitionSet:
     """Coalitions with their worths, ordered by coalition rank."""
 
-    n: int
     coalitions: tuple[Coalition, ...]
     worths: tuple[Fraction, ...]
-
-    @classmethod
-    def from_pairs(
-        cls, n: int, pairs: Iterable[tuple[Coalition, Fraction]]
-    ) -> "CoalitionSet":
-        ordered = sorted(pairs, key=lambda item: coalition_index(item[0], n))
-        return cls(
-            n,
-            tuple(S for S, _ in ordered),
-            tuple(w for _, w in ordered),
-        )
 
     def pairs(self) -> Iterator[tuple[Coalition, Fraction]]:
         return zip(self.coalitions, self.worths)
@@ -182,7 +169,6 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
         else:
             ranks = [idx for idx, _, _ in _predecessor_scan(game.n, 2, table)]
         listing = CoalitionSet(
-            game.n,
             tuple(coalition_from_index(idx, game.n) for idx in ranks),
             tuple(Fraction(table[idx]) for idx in ranks),
         )

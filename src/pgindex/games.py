@@ -5,7 +5,7 @@ an output level in {0,...,k-1}, sends the all-zero profile to 0, and is
 monotone under the componentwise order. Simple games are the j = k = 2
 case under the usual correspondence between coalitions and 0/1 profiles,
 and TU games drop the level structure in favour of arbitrary rational
-worths.
+worths with the empty coalition worth 0.
 
 Profiles are plain int tuples with player 1 first; tables are flat tuples
 ordered by the profile rank with the first coordinate most significant, so
@@ -15,7 +15,8 @@ Coalitions are frozensets of 1-based player ids. All worths are exact
 
 Games are immutable once built. The ``make_*`` constructors validate their
 input and are the intended entry points; operations that provably preserve
-validity construct results directly.
+validity construct results directly. A ``TUGame`` checks its own worth at
+the empty coalition and derives whether it is monotone.
 """
 
 from __future__ import annotations
@@ -311,29 +312,33 @@ class SimpleGame:
 
 @dataclass(frozen=True)
 class TUGame:
-    """A coalition worth function; not necessarily monotone.
+    """A coalition worth function with worth(∅) = 0; not necessarily monotone.
 
-    ``worths`` is flat in coalition-rank order; ``monotone`` is derived at
-    construction and never trusted from outside.
+    ``worths`` is flat in coalition-rank order and checked at construction:
+    one worth per coalition, the empty one worth 0. ``monotone`` is derived
+    from the worths on first use; ``labels`` are the external player names.
     """
 
     n: int
     worths: tuple[Fraction, ...]
-    monotone: bool = field(compare=False)
-    labels: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    labels: tuple[int, ...] | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         _check_length(self.worths, 1 << self.n, "worth table")
+        if self.worths[0] != 0:
+            raise NonZeroEmptyCoalition(f"empty coalition has worth {self.worths[0]}, must be 0")
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
         elif len(self.labels) != self.n:
             raise ValidationError("one label per player required")
 
+    @cached_property
+    def monotone(self) -> bool:
+        """Whether no added player ever lowers a worth."""
+        return next(_descents(self.n, 2, self.worths), None) is None
+
     def worth(self, coalition: Iterable[int]) -> Fraction:
         return self.worths[coalition_index(_check_players(coalition, self.n), self.n)]
-
-    def coalitions(self) -> Iterator[Coalition]:
-        return all_coalitions(self.n)
 
     def players(self) -> range:
         return range(1, self.n + 1)
@@ -504,13 +509,7 @@ def simple_game_from_generators(
     return SimpleGame(n, tuple(_axis_max(levels, n, 2)))
 
 
-def make_tu_game(
-    n: int,
-    worth: Mapping,
-    *,
-    labels: tuple[int, ...] | None = None,
-    cap: int = DEFAULT_CAP,
-) -> TUGame:
+def make_tu_game(n: int, worth: Mapping, *, cap: int = DEFAULT_CAP) -> TUGame:
     """Build a TU game from a coalition -> worth mapping (exact rationals)."""
     if n < 0:
         raise ValidationError(f"player count must be >= 0, got {n}")
@@ -522,15 +521,7 @@ def make_tu_game(
     missing = size - len(table)
     if missing:
         raise IncompleteWorthTable(f"{missing} of {size} coalitions have no worth")
-    worths = tuple(map(table.__getitem__, range(size)))
-    if worths[0] != 0:
-        raise NonZeroEmptyCoalition(f"empty coalition has worth {worths[0]}, must be 0")
-    return TUGame(n, worths, _monotone_flag(n, worths), labels=labels)
-
-
-def _monotone_flag(n: int, worths: Sequence[Fraction]) -> bool:
-    """Whether no added player ever lowers a worth."""
-    return next(_descents(n, 2, worths), None) is None
+    return TUGame(n, tuple(map(table.__getitem__, range(size))))
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +544,7 @@ def embed_2k_as_tu(game: JKGame) -> TUGame:
     """View a two-input-level game as a TU game: worth(S) = v(x^S)."""
     if game.j != 2:
         raise NotTwoLevelInput(f"expected two input levels, got j={game.j}")
-    return TUGame(
-        game.n,
-        tuple(Fraction(level) for level in game.levels),
-        True,
-        labels=game.labels,
-    )
+    return TUGame(game.n, tuple(map(Fraction, game.levels)), labels=game.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +589,7 @@ def _subgame_jk(game: JKGame, keep: list[int]) -> JKGame:
 
 def _subgame_tu(game: TUGame, keep: list[int]) -> TUGame:
     worths = tuple(map(game.worths.__getitem__, _kept_rows(game.n, 2, keep)))
-    labels = tuple(game.labels[pos - 1] for pos in keep)
-    monotone = game.monotone or _monotone_flag(len(keep), worths)
-    return TUGame(len(keep), worths, monotone, labels=labels)
+    return TUGame(len(keep), worths, labels=tuple(game.labels[pos - 1] for pos in keep))
 
 
 def remove_player(game: JKGame | TUGame, i: int):

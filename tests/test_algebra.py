@@ -24,6 +24,7 @@ from pgindex import (
 )
 from pgindex.algebra import CLAUSE_GE, CLAUSE_LE, CLAUSE_SHARED, _union_holds
 from pgindex.errors import (
+    CapExceeded,
     DimensionMismatch,
     LevelOutOfRange,
     NotAPermutation,
@@ -64,6 +65,10 @@ class TestSingleMCVGames:
     def test_worth_in_range(self):
         with pytest.raises(LevelOutOfRange):
             single_mcv_game((1, 0), 3, 2, 2)
+
+    def test_table_is_capped(self):
+        with pytest.raises(CapExceeded):
+            single_mcv_game((1,) * 60, 1, 2, 2)
 
 
 class TestMergeability:

@@ -279,6 +279,15 @@ class TestAverage:
         assert (status, stderr) == (0, "")
         assert stdout.endswith("oracle cross-check: agrees\n")
 
+    def test_oracle_cap_refuses_before_the_reduction(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "compare_pgv_vs_jk", lambda *a, **kw: calls.append(a))
+        status, stdout, stderr = main_captured(
+            capsys, "average", str(EXAMPLE), "--oracle", "--cap", "50"
+        )
+        assert (status, stdout, calls) == (1, "", [])
+        assert stderr == "error: the oracle would take 64 evaluations, cap is 50\n"
+
 
 class TestEmbed:
     def test_simple_to_jk(self, tmp_path):

@@ -23,7 +23,7 @@ from pgindex import (
 )
 from pgindex import critical
 from pgindex.cli import main
-from pgindex.critical import CoalitionSet, _predecessor_scan
+from pgindex.critical import _predecessor_scan
 from pgindex.errors import (
     LevelOutOfRange,
     MonotonicityViolation,
@@ -378,9 +378,3 @@ class TestCriticality:
                 assert y in mcv
                 assert all(a <= b for a, b in zip(y, x))
                 assert evaluate(game, y) == w
-
-
-def test_coalition_set_ordering():
-    pairs = [(frozenset({2}), Fraction(1)), (frozenset({1}), Fraction(2))]
-    cs = CoalitionSet.from_pairs(2, pairs)
-    assert list(cs.coalitions) == [frozenset({2}), frozenset({1})]

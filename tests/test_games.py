@@ -254,6 +254,18 @@ class TestTUGames:
         with pytest.raises(NonZeroEmptyCoalition):
             make_tu_game(1, {frozenset(): 1, frozenset({1}): 1})
 
+    def test_hand_built_game_checks_empty_coalition(self):
+        worths = (Fraction(5), Fraction(1), Fraction(1), Fraction(0))
+        with pytest.raises(NonZeroEmptyCoalition) as made:
+            make_tu_game(2, dict(zip(all_coalitions(2), worths)))
+        with pytest.raises(NonZeroEmptyCoalition) as built:
+            TUGame(2, worths)
+        assert str(built.value) == str(made.value) == "empty coalition has worth 5, must be 0"
+
+    def test_monotone_flag_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            TUGame(2, (Fraction(0), Fraction(1), Fraction(1), Fraction(0)), True)
+
     def test_missing_coalitions_counted(self):
         with pytest.raises(IncompleteWorthTable) as info:
             make_tu_game(2, {frozenset(): 0})

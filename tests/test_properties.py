@@ -386,14 +386,23 @@ class TestKernelTwins:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 5), seed=st.integers(0, 10**6), monotone=st.booleans())
     def test_tu_monotone_flag_matches_brute_force(self, n, seed, monotone):
+        """On drawn games, their subgames, (2,k) embeddings and average games."""
         rng = random.Random(seed)
         game = random_monotone_tu(n, rng) if monotone else random_tu(n, rng)
-        literal = all(
-            game.worth(S) <= game.worth(S | {i})
-            for S in all_coalitions(n)
-            for i in range(1, n + 1)
-        )
-        assert game.monotone == literal
+        games = [
+            game,
+            embed_2k_as_tu(random_monotone_jk(n, 2, rng.randrange(2, 5), rng)),
+            average_game(random_monotone_jk(min(n, 3), rng.randrange(2, 4), 3, rng)).tu,
+        ]
+        players = range(1, n + 1)
+        games += [subgame(game, rng.sample(players, rng.randrange(n + 1))) for _ in range(3)]
+        for tu in games:
+            literal = all(
+                tu.worth(S) <= tu.worth(S | {i})
+                for S in all_coalitions(tu.n)
+                for i in range(1, tu.n + 1)
+            )
+            assert tu.monotone == literal
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), j=st.integers(2, 4), seed=st.integers(0, 10**6), data=st.data())
