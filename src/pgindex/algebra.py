@@ -11,7 +11,6 @@ exactly the disjoint union of both sets, and criticality counts add up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -27,6 +26,7 @@ from .games import (
     DEFAULT_CAP,
     JKGame,
     Profile,
+    _Record,
     _axis_max,
     _axis_steps,
     _check_players,
@@ -47,8 +47,7 @@ class MergeViolation(NamedTuple):
     clause: str
 
 
-@dataclass(frozen=True)
-class MergeReport:
+class MergeReport(_Record):
     """Outcome of the mergeability test with every clause violation."""
 
     violations: tuple[MergeViolation, ...]
@@ -58,16 +57,14 @@ class MergeReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(_Record):
     axiom: str
     status: str  # "pass" | "fail" | "vacuous" | "skipped"
     detail: str
     witnesses: tuple = ()
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     results: tuple[AxiomResult, ...]
 
     @property
@@ -139,7 +136,8 @@ def permute(v: JKGame, pi: Sequence[int]) -> JKGame:
     # the subgame keeping every player in the order pi^-1 reads old
     # coordinate i at position pi(i), table rows and weights alike
     inverse = sorted(v.players(), key=lambda p: pi[p - 1])
-    return replace(_subgame_jk(v, inverse), labels=v.labels)
+    sub = _subgame_jk(v, inverse)
+    return JKGame(sub.n, sub.j, sub.k, sub.levels, sub.provenance, v.labels)
 
 
 def is_null_player(v: JKGame, i: int) -> bool:

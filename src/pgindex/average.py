@@ -15,7 +15,6 @@ the explicit sum over the outside profiles and the multiplicity j^|S|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -24,6 +23,7 @@ from .games import (
     DEFAULT_CAP,
     JKGame,
     TUGame,
+    _Record,
     _check_players,
     all_profiles,
     check_cap,
@@ -31,16 +31,14 @@ from .games import (
 from .indices import IndexReport, pgv_tu, public_good_value_jk, variant_value
 
 
-@dataclass(frozen=True)
-class AverageGameResult:
+class AverageGameResult(_Record):
     """The reduced TU game and the scale 1/(j^n (k-1))."""
 
     tu: TUGame
     scale: Fraction
 
 
-@dataclass(frozen=True)
-class ValueComparison:
+class ValueComparison(_Record):
     """PGV of the average game next to the direct (j,k) values."""
 
     average: AverageGameResult

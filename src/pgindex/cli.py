@@ -14,7 +14,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
 
@@ -39,6 +38,7 @@ from .games import (
     JKGame,
     SimpleGame,
     TUGame,
+    _Record,
     all_coalitions,
     check_cap,
     coalition_of_profile,
@@ -61,8 +61,7 @@ from .indices import (
 MAX_WITNESSES = 10
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
+class AnalysisRequest(_Record):
     """One parsed invocation."""
 
     command: str

@@ -11,7 +11,6 @@ lowered; the full down-set scan survives as a brute-force oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -29,6 +28,7 @@ from .games import (
     Profile,
     SimpleGame,
     TUGame,
+    _Record,
     _check_levels,
     _check_players,
     all_profiles,
@@ -40,8 +40,7 @@ from .games import (
 #: Fixed ceiling on j ** n for the full down-set oracle.
 ORACLE_CAP = 3 ** 9
 
-@dataclass(frozen=True)
-class MCVSet:
+class MCVSet(_Record):
     """Minimal critical vectors with their output levels, in table order.
 
     ``from_pairs`` validates its input pairwise; the constructor itself
@@ -93,8 +92,7 @@ class MCVSet:
         return tuple(x) in self._worth
 
 
-@dataclass(frozen=True)
-class CoalitionSet:
+class CoalitionSet(_Record):
     """Coalitions with their worths, ordered by coalition rank."""
 
     coalitions: tuple[Coalition, ...]
@@ -172,8 +170,7 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
             tuple(coalition_from_index(idx, game.n) for idx in ranks),
             tuple(Fraction(table[idx]) for idx in ranks),
         )
-    # a frozen dataclass without slots keeps an instance __dict__, as
-    # functools.cached_property relies on
+    # every record keeps an instance __dict__ (see games._Record)
     game.__dict__[key] = listing
     return listing
 

@@ -26,7 +26,6 @@ import math
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import gt
@@ -231,8 +230,51 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
 # game types
 
 
-@dataclass(frozen=True)
-class WeightedRule:
+class _Record:
+    """Base of the package's immutable records. A subclass declares its
+    fields as annotations, in order, with class attributes as defaults, and
+    gets ``__init__`` by field order, ``==``, ``hash`` and a ``Name(a=...)``
+    repr over them; assignment and deletion raise. Its own ``__init__`` may
+    keep further attributes out of the fields. Instances keep a ``__dict__``
+    for ``cached_property`` and the listing cache. Hand-written, so that
+    startup generates no code (see the README, "Module map")."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        given = dict(zip(fields, args), **kwargs)
+        missing = [f for f in fields if f not in given and f not in cls.__dict__]
+        if len(given) < len(args) + len(kwargs) or missing or given.keys() - set(fields):
+            raise TypeError(f"{cls.__name__}{fields} got {args} and {kwargs}, missing {missing}")
+        self.__dict__.update({f: given[f] if f in given else cls.__dict__[f] for f in fields})
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+
+class WeightedRule(_Record):
     """Weighted description: the output of x counts the thresholds reached
     by the weighted sum of its input levels."""
 
@@ -240,8 +282,7 @@ class WeightedRule:
     thresholds: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class JKGame:
+class JKGame(_Record):
     """A monotone map from {0..j-1}^n to {0..k-1} with the origin at 0.
 
     ``levels`` is the flat table in profile-rank order. ``provenance``
@@ -254,16 +295,12 @@ class JKGame:
     j: int
     k: int
     levels: tuple[int, ...]
-    provenance: WeightedRule | None = field(default=None, compare=False, repr=False)
-    labels: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        _check_shape(self.n, self.j, self.k)
-        _check_length(self.levels, self.j ** self.n)
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
-        elif len(self.labels) != self.n:
-            raise ValidationError("one label per player required")
+    def __init__(self, n, j, k, levels, provenance=None, labels=None):
+        _check_shape(n, j, k)
+        _check_length(levels, j ** n)
+        labels = _labels(labels, n)
+        self.__dict__.update(n=n, j=j, k=k, levels=levels, provenance=provenance, labels=labels)
 
     def value(self, x: Sequence[int]) -> int:
         """Table lookup without validation; see :func:`evaluate`."""
@@ -281,8 +318,7 @@ class JKGame:
         return not any(self.levels)
 
 
-@dataclass(frozen=True)
-class SimpleGame:
+class SimpleGame(_Record):
     """A monotone yes/no voting game. ``levels`` is its (2,2) table, 1 for
     each winning coalition and 0 for each losing one in coalition-rank
     order; ``winning`` is derived from it on first use."""
@@ -290,8 +326,9 @@ class SimpleGame:
     n: int
     levels: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_length(self.levels, 1 << self.n)
+    def __init__(self, n, levels):
+        _check_length(levels, 1 << n)
+        self.__dict__.update(n=n, levels=levels)
 
     @cached_property
     def winning(self) -> frozenset[Coalition]:
@@ -310,8 +347,7 @@ class SimpleGame:
         return not any(self.levels)
 
 
-@dataclass(frozen=True)
-class TUGame:
+class TUGame(_Record):
     """A coalition worth function with worth(∅) = 0; not necessarily monotone.
 
     ``worths`` is flat in coalition-rank order and checked at construction:
@@ -321,16 +357,12 @@ class TUGame:
 
     n: int
     worths: tuple[Fraction, ...]
-    labels: tuple[int, ...] | None = field(default=None, compare=False, repr=False, kw_only=True)
 
-    def __post_init__(self):
-        _check_length(self.worths, 1 << self.n, "worth table")
-        if self.worths[0] != 0:
-            raise NonZeroEmptyCoalition(f"empty coalition has worth {self.worths[0]}, must be 0")
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
-        elif len(self.labels) != self.n:
-            raise ValidationError("one label per player required")
+    def __init__(self, n, worths, *, labels=None):
+        _check_length(worths, 1 << n, "worth table")
+        if worths[0] != 0:
+            raise NonZeroEmptyCoalition(f"empty coalition has worth {worths[0]}, must be 0")
+        self.__dict__.update(n=n, worths=worths, labels=_labels(labels, n))
 
     @cached_property
     def monotone(self) -> bool:
@@ -342,6 +374,14 @@ class TUGame:
 
     def players(self) -> range:
         return range(1, self.n + 1)
+
+
+def _labels(labels: tuple[int, ...] | None, n: int) -> tuple[int, ...]:
+    if labels is None:
+        return tuple(range(1, n + 1))
+    if len(labels) != n:
+        raise ValidationError("one label per player required")
+    return labels
 
 
 def zero_game(n: int, j: int, k: int) -> JKGame:

@@ -15,7 +15,6 @@ Values are exact Fractions; raw counts are widened to Fraction in reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import RecursionCapExceeded, TrivialGame
@@ -31,6 +30,7 @@ from .games import (
     JKGame,
     SimpleGame,
     TUGame,
+    _Record,
     _check_players,
     check_cap,
     profile_index,
@@ -40,8 +40,7 @@ from .games import (
 RECURSION_CAP = 20
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(_Record):
     """Per-player values with the potential and distributed-total context.
 
     ``players`` holds external labels; ``player_values`` is aligned with
@@ -61,7 +60,9 @@ class IndexReport:
 def _normalized(report: IndexReport, variant: str) -> IndexReport:
     total = sum(report.player_values)
     shares = tuple(q / total for q in report.player_values)
-    return replace(report, variant=variant, player_values=shares)
+    return IndexReport(
+        variant, report.players, shares, report.potential, report.lambda_total, report.listing
+    )
 
 
 def _tally(variant: str, players: tuple, listing, support, surplus_of=None) -> IndexReport:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from pgindex import algebra, cli, dump_game, make_simple_game, single_mcv_game, 
 from pgindex.algebra import is_mergeable
 from pgindex.cli import AnalysisRequest, build_parser, main, run
 
-from conftest import DATA, GOLDEN
+from conftest import DATA, GOLDEN, SRC
 
 EXAMPLE = DATA / "example33.json"
 
@@ -431,3 +432,20 @@ class TestInProcess:
     def test_main_returns_status(self, capsys):
         assert main(["potential", str(EXAMPLE)]) == 0
         capsys.readouterr()
+
+
+def test_startup_loads_no_code_generators():
+    # dataclasses and inspect (with ast, dis, tokenize) would add about 20 ms
+    # to every start; compared with the child's own modules before the
+    # import, so that a site hook loading either cannot fail the test
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pgindex, pgindex.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"
