@@ -161,14 +161,16 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
         found = _predecessor_scan(game.n, game.j, game.levels)
         listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
     else:
-        table = game.worths if isinstance(game, TUGame) else game.levels
+        # an integer table: a TU game's worths as numerators over its denominator d
+        tu = isinstance(game, TUGame)
+        table, d = (game.numerators, game.denominator) if tu else (game.levels, 1)
         if family == "rgc":
             ranks = _real_gaining(game.n, table)
         else:
             ranks = [idx for idx, _, _ in _predecessor_scan(game.n, 2, table)]
         listing = CoalitionSet(
             tuple(coalition_from_index(idx, game.n) for idx in ranks),
-            tuple(Fraction(table[idx]) for idx in ranks),
+            tuple(Fraction(table[idx], d) for idx in ranks),
         )
     # every record keeps an instance __dict__ (see games._Record)
     game.__dict__[key] = listing

@@ -51,6 +51,10 @@ class IncompleteWorthTable(ValidationError):
     """A TU worth table misses some coalition."""
 
 
+class DenominatorTooLarge(ValidationError):
+    """A TU game's worths have a common denominator beyond the digit limit."""
+
+
 class CapExceeded(ValidationError):
     """The requested enumeration is larger than the configured cap."""
 

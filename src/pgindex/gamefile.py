@@ -23,9 +23,9 @@ from .games import (
     SimpleGame,
     TUGame,
     _check_exponent,
+    _rank_filled,
     all_coalitions,
     make_table_game,
-    make_tu_game,
     make_weighted_game,
     simple_game_from_generators,
 )
@@ -42,6 +42,11 @@ def parse_rational(obj, path, what: str) -> Fraction:
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise ParseError(path, f'{what} must be an integer or a "p/q" string, got {obj!r}')
     try:
+        if isinstance(obj, str):
+            num, slash, den = obj.partition("/")
+            if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+                # "p" or "p/q" in decimal digits: read as Fraction(obj) reads it, minus its regex
+                return Fraction(int(num), int(den or 1))
         _check_exponent(obj, what)
         return Fraction(obj)
     except ValidationError as exc:
@@ -146,7 +151,7 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
     worth = doc.get("worth")
     if not isinstance(worth, dict):
         raise ParseError(path, '"worth" must be an object keyed by member lists')
-    table, keys = {}, {}
+    pairs, keys = [(frozenset(), Fraction(0))], {}  # "": 0 implied; an explicit "" overrides it
     for key, value in worth.items():
         members = set()
         for token in key.split(",") if key else ():
@@ -165,9 +170,9 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
                 path, f"worth keys {keys[coalition]!r} and {key!r} name the same coalition"
             )
         keys[coalition] = key
-        table[coalition] = parse_rational(value, path, f"worth of {key!r}")
-    table.setdefault(frozenset(), Fraction(0))  # "": 0 implied
-    return make_tu_game(n, table, cap=cap)
+        pairs.append((coalition, parse_rational(value, path, f"worth of {key!r}")))
+    # parsed worths are exact already, so they go into the table as they are
+    return _rank_filled(n, pairs, cap, lambda value, S: value)
 
 
 # ---------------------------------------------------------------------------

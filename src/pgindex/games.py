@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     CapExceeded,
+    DenominatorTooLarge,
     IncompleteTable,
     IncompleteWorthTable,
     LevelOutOfRange,
@@ -55,6 +56,10 @@ RationalLike = Union[int, Fraction, str]
 
 #: Hard default on table sizes (j ** n) accepted at construction.
 DEFAULT_CAP = 2 ** 24
+
+#: Most bits the common denominator may add to a TU game's numerator table
+#: (its bit length times the table's length), 128 MiB.
+TABLE_BITS = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +356,11 @@ class TUGame(_Record):
     """A coalition worth function with worth(∅) = 0; not necessarily monotone.
 
     ``worths`` is flat in coalition-rank order and checked at construction:
-    one worth per coalition, the empty one worth 0. ``monotone`` is derived
-    from the worths on first use; ``labels`` are the external player names.
+    one worth per coalition, the empty one worth 0. ``labels`` are the
+    external player names. Every kernel reads the derived integer table
+    ``numerators``, worth·D in rank order, for D the ``denominator``, the lcm
+    of the worths' denominators, refused beyond the integer digit limit or
+    when D's bit length times the table's length exceeds ``TABLE_BITS``.
     """
 
     n: int
@@ -362,12 +370,24 @@ class TUGame(_Record):
         _check_length(worths, 1 << n, "worth table")
         if worths[0] != 0:
             raise NonZeroEmptyCoalition(f"empty coalition has worth {worths[0]}, must be 0")
-        self.__dict__.update(n=n, worths=worths, labels=_labels(labels, n))
+        d, limit, most_bits = 1, sys.get_int_max_str_digits(), TABLE_BITS // len(worths)
+        for b in {q.denominator for q in worths}:
+            d = math.lcm(d, b)
+            # more than limit digits is d >= 10**limit, which implies over 3 * limit bits
+            if limit and d.bit_length() > 3 * limit and d >= 10 ** limit:  # limit 0: none
+                raise DenominatorTooLarge(f"the worths' common denominator exceeds {limit} digits")
+            if d.bit_length() > most_bits:  # a wide table: every numerator carries D
+                raise DenominatorTooLarge(
+                    f"the worths' common denominator exceeds {most_bits} bits"
+                    f" for {len(worths)} coalitions"
+                )
+        self.__dict__.update(n=n, worths=worths, labels=_labels(labels, n), denominator=d)
+        self.__dict__["numerators"] = tuple(q.numerator * (d // q.denominator) for q in worths)
 
     @cached_property
     def monotone(self) -> bool:
         """Whether no added player ever lowers a worth."""
-        return next(_descents(self.n, 2, self.worths), None) is None
+        return next(_descents(self.n, 2, self.numerators), None) is None
 
     def worth(self, coalition: Iterable[int]) -> Fraction:
         return self.worths[coalition_index(_check_players(coalition, self.n), self.n)]
@@ -551,13 +571,22 @@ def simple_game_from_generators(
 
 def make_tu_game(n: int, worth: Mapping, *, cap: int = DEFAULT_CAP) -> TUGame:
     """Build a TU game from a coalition -> worth mapping (exact rationals)."""
+    convert = lambda value, S: _as_fraction(value, f"worth of {sorted(S)}")
+    return _rank_filled(n, worth.items(), cap, convert)
+
+
+def _rank_filled(n: int, pairs: Iterable, cap: int, convert) -> TUGame:
+    """The TU game of ``(members, worth)`` pairs, each worth at its rank as
+    ``convert(worth, members)``. The first failure wins: n < 0, the cap, pair
+    by pair an unknown player or a bad worth, a missing coalition, then the
+    checks of :class:`TUGame`."""
     if n < 0:
         raise ValidationError(f"player count must be >= 0, got {n}")
     size = check_cap(n, 2, cap, "worth table would need {} entries")
     table = {}
-    for key, value in worth.items():
+    for key, value in pairs:
         S = _check_players(key, n)
-        table[coalition_index(S, n)] = _as_fraction(value, f"worth of {sorted(S)}")
+        table[coalition_index(S, n)] = convert(value, S)
     missing = size - len(table)
     if missing:
         raise IncompleteWorthTable(f"{missing} of {size} coalitions have no worth")

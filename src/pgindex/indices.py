@@ -65,25 +65,27 @@ def _normalized(report: IndexReport, variant: str) -> IndexReport:
     )
 
 
-def _tally(variant: str, players: tuple, listing, support, surplus_of=None) -> IndexReport:
+def _tally(variant: str, players: tuple, listing, support, surplus_of=None, d=1) -> IndexReport:
     """One pass over a listing of (x, w): potential, distributed total (w times
     ``len(support(x))``) and per supporter p the credit w, or, given the game
-    ``surplus_of``, the surplus w - v(x - e_p) read from its table by rank."""
-    # (j,k) worths are ints: summed as ints, widened once at the end
+    ``surplus_of``, the surplus w - v(x - e_p) read from its table by rank.
+    Worths are summed as the integers w·d, for d the TU game's denominator
+    (1 otherwise), and each sum is divided by d once at the end."""
     values = [0] * len(players)
     potential = lam = 0
     if surplus_of is not None:
         levels, j = surplus_of.levels, surplus_of.j
         strides = [j ** (surplus_of.n - 1 - p) for p in range(surplus_of.n)]
     for x, w in listing.pairs():
+        w = w.numerator * (d // w.denominator)
         positions = support(x)
         potential += w
         lam += w * len(positions)
         rank = None if surplus_of is None else profile_index(x, j)
         for p in positions:
             values[p] += w if rank is None else w - levels[rank - strides[p]]
-    widened = tuple(map(Fraction, values))
-    return IndexReport(variant, players, widened, Fraction(potential), Fraction(lam), listing)
+    widened = tuple(Fraction(v, d) for v in values)
+    return IndexReport(variant, players, widened, Fraction(potential, d), Fraction(lam, d), listing)
 
 
 def _members(coalition) -> list[int]:
@@ -120,7 +122,8 @@ def pgv_tu(game: TUGame, family: str = "mcc") -> IndexReport:
     """Public Good value: per player, the summed worths of the coalitions
     in the chosen family (minimal critical by default, real gaining on
     request) that contain them."""
-    return _tally("tu_pgv", tuple(game.labels), _listing(game, family), _members)
+    listing = _listing(game, family)
+    return _tally("tu_pgv", tuple(game.labels), listing, _members, d=game.denominator)
 
 
 def tu_potential(game: TUGame) -> Fraction:

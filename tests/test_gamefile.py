@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgindex import (
     ParseError,
+    ValidationError,
     SimpleGame,
     TUGame,
     dump_game,
@@ -12,6 +15,8 @@ from pgindex import (
     loads_game,
     rational_str,
 )
+from pgindex.gamefile import parse_rational
+from pgindex.games import _check_exponent
 
 from gamegen import random_monotone_jk, random_monotone_tu
 import random
@@ -32,6 +37,28 @@ class TestRationalStrings:
         assert str(info.value) == (
             f"t.json: worth of '1' {text!r} has a decimal exponent beyond 4300 in magnitude"
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789-+/_. eE\u0663\u00b2\t\x1c", max_size=8))
+    @example("1" * 4301)
+    @example("1/" + "1" * 4301)
+    def test_parse_rational_reads_strings_as_fraction_does(self, text):
+        # the plain "p/q" shortcut must agree with the exponent check and
+        # Fraction(text) on every string
+        try:
+            _check_exponent(text, "worth")
+            expected = Fraction(text)
+        except ValidationError as exc:
+            expected = str(exc)
+        except (ValueError, ZeroDivisionError):
+            expected = "is not a rational"
+        if isinstance(expected, Fraction):
+            got = parse_rational(text, "t.json", "worth")
+            assert (type(got), got) == (Fraction, expected)
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_rational(text, "t.json", "worth")
+            assert expected in str(info.value)
 
     def test_decimal_exponent_within_limit_loads(self):
         game = loads_game('{"kind": "tu", "n": 1, "worth": {"1": "1.5e300"}}')

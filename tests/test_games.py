@@ -1,4 +1,5 @@
 import random
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from pgindex import (
     zero_game,
 )
 from pgindex.errors import (
+    DenominatorTooLarge,
     IncompleteTable,
     IncompleteWorthTable,
     LevelOutOfRange,
@@ -38,6 +40,7 @@ from pgindex.errors import (
     ProfileDimensionMismatch,
     UnknownPlayer,
 )
+from pgindex import games
 from pgindex.games import (
     all_coalitions,
     all_profiles,
@@ -265,6 +268,27 @@ class TestTUGames:
     def test_monotone_flag_cannot_be_passed(self):
         with pytest.raises(TypeError):
             TUGame(2, (Fraction(0), Fraction(1), Fraction(1), Fraction(0)), True)
+
+    def test_common_denominator_and_numerators(self):
+        game = make_tu_game(2, {(): 0, (1,): "1/4", (2,): "-5/6", (1, 2): 3})
+        assert game.denominator == 12
+        assert game.numerators == (0, -10, 3, 36)
+
+    def test_common_denominator_bounded_by_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        widest = make_tu_game(1, {(): 0, (1,): Fraction(1, 10 ** limit - 1)})
+        assert len(str(widest.denominator)) == limit
+        with pytest.raises(DenominatorTooLarge) as info:
+            make_tu_game(1, {(): 0, (1,): Fraction(1, 10 ** limit)})
+        assert str(info.value) == f"the worths' common denominator exceeds {limit} digits"
+
+    def test_common_denominator_bounded_by_table_bits(self, monkeypatch):
+        monkeypatch.setattr(games, "TABLE_BITS", 64)  # 16 bits on each of 4 coalitions
+        worths = (0, 1, Fraction(1, 2), 2)
+        assert make_tu_game(2, dict(zip(all_coalitions(2), worths[:3] + (Fraction(1, 2 ** 15),))))
+        with pytest.raises(DenominatorTooLarge) as info:
+            make_tu_game(2, dict(zip(all_coalitions(2), worths[:3] + (Fraction(1, 2 ** 16),))))
+        assert str(info.value) == "the worths' common denominator exceeds 16 bits for 4 coalitions"
 
     def test_missing_coalitions_counted(self):
         with pytest.raises(IncompleteWorthTable) as info:

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,3 +156,37 @@ class TestMalformedFiles:
             status, out, err = _run(["analyze", str(path)])
             assert status == 1, name
             assert out == "" and err.startswith("error: "), (name, err)
+
+    def test_huge_common_denominator_refused_early(self, tmp_path):
+        # 4,095 coalitions, each worth 1/(10^4000 + rank): neighbouring
+        # denominators are coprime, so their lcm would have millions of
+        # digits; the load stops once it passes the integer digit limit
+        worth = {
+            ",".join(str(p) for p in range(1, 13) if rank >> (12 - p) & 1): f"1/1{rank:04000d}"
+            for rank in range(1, 1 << 12)
+        }
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({"kind": "tu", "n": 12, "worth": worth}), encoding="utf-8")
+        start = time.perf_counter()
+        status, out, err = _run(["analyze", str(path)])
+        assert time.perf_counter() - start < 20
+        assert (status, out) == (1, "")
+        assert err == "error: the worths' common denominator exceeds 4300 digits\n"
+
+    def test_wide_table_with_one_huge_denominator_refused(self, tmp_path):
+        # 2^17 worths, all small integers but one with a 3,000-digit
+        # denominator: within the digit limit, but D would be carried by every
+        # numerator, over 1.3 * 10^9 bits for the table
+        n = 17
+        worth = {
+            ",".join(str(p) for p in range(1, n + 1) if rank >> (n - p) & 1): rank % 7
+            for rank in range(1, 1 << n)
+        }
+        worth["1"] = "1/1" + "0" * 2999
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"kind": "tu", "n": n, "worth": worth}), encoding="utf-8")
+        start = time.perf_counter()
+        status, out, err = _run(["analyze", str(path)])
+        assert time.perf_counter() - start < 20
+        assert (status, out) == (1, "")
+        assert err == "error: the worths' common denominator exceeds 8192 bits for 131072 coalitions\n"
