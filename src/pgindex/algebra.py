@@ -31,6 +31,7 @@ from .games import (
     _axis_steps,
     _check_players,
     _subgame_jk,
+    _trusted,
     check_cap,
     profile_index,
 )
@@ -82,9 +83,9 @@ def _same_shape(v: JKGame, w: JKGame) -> None:
 def oplus(v: JKGame, w: JKGame) -> JKGame:
     """Pointwise maximum of two games on the same shape."""
     _same_shape(v, w)
-    return JKGame(
-        v.n, v.j, v.k, tuple(map(max, v.levels, w.levels)), labels=v.labels
-    )
+    levels = tuple(map(max, v.levels, w.levels))
+    # the pointwise maximum of two valid tables: monotone, origin at 0
+    return _trusted(JKGame, v.n, v.j, v.k, levels, labels=v.labels)
 
 
 def is_mergeable(v: JKGame, w: JKGame) -> MergeReport:
@@ -137,7 +138,7 @@ def permute(v: JKGame, pi: Sequence[int]) -> JKGame:
     # coordinate i at position pi(i), table rows and weights alike
     inverse = sorted(v.players(), key=lambda p: pi[p - 1])
     sub = _subgame_jk(v, inverse)
-    return JKGame(sub.n, sub.j, sub.k, sub.levels, sub.provenance, v.labels)
+    return _trusted(JKGame, sub.n, sub.j, sub.k, sub.levels, sub.provenance, v.labels)  # relabelled
 
 
 def is_null_player(v: JKGame, i: int) -> bool:
@@ -163,7 +164,8 @@ def single_mcv_game(x: Sequence[int], worth: int, j: int, k: int) -> JKGame:
         raise LevelOutOfRange(f"worth {worth} outside 1..{k - 1}")
     levels = [0] * check_cap(len(x), j, DEFAULT_CAP, "table would need {} entries")
     levels[profile_index(x, j)] = worth
-    return JKGame(len(x), j, k, tuple(_axis_max(levels, len(x), j)))
+    # an up-closure of one entry in 1..k-1 at x != 0: monotone, origin at 0
+    return _trusted(JKGame, len(x), j, k, tuple(_axis_max(levels, len(x), j)))
 
 
 def decompose(v: JKGame) -> tuple[JKGame, ...]:

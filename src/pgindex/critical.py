@@ -29,7 +29,6 @@ from .games import (
     SimpleGame,
     TUGame,
     _Record,
-    _check_levels,
     _check_players,
     all_profiles,
     coalition_from_index,
@@ -130,22 +129,21 @@ def real_gaining_coalitions(game: TUGame) -> frozenset[Coalition]:
 def minimal_critical_vectors(game: JKGame) -> MCVSet:
     """Fast enumeration: beat every immediate predecessor strictly.
 
-    First the table of a (j,k) simple game is checked as at construction:
-    its entries lie in 0..k-1, v(0) = 0 and no one-step raise lowers the
-    output, so v is monotone. Under it the scan is exact, as any y < x has
-    y <= x - e_p with x_p > 0, so v(y) <= v(x - e_p) < v(x). The output is
-    an antichain per worth: if x < y are both found, x <= y - e_p for some
-    p, so v(x) <= v(y - e_p) < v(y). Worths are positive: v(x) > v(x - e_p)
-    >= v(0) = 0. :func:`minimal_critical_vectors_oracle` checks the scan
-    literally. The result is cached on the game.
+    A ``JKGame`` is valid by type (monotone, v(0) = 0), so the scan is
+    exact, as any y < x has y <= x - e_p with x_p > 0, so v(y) <=
+    v(x - e_p) < v(x). The output is an antichain per worth: if x < y are
+    both found, x <= y - e_p for some p, so v(x) <= v(y - e_p) < v(y).
+    Worths are positive: v(x) > v(x - e_p) >= v(0) = 0.
+    :func:`minimal_critical_vectors_oracle` checks the scan literally. The
+    result is cached on the game.
     """
     return _listing(game)
 
 
 def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet | CoalitionSet:
     """The minimal structure a game's values credit, with its worths, in
-    rank order: minimal critical vectors after the table check of a (j,k)
-    game, minimal winning coalitions, or for a TU game the minimal critical
+    rank order: minimal critical vectors of a (j,k) game, minimal winning
+    coalitions, or for a TU game the minimal critical
     (``family="mcc"``) or real gaining (``"rgc"``) coalitions. Cached on
     the game, one entry per family; ``family`` matters for TU games only."""
     if not isinstance(game, TUGame):
@@ -157,7 +155,6 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     if cached is not None:
         return cached
     if isinstance(game, JKGame):
-        _check_levels(game.n, game.j, game.k, game.levels)
         found = _predecessor_scan(game.n, game.j, game.levels)
         listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
     else:

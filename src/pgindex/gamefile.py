@@ -12,6 +12,7 @@ floats are rejected to keep everything exact.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .games import (
     SimpleGame,
     TUGame,
     _check_exponent,
+    _over_digit_limit,
     _rank_filled,
     all_coalitions,
     make_table_game,
@@ -48,7 +50,11 @@ def parse_rational(obj, path, what: str) -> Fraction:
                 # "p" or "p/q" in decimal digits: read as Fraction(obj) reads it, minus its regex
                 return Fraction(int(num), int(den or 1))
         _check_exponent(obj, what)
-        return Fraction(obj)
+        q, limit = Fraction(obj), sys.get_int_max_str_digits()
+        # a report could not render it: "1e4300" and "10e4299" pass the exponent check
+        if _over_digit_limit(q.numerator, limit) or _over_digit_limit(q.denominator, limit):
+            raise ParseError(path, f"{what} {obj!r} has more than {limit} digits")
+        return q
     except ValidationError as exc:
         raise ParseError(path, str(exc)) from None
     except (ValueError, ZeroDivisionError):

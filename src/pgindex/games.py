@@ -13,10 +13,9 @@ ordered by the profile rank with the first coordinate most significant, so
 Coalitions are frozensets of 1-based player ids. All worths are exact
 ``fractions.Fraction`` values.
 
-Games are immutable once built. The ``make_*`` constructors validate their
-input and are the intended entry points; operations that provably preserve
-validity construct results directly. A ``TUGame`` checks its own worth at
-the empty coalition and derives whether it is monotone.
+Games are immutable once built, and a ``JKGame`` or ``SimpleGame`` is valid
+by type: its constructor checks the table, and games derived from valid
+ones are built through the trusted route :func:`_trusted`, which skips it.
 """
 
 from __future__ import annotations
@@ -219,6 +218,11 @@ def _check_exponent(value, what: str) -> None:
         )
 
 
+def _over_digit_limit(x: int, limit: int) -> bool:
+    # more than limit digits (0: no limit) is |x| >= 10**limit, so over 3 * limit bits
+    return bool(limit) and abs(x).bit_length() > 3 * limit and abs(x) >= 10 ** limit
+
+
 def _as_fraction(value: RationalLike, what: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValidationError(
@@ -288,7 +292,8 @@ class WeightedRule(_Record):
 
 
 class JKGame(_Record):
-    """A monotone map from {0..j-1}^n to {0..k-1} with the origin at 0.
+    """A monotone map from {0..j-1}^n to {0..k-1} with the origin at 0,
+    valid by type: the constructor refuses any other table.
 
     ``levels`` is the flat table in profile-rank order. ``provenance``
     carries the weighted rule the game was built from, if any, and
@@ -302,6 +307,10 @@ class JKGame(_Record):
     levels: tuple[int, ...]
 
     def __init__(self, n, j, k, levels, provenance=None, labels=None):
+        self._fill(n, j, k, levels, provenance, labels)
+        _check_levels(n, j, k, levels)
+
+    def _fill(self, n, j, k, levels, provenance=None, labels=None):
         _check_shape(n, j, k)
         _check_length(levels, j ** n)
         labels = _labels(labels, n)
@@ -324,14 +333,20 @@ class JKGame(_Record):
 
 
 class SimpleGame(_Record):
-    """A monotone yes/no voting game. ``levels`` is its (2,2) table, 1 for
-    each winning coalition and 0 for each losing one in coalition-rank
-    order; ``winning`` is derived from it on first use."""
+    """A monotone yes/no voting game, valid by type: the constructor refuses
+    any other table. ``levels`` is its (2,2) table, 1 for each winning
+    coalition and 0 for each losing one in coalition-rank order;
+    ``winning`` is derived from it on first use."""
 
     n: int
     levels: tuple[int, ...]
 
     def __init__(self, n, levels):
+        self._fill(n, levels)
+        _check_holes(n, levels)
+
+    def _fill(self, n, levels):
+        _check_shape(n, 2, 2)
         _check_length(levels, 1 << n)
         self.__dict__.update(n=n, levels=levels)
 
@@ -373,8 +388,7 @@ class TUGame(_Record):
         d, limit, most_bits = 1, sys.get_int_max_str_digits(), TABLE_BITS // len(worths)
         for b in {q.denominator for q in worths}:
             d = math.lcm(d, b)
-            # more than limit digits is d >= 10**limit, which implies over 3 * limit bits
-            if limit and d.bit_length() > 3 * limit and d >= 10 ** limit:  # limit 0: none
+            if _over_digit_limit(d, limit):
                 raise DenominatorTooLarge(f"the worths' common denominator exceeds {limit} digits")
             if d.bit_length() > most_bits:  # a wide table: every numerator carries D
                 raise DenominatorTooLarge(
@@ -404,11 +418,19 @@ def _labels(labels: tuple[int, ...] | None, n: int) -> tuple[int, ...]:
     return labels
 
 
+def _trusted(game_type, *args, **kwargs):
+    """``game_type(*args, **kwargs)`` without the table check, for a table
+    valid by construction; each caller says why."""
+    game = object.__new__(game_type)
+    game._fill(*args, **kwargs)
+    return game
+
+
 def zero_game(n: int, j: int, k: int) -> JKGame:
     """The constant-0 game on n players, within the default cap."""
     _check_shape(n, j, k)
     size = check_cap(n, j, DEFAULT_CAP, "table would need {} entries")
-    return JKGame(n, j, k, (0,) * size)
+    return _trusted(JKGame, n, j, k, (0,) * size)  # constant 0: monotone, origin at 0
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +445,9 @@ def _check_origin(n: int, j: int, levels: tuple) -> None:
         )
 
 
-def _check_levels(n: int, j: int, k: int, levels: Sequence) -> None:
-    """Every entry is an int in 0..k-1, the origin maps to 0, and no
-    one-step raise lowers the output, which by transitivity makes the table
-    monotone; collects all witnesses of the first check that fails."""
+def _check_entries(n: int, j: int, k: int, levels: Sequence) -> None:
+    """Every entry is an int in 0..k-1 and the origin maps to 0; collects
+    all witnesses of the first check that fails."""
     # C-speed pre-pass; the loop runs only to collect the witnesses
     if set(map(type, levels)) != {int} or min(levels) < 0 or max(levels) >= k:
         bad = [
@@ -439,6 +460,12 @@ def _check_levels(n: int, j: int, k: int, levels: Sequence) -> None:
                 f"{len(bad)} table entries outside 0..{k - 1}", witnesses=bad
             )
     _check_origin(n, j, levels)
+
+
+def _check_levels(n: int, j: int, k: int, levels: Sequence) -> None:
+    """:func:`_check_entries`, and no one-step raise lowers the output,
+    which by transitivity makes the table monotone."""
+    _check_entries(n, j, k, levels)
     # in table order, first axis first
     violations = sorted(_descents(n, j, levels), key=lambda d: (d[0], -d[1]))
     if violations:
@@ -448,6 +475,21 @@ def _check_levels(n: int, j: int, k: int, levels: Sequence) -> None:
                 (index_profile(rank, n, j), index_profile(rank + s, n, j))
                 for rank, s in violations
             ],
+        )
+
+
+def _check_holes(n: int, levels: Sequence) -> None:
+    """:func:`_check_entries` on a 0/1 coalition table, and every superset
+    of a winning coalition wins."""
+    _check_entries(n, 2, 2, levels)
+    holes = [
+        (coalition_from_index(rank, n), coalition_from_index(rank + s, n))
+        for rank, s in _descents(n, 2, levels)
+    ]
+    if holes:
+        raise MonotonicityViolation(
+            f"winning set is not closed under supersets ({len(holes)} holes)",
+            witnesses=holes,
         )
 
 
@@ -474,7 +516,6 @@ def make_table_game(
     levels = tuple(table)
     if len(levels) != size:
         raise IncompleteTable(f"got {len(levels)} entries, expected {size}")
-    _check_levels(n, j, k, levels)
     return JKGame(n, j, k, levels)
 
 
@@ -505,18 +546,18 @@ def make_weighted_game(
         sums = [s + step * level for s in sums for level in range(j)]
     scaled = [ti.numerator * (scale // ti.denominator) for ti in t]
     levels = tuple(map(partial(bisect_right, scaled), sums))
+    rule = WeightedRule(w, t)
     if all(wi >= 0 for wi in w):
-        # in 0..k-1 and monotone by construction; only the origin can fail
+        # threshold counts lie in 0..k-1 and grow with the levels; only the origin can fail
         _check_origin(n, j, levels)
-    else:
-        try:
-            _check_levels(n, j, k, levels)
-        except MonotonicityViolation as exc:
-            raise NegativeWeightNonMonotone(
-                f"negative weights make the table non-monotone: {exc}",
-                witnesses=exc.witnesses,
-            ) from None
-    return JKGame(n, j, k, levels, provenance=WeightedRule(w, t))
+        return _trusted(JKGame, n, j, k, levels, rule)
+    try:
+        return JKGame(n, j, k, levels, rule)
+    except MonotonicityViolation as exc:
+        raise NegativeWeightNonMonotone(
+            f"negative weights make the table non-monotone: {exc}",
+            witnesses=exc.witnesses,
+        ) from None
 
 
 def evaluate(game: JKGame, x: Sequence[int]) -> int:
@@ -548,17 +589,7 @@ def _marked(n: int, coalitions: Iterable[Iterable[int]], cap: int, message: str)
 
 def make_simple_game(n: int, winning: Iterable[Iterable[int]]) -> SimpleGame:
     """Build a simple game from its full set of winning coalitions."""
-    levels = _marked(n, winning, DEFAULT_CAP, "table would need {} entries")
-    holes = [
-        (coalition_from_index(rank, n), coalition_from_index(rank + s, n))
-        for rank, s in _descents(n, 2, levels)
-    ]
-    if holes:
-        raise MonotonicityViolation(
-            f"winning set is not closed under supersets ({len(holes)} holes)",
-            witnesses=holes,
-        )
-    return SimpleGame(n, tuple(levels))
+    return SimpleGame(n, tuple(_marked(n, winning, DEFAULT_CAP, "table would need {} entries")))
 
 
 def simple_game_from_generators(
@@ -566,7 +597,8 @@ def simple_game_from_generators(
 ) -> SimpleGame:
     """Build a simple game as the upward closure of the given coalitions."""
     levels = _marked(n, generators, cap, "closure would enumerate {} coalitions")
-    return SimpleGame(n, tuple(_axis_max(levels, n, 2)))
+    # an upward closure of nonempty coalitions: no hole, and the empty coalition loses
+    return _trusted(SimpleGame, n, tuple(_axis_max(levels, n, 2)))
 
 
 def make_tu_game(n: int, worth: Mapping, *, cap: int = DEFAULT_CAP) -> TUGame:
@@ -599,14 +631,14 @@ def _rank_filled(n: int, pairs: Iterable, cap: int, convert) -> TUGame:
 
 def embed_simple(game: SimpleGame) -> JKGame:
     """The (2,2) game of a simple game: v(x^S) = 1 iff S wins."""
-    return JKGame(game.n, 2, 2, game.levels)
+    return _trusted(JKGame, game.n, 2, 2, game.levels)  # a simple game's table as it is
 
 
 def extract_simple(game: JKGame) -> SimpleGame:
     """Inverse of :func:`embed_simple`; requires j = k = 2."""
     if game.j != 2 or game.k != 2:
         raise NotBinaryGame(f"expected a (2,2) game, got ({game.j},{game.k})")
-    return SimpleGame(game.n, game.levels)
+    return _trusted(SimpleGame, game.n, game.levels)  # a (2,2) game's table as it is
 
 
 def embed_2k_as_tu(game: JKGame) -> TUGame:
@@ -653,7 +685,8 @@ def _subgame_jk(game: JKGame, keep: list[int]) -> JKGame:
             game.provenance.thresholds,
         )
     labels = tuple(game.labels[pos - 1] for pos in keep)
-    return JKGame(len(keep), game.j, game.k, levels, provenance=provenance, labels=labels)
+    # a valid table's rows with players frozen at 0 (the subgame lemma), or relabelled
+    return _trusted(JKGame, len(keep), game.j, game.k, levels, provenance, labels)
 
 
 def _subgame_tu(game: TUGame, keep: list[int]) -> TUGame:

@@ -158,16 +158,14 @@ def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
     masks; capped at 20 players, and at ``cap`` subgame table entries:
     j^|S| summed over the coalitions S, which is (j+1)^n.
 
-    The game is validated once, by its listing. A subgame table keeps the
-    origin and gains no descent, so each Lambda(S) comes from the
-    predecessor scan of the subgame's table alone.
+    Subgames are valid by type, like the game, so each Lambda(S) comes
+    from the predecessor scan of the subgame's table alone.
     """
     if game.n > RECURSION_CAP:
         raise RecursionCapExceeded(
             f"recursive potential capped at {RECURSION_CAP} players, game has {game.n}"
         )
     check_cap(game.n, game.j + 1, cap, "recursion would build {} subgame table entries")
-    minimal_critical_vectors(game)  # the table check every subgame inherits
     memo = [Fraction(0)] * (1 << game.n)
     for size in range(1, game.n + 1):
         for combo in itertools.combinations(game.players(), size):

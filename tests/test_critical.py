@@ -35,13 +35,15 @@ from pgindex.errors import (
     UnknownPlayer,
     ZeroLevelPlayer,
 )
-from pgindex.games import all_coalitions, evaluate, increment, subgame
-from pgindex.indices import (
-    jk_potential_recursive,
-    pgv_tu,
-    public_good_value_jk,
-    variant_value,
+from pgindex.games import (
+    all_coalitions,
+    all_profiles,
+    evaluate,
+    increment,
+    profile_index,
+    subgame,
 )
+from pgindex.indices import pgv_tu
 
 from conftest import DATA
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
@@ -114,75 +116,75 @@ def _raises(check) -> bool:
 
 @st.composite
 def unvalidated_tables(draw):
+    """Raw ``(n, j, k, levels)``, valid or not."""
     n = draw(st.integers(0, 3))
     j = draw(st.integers(2, 4))
     k = draw(st.integers(2, 4))
     levels = draw(st.lists(st.integers(-1, k - 1), min_size=j**n, max_size=j**n))
-    return JKGame(n, j, k, tuple(levels))
+    return n, j, k, tuple(levels)
 
 
-def _premise_fails(game) -> bool:
+def _premise_fails(n, j, levels) -> bool:
     """Literally: the origin is nonzero or some one-step raise lowers the output."""
-    if game.levels[0] != 0:
+    if levels[0] != 0:
         return True
     return any(
-        game.value(increment(x, p + 1, game.j)) < game.value(x)
-        for x in game.profiles()
-        for p in range(game.n)
-        if x[p] < game.j - 1
+        levels[profile_index(increment(x, p + 1, j), j)] < levels[profile_index(x, j)]
+        for x in all_profiles(n, j)
+        for p in range(n)
+        if x[p] < j - 1
     )
 
 
 class TestAntichainCheck:
-    """The listing checks the premise (origin at 0, monotone) once; under
-    it the scan is exact and an antichain per worth."""
+    """A ``JKGame`` checks the premise (origin at 0, monotone) at
+    construction; under it the scan is exact and an antichain per worth."""
 
     @settings(max_examples=300, deadline=None)
-    @given(game=unvalidated_tables())
-    def test_raises_exactly_when_premise_fails(self, game):
-        raised = _raises(lambda: minimal_critical_vectors(game))
-        assert raised == _premise_fails(game)
-        # every table the pairwise check of the scan's output rejects stays rejected
-        found = _predecessor_scan(game.n, game.j, game.levels)
+    @given(table=unvalidated_tables())
+    def test_raises_exactly_when_premise_fails(self, table):
+        n, j, k, levels = table
+        raised = _raises(lambda: JKGame(n, j, k, levels))
+        assert raised == _premise_fails(n, j, levels)
+        # every table the pairwise check of the scan's output rejects is refused
+        found = _predecessor_scan(n, j, levels)
         if _raises(lambda: MCVSet.from_pairs((x, w) for _, x, w in found)):
             assert raised
         if not raised:
+            game = JKGame(n, j, k, levels)
             assert minimal_critical_vectors(game) == minimal_critical_vectors_oracle(game)
 
     def test_known_violator(self):
-        game = JKGame(1, 4, 3, (0, 2, 1, 2))
         with pytest.raises(MonotonicityViolation) as info:
-            minimal_critical_vectors(game)
+            JKGame(1, 4, 3, (0, 2, 1, 2))
         assert info.value.witnesses == (((1,), (2,)),)
         with pytest.raises(ValidationError):
             MCVSet.from_pairs([((1,), 2), ((3,), 2)])
 
     def test_nonzero_origin(self):
-        # the scan alone would list (2,) with worth 1, which the oracle does not
-        game = JKGame(1, 3, 3, (2, 0, 1))
-        assert minimal_critical_vectors_oracle(game).as_dict() == {}
-        for route in (
-            minimal_critical_vectors,
-            jk_potential_recursive,
-            public_good_value_jk,
-            variant_value,
-        ):
-            with pytest.raises(NonZeroAtOrigin):
-                route(game)
+        # the scan alone would list (2,) with worth 1; the constructor refuses
+        # the table as make_table_game does
+        levels = (2, 0, 1)
+        assert [(x, w) for _, x, w in _predecessor_scan(1, 3, levels)] == [((2,), 1)]
+        with pytest.raises(NonZeroAtOrigin) as built:
+            make_table_game(1, 3, 3, levels)
+        with pytest.raises(NonZeroAtOrigin) as direct:
+            JKGame(1, 3, 3, levels)
+        assert str(direct.value) == str(built.value)
+        assert direct.value.witnesses == built.value.witnesses == (((0,), 2),)
 
     @pytest.mark.parametrize(
         "n, levels",
         [(1, (0, 5)), (2, (0, 0.5, 1, 1)), (1, (0, True))],
     )
     def test_out_of_range_entries(self, n, levels):
-        # the constructor would refuse these tables; the listing does the same
+        # the constructor refuses these tables as make_table_game does
         with pytest.raises(OutOfRangeOutput) as built:
             make_table_game(n, 2, 2, levels)
-        for route in (minimal_critical_vectors, variant_value, jk_potential_recursive):
-            with pytest.raises(OutOfRangeOutput) as listed:
-                route(JKGame(n, 2, 2, levels))
-            assert str(listed.value) == str(built.value)
-            assert listed.value.witnesses == built.value.witnesses
+        with pytest.raises(OutOfRangeOutput) as direct:
+            JKGame(n, 2, 2, levels)
+        assert str(direct.value) == str(built.value)
+        assert direct.value.witnesses == built.value.witnesses
 
     def test_many_vectors_match_oracle(self):
         # 141 vectors of weight sum 6 in a table of 729

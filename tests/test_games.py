@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from pgindex import (
     CapExceeded,
+    JKGame,
+    SimpleGame,
     TUGame,
     ValidationError,
     embed_2k_as_tu,
@@ -19,8 +21,11 @@ from pgindex import (
     make_table_game,
     make_tu_game,
     make_weighted_game,
+    oplus,
+    permute,
     remove_player,
     simple_game_from_generators,
+    single_mcv_game,
     subgame,
     zero_game,
 )
@@ -244,6 +249,81 @@ class TestSimpleGames:
     def test_trivial_flag(self):
         assert simple_game_from_generators(2, []).trivial
         assert not simple_game_from_generators(2, [{1}]).trivial
+
+    def test_hand_built_game_with_a_hole_refused(self):
+        # {1} and {1,2,3} win, {1,2} and {1,3} lose
+        with pytest.raises(MonotonicityViolation) as made:
+            make_simple_game(3, [{1}, {1, 2, 3}])
+        with pytest.raises(MonotonicityViolation) as built:
+            SimpleGame(3, (0, 0, 0, 0, 1, 0, 0, 1))
+        assert str(built.value) == str(made.value)
+        assert built.value.witnesses == made.value.witnesses
+        assert set(built.value.witnesses) == {
+            (frozenset({1}), frozenset({1, 2})),
+            (frozenset({1}), frozenset({1, 3})),
+        }
+
+    def test_hand_built_game_with_winning_empty_coalition_refused(self):
+        # entries and the origin are checked as on the (2,2) table, in its words
+        with pytest.raises(NonZeroAtOrigin, match="^the all-zero profile maps to 1") as info:
+            SimpleGame(2, (1, 1, 1, 1))
+        assert info.value.witnesses == (((0, 0), 1),)
+
+    @pytest.mark.parametrize(
+        "levels, bad",
+        [
+            ((0, 0, 2, 2), (((1, 0), 2), ((1, 1), 2))),
+            ((0, 1, 1, True), (((1, 1), True),)),
+            ((0, 0, 0, 1.0), (((1, 1), 1.0),)),
+        ],
+    )
+    def test_hand_built_game_entries_are_zero_or_one(self, levels, bad):
+        with pytest.raises(OutOfRangeOutput, match=f"^{len(bad)} table entries outside 0..1$") as info:
+            SimpleGame(2, levels)
+        assert info.value.witnesses == bad
+
+
+def _rebuilt(game):
+    """The game again, through its checking constructor."""
+    if isinstance(game, SimpleGame):
+        return SimpleGame(game.n, game.levels)
+    return JKGame(game.n, game.j, game.k, game.levels)
+
+
+class TestTrustedRoutes:
+    """Games derived from valid ones skip the table check; the checking
+    constructor accepts every one of them unchanged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from(((1, 4, 3), (2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 3, 2))),
+        seed=st.integers(0, 10**6),
+    )
+    def test_every_route_passes_the_check(self, shape, seed):
+        rng = random.Random(seed)
+        n, j, k = shape
+        v, w = random_monotone_jk(n, j, k, rng), random_monotone_jk(n, j, k, rng)
+        players = list(v.players())
+        generators = [rng.sample(players, rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+        simple = simple_game_from_generators(n, generators)
+        x = [rng.randrange(j) for _ in players]
+        x[rng.randrange(n)] = rng.randrange(1, j)  # x != 0
+        weights = [rng.choice((0, 1, 2, Fraction(1, 2))) for _ in players]
+        thresholds = sorted(rng.sample(range(1, 8), k - 1))
+        routes = [
+            zero_game(n, j, k),
+            embed_simple(simple),
+            extract_simple(embed_simple(simple)),
+            simple,
+            subgame(v, [i for i in players if rng.random() < 0.5]),
+            remove_player(v, rng.choice(players)),
+            permute(v, rng.sample(players, n)),
+            oplus(v, w),
+            single_mcv_game(x, rng.randint(1, k - 1), j, k),
+            make_weighted_game(weights, thresholds, j, k),
+        ]
+        for game in routes:
+            assert _rebuilt(game) == game
 
 
 class TestTUGames:

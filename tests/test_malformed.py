@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +157,25 @@ class TestMalformedFiles:
             status, out, err = _run(["analyze", str(path)])
             assert status == 1, name
             assert out == "" and err.startswith("error: "), (name, err)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "tu", "n": 1, "worth": {"1": "1e4300"}},
+            # the exponent is within the limit; the mantissa adds the digit
+            {"kind": "tu", "n": 1, "worth": {"1": "10e4299"}},
+            {"kind": "jk", "n": 1, "j": 2, "k": 2, "weighted": {"weights": ["1e4300"], "thresholds": [1]}},
+        ],
+        ids=["exponent", "mantissa", "weight"],
+    )
+    def test_value_beyond_digit_limit_refused(self, tmp_path, doc, command):
+        # 10^4300 has 4,301 digits, one more than a report can render
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status, out, err = _run([command, str(path)])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith("has more than 4300 digits\n"), err
 
     def test_huge_common_denominator_refused_early(self, tmp_path):
         # 4,095 coalitions, each worth 1/(10^4000 + rank): neighbouring

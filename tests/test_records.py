@@ -10,7 +10,8 @@ refused.
 
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from itertools import takewhile
+from itertools import product, takewhile
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -142,16 +143,26 @@ def _entries(size, elements):
     return st.tuples(*[elements] * size)
 
 
+def _up_closed(draw, n, j):
+    """A valid table: each entry the largest 0/1 mark at or below its
+    profile, with the origin unmarked."""
+    marks = (0, *draw(_entries(j ** n - 1, st.integers(0, 1))))
+    profiles = list(product(range(j), repeat=n))
+    return tuple(
+        max(m for y, m in zip(profiles, marks) if all(map(le, y, x))) for x in profiles
+    )
+
+
 @st.composite
 def _jk_core(draw):
     n, j, k = draw(st.integers(0, 2)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
-    return {"n": n, "j": j, "k": k, "levels": draw(_entries(j ** n, st.integers(0, 1)))}
+    return {"n": n, "j": j, "k": k, "levels": _up_closed(draw, n, j)}
 
 
 @st.composite
 def _simple_core(draw):
     n = draw(st.integers(0, 2))
-    return {"n": n, "levels": draw(_entries(1 << n, st.integers(0, 1)))}
+    return {"n": n, "levels": _up_closed(draw, n, 2)}
 
 
 @st.composite

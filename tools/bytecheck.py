@@ -3,8 +3,8 @@ versions of the package byte for byte.
 
 Builds the game files of the three benchmark workloads for the given seeds
 (default 1 and 2) in a temporary directory, with ``bench/workloads.py``
-used read-only, adds ``tests/data/*.json`` and the inline TU documents of
-``TU_DOCS``, and runs every request through
+used read-only, adds ``tests/data/*.json`` and the inline documents of
+``DOCS``, and runs every request through
 ``pgindex.cli.main`` in-process with file names relative to that
 directory. Prints one ``argv<TAB>sha256(stdout, stderr, exit status)`` line
 per request and writes nothing into the checkout. The package is whichever
@@ -49,30 +49,40 @@ POTENTIAL_MAX_ENTRIES = 3 ** 7
 #: 4,300 digits of Python's default integer string limit.
 _HUGE = ("1/1" + "0" * 2199 + "1", "1/1" + "0" * 2199 + "3")
 
-#: TU parse paths, name -> (n, worth): worths in every accepted rational
-#: form, and files with several faults, of which the first in loading order
-#: must win.
-TU_DOCS = {
-    "mixed": (3, {"1": "3/6", "2": "0.5", "3": "1.5e3", "1,2": " 1/2 ", "1, 3": "1_000",
-                  "2,3": "-0", "1,2,3": "-7/4"}),
-    "mixed_monotone": (3, {"1": "3/6", "2": "0.5", "3": 2, "1,2": " 1/2 ", "1,3": "1.5e2",
-                           "2,3": "5/2", "1,2,3": "1_000"}),
-    "negative": (2, {"1": "-1/3", "2": "-0.25", "1,2": "-1e-1"}),
-    "key_before_rational": (1, {"x": "1", "1": "a"}),
-    "rational_before_key": (1, {"1": "a", "x": "1"}),
-    "repeat_before_bad_token": (1, {"1,1,x": "1"}),
-    "bad_token_before_repeat": (1, {"x,1,1": "1"}),
-    "repeat_before_n": (-1, {"0": "1", "1,1": "2"}),
-    "same_coalition_before_cap": (100, {"1,2": "1", "2,1": "2", "1": "1/0"}),
-    "rational_before_n": (-2, {"1": "1/0"}),
-    "n_before_unknown": (-1, {"5": "1"}),
-    "cap_before_unknown": (40, {"41": "1"}),
-    "unknown_in_key_order": (2, {"1": "1", "7": "1", "0": "1", "9,0": "1"}),
-    "unknown_within_key": (2, {"9,0,1": "1", "1": "1"}),
-    "unknown_before_missing": (2, {"": "5", "3": "1"}),
-    "missing_before_empty": (2, {"": "5", "1": "1"}),
-    "empty_before_denominator": (1, {"": _HUGE[0], "1": _HUGE[1]}),
-    "denominator": (2, {"1": _HUGE[0], "2": _HUGE[1], "1,2": "1"}),
+
+def _tu(n, worth):
+    return {"kind": "tu", "n": n, "worth": worth}
+
+
+#: Inline game files, name -> document, each written to the directory named
+#: by its kind: TU worths in every accepted rational form, files with
+#: several faults, of which the first in loading order must win, and
+#: values one digit beyond the integer digit limit.
+DOCS = {
+    "mixed": _tu(3, {"1": "3/6", "2": "0.5", "3": "1.5e3", "1,2": " 1/2 ", "1, 3": "1_000",
+                     "2,3": "-0", "1,2,3": "-7/4"}),
+    "mixed_monotone": _tu(3, {"1": "3/6", "2": "0.5", "3": 2, "1,2": " 1/2 ", "1,3": "1.5e2",
+                              "2,3": "5/2", "1,2,3": "1_000"}),
+    "negative": _tu(2, {"1": "-1/3", "2": "-0.25", "1,2": "-1e-1"}),
+    "key_before_rational": _tu(1, {"x": "1", "1": "a"}),
+    "rational_before_key": _tu(1, {"1": "a", "x": "1"}),
+    "repeat_before_bad_token": _tu(1, {"1,1,x": "1"}),
+    "bad_token_before_repeat": _tu(1, {"x,1,1": "1"}),
+    "repeat_before_n": _tu(-1, {"0": "1", "1,1": "2"}),
+    "same_coalition_before_cap": _tu(100, {"1,2": "1", "2,1": "2", "1": "1/0"}),
+    "rational_before_n": _tu(-2, {"1": "1/0"}),
+    "n_before_unknown": _tu(-1, {"5": "1"}),
+    "cap_before_unknown": _tu(40, {"41": "1"}),
+    "unknown_in_key_order": _tu(2, {"1": "1", "7": "1", "0": "1", "9,0": "1"}),
+    "unknown_within_key": _tu(2, {"9,0,1": "1", "1": "1"}),
+    "unknown_before_missing": _tu(2, {"": "5", "3": "1"}),
+    "missing_before_empty": _tu(2, {"": "5", "1": "1"}),
+    "empty_before_denominator": _tu(1, {"": _HUGE[0], "1": _HUGE[1]}),
+    "denominator": _tu(2, {"1": _HUGE[0], "2": _HUGE[1], "1,2": "1"}),
+    "digits_exponent": _tu(1, {"1": "1e4300"}),
+    "digits_mantissa": _tu(1, {"1": "10e4299"}),
+    "digits_weight": {"kind": "jk", "n": 1, "j": 2, "k": 2,
+                      "weighted": {"weights": ["1e4300"], "thresholds": [1]}},
 }
 
 
@@ -91,11 +101,13 @@ def write_files(tmp: Path, seeds) -> dict[str, list[str]]:
     for path in sorted((ROOT / "tests" / "data").glob("*.json")):
         (tmp / "data" / path.name).write_bytes(path.read_bytes())
     dirs["data"] = sorted(f"data/{path.name}" for path in (tmp / "data").iterdir())
-    (tmp / "tu").mkdir()
-    for name, (n, worth) in TU_DOCS.items():
-        doc = {"kind": "tu", "n": n, "worth": worth}
-        (tmp / "tu" / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
-    dirs["tu"] = sorted(f"tu/{name}.json" for name in TU_DOCS)
+    for name, doc in DOCS.items():
+        rel = f"{doc['kind']}/{name}.json"
+        (tmp / doc["kind"]).mkdir(exist_ok=True)
+        (tmp / rel).write_text(json.dumps(doc), encoding="utf-8")
+        dirs.setdefault(doc["kind"], []).append(rel)
+    for files in dirs.values():
+        files.sort()
     return dirs
 
 
