@@ -3,7 +3,8 @@
 Commands: analyze, mcv, potential, merge, average, axioms, embed. Each
 command computes its results once and builds one document: a dict that
 holds the result objects themselves, rendered as deterministic JSON with
---format machine, and the human table blocks beside it (the default).
+--format machine, and the human table blocks beside it (the default;
+analyze and mcv build them for that format only).
 Exit status 0 on success, 1 on domain/validation errors, 2 on usage
 errors.
 """
@@ -79,7 +80,13 @@ class AnalysisRequest(_Record):
 def _frac_table(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q)
-    return f"{q} (~{float(q):.6f})"
+    try:
+        approx = f"{float(q):.6f}"
+    except OverflowError:  # beyond the float range: seven significant digits
+        from decimal import Context, Decimal  # here, so that startup skips it
+
+        approx = f"{Context(prec=7).divide(Decimal(q.numerator), Decimal(q.denominator)):.6e}"
+    return f"{q} (~{approx})"
 
 
 def _profile_str(x) -> str:
@@ -266,13 +273,17 @@ def _structure_doc(game, request: AnalysisRequest, listing, reports=None, error=
     doc = {"command": request.command, "game": game}
     if isinstance(game, TUGame):
         doc["family"] = request.family
-    title = _title(game, request.family)
-    blocks = [[_game_heading(game)], _listing_rows(listing, title)]
     if reports is None:
         doc["listing"] = listing
     else:
         doc["reports"] = reports
         doc["error"] = error
+    if request.oracle:
+        doc["oracle_agrees"], doc["oracle_note"] = _oracle(game, listing)
+    if request.format == "machine":  # the table blocks are for the table format only
+        return _render(request, doc, []), error
+    blocks = [[_game_heading(game)], _listing_rows(listing, _title(game, request.family))]
+    if reports is not None:
         if not isinstance(game, SimpleGame):
             blocks.append([
                 f"potential = {_frac_table(reports[0].potential)}",
@@ -280,7 +291,6 @@ def _structure_doc(game, request: AnalysisRequest, listing, reports=None, error=
             ])
         blocks.append(_values_table(reports))
     if request.oracle:
-        doc["oracle_agrees"], doc["oracle_note"] = _oracle(game, listing)
         blocks.append([_oracle_line(doc["oracle_agrees"], doc["oracle_note"])])
     return _render(request, doc, blocks), error
 

@@ -55,6 +55,11 @@ class DenominatorTooLarge(ValidationError):
     """A TU game's worths have a common denominator beyond the digit limit."""
 
 
+class DigitLimitExceeded(GameError):
+    """A computed value has more digits than the integer digit limit lets a
+    report print."""
+
+
 class CapExceeded(ValidationError):
     """The requested enumeration is larger than the configured cap."""
 

@@ -12,6 +12,7 @@ floats are rejected to keep everything exact.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,8 @@ from .games import (
     SimpleGame,
     TUGame,
     _check_exponent,
+    _check_players,
+    _check_tu_size,
     _over_digit_limit,
     _rank_filled,
     all_coalitions,
@@ -41,20 +44,31 @@ def rational_str(q: Fraction) -> str:
 
 
 def parse_rational(obj, path, what: str) -> Fraction:
+    return Fraction(*_rational_pair(obj, path, what))
+
+
+def _rational_pair(obj, path, what: str) -> tuple[int, int]:
+    """The value of :func:`parse_rational` as its reduced numerator and
+    denominator, with no ``Fraction`` for an int or a plain "p" or "p/q"."""
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise ParseError(path, f'{what} must be an integer or a "p/q" string, got {obj!r}')
     try:
-        if isinstance(obj, str):
+        if isinstance(obj, int):
+            q = obj  # an int has its numerator and denominator
+        else:
             num, slash, den = obj.partition("/")
             if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
-                # "p" or "p/q" in decimal digits: read as Fraction(obj) reads it, minus its regex
-                return Fraction(int(num), int(den or 1))
-        _check_exponent(obj, what)
-        q, limit = Fraction(obj), sys.get_int_max_str_digits()
+                # decimal digits: read as Fraction(obj) reads them, minus its regex
+                p, q = int(num), int(den or 1)
+                g = math.gcd(p, q) if q else 0  # q = 0 divides by zero below
+                return p // g, q // g
+            _check_exponent(obj, what)
+            q = Fraction(obj)
+        limit = sys.get_int_max_str_digits()
         # a report could not render it: "1e4300" and "10e4299" pass the exponent check
         if _over_digit_limit(q.numerator, limit) or _over_digit_limit(q.denominator, limit):
             raise ParseError(path, f"{what} {obj!r} has more than {limit} digits")
-        return q
+        return q.numerator, q.denominator
     except ValidationError as exc:
         raise ParseError(path, str(exc)) from None
     except (ValueError, ZeroDivisionError):
@@ -153,32 +167,60 @@ def _load_simple(doc: dict, path, cap: int) -> SimpleGame:
 
 
 def _load_tu(doc: dict, path, cap: int) -> TUGame:
+    """One pass from the keys to reduced integer pairs by rank. The first
+    failure wins: key by key a malformed key, a coalition named twice or a bad
+    worth; then n < 0, the cap, an unknown player, a missing coalition, and
+    the checks of TUGame."""
     n = _get_int(doc, "n", path)
     worth = doc.get("worth")
     if not isinstance(worth, dict):
         raise ParseError(path, '"worth" must be an object keyed by member lists')
-    pairs, keys = [(frozenset(), Fraction(0))], {}  # "": 0 implied; an explicit "" overrides it
+    # player i is bit n - i of a rank, once the keys could fill the table; until
+    # then every key takes the general route, in memory proportional to the keys
+    fill = len(worth) + 1  # coalitions named at most, the empty one included
+    bits = {str(i): 1 << (n - i) for i in range(1, n + 1)} if fill >> max(n, 0) else {}
+    nums, dens = {0: 0}, {0: 1}  # "": 0 implied; an explicit "" overrides it
+    names, general = {}, []
     for key, value in worth.items():
-        members = set()
-        for token in key.split(",") if key else ():
-            try:
-                member = int(token.strip())
-            except ValueError:
-                raise ParseError(
-                    path, f"worth key {key!r} is not a comma-separated member list"
-                ) from None
-            if member in members:
-                raise ParseError(path, f"worth key {key!r} lists member {member} twice")
-            members.add(member)
-        coalition = frozenset(members)
-        if coalition in keys:
+        tokens = key.split(",")
+        try:  # "1,3": a canonical member per token, each once (a repeat carries)
+            rank = sum(map(bits.__getitem__, tokens))
+            if rank.bit_count() != len(tokens):
+                raise KeyError(key)
+        except KeyError:
+            rank = _key_rank(key, path, bits)
+        if rank in names:
             raise ParseError(
-                path, f"worth keys {keys[coalition]!r} and {key!r} name the same coalition"
+                path, f"worth keys {names[rank]!r} and {key!r} name the same coalition"
             )
-        keys[coalition] = key
-        pairs.append((coalition, parse_rational(value, path, f"worth of {key!r}")))
-    # parsed worths are exact already, so they go into the table as they are
-    return _rank_filled(n, pairs, cap, lambda value, S: value)
+        names[rank] = key
+        if type(rank) is frozenset:
+            general.append(rank)
+        nums[rank], dens[rank] = _rational_pair(value, path, f"worth of {key!r}")
+    _check_tu_size(n, cap)
+    for members in general:
+        _check_players(members, n)
+    return _rank_filled(n, nums, dens)
+
+
+def _key_rank(key: str, path, bits: dict[str, int]) -> int | frozenset[int]:
+    """The rank of a worth key in any form ``int`` reads (" 1", "01", or ""),
+    or the frozenset of its members when one of them has no bit."""
+    members = set()
+    for token in key.split(",") if key else ():
+        try:
+            member = int(token.strip())
+        except ValueError:
+            raise ParseError(
+                path, f"worth key {key!r} is not a comma-separated member list"
+            ) from None
+        if member in members:
+            raise ParseError(path, f"worth key {key!r} lists member {member} twice")
+        members.add(member)
+    try:
+        return sum(bits[str(member)] for member in members)
+    except KeyError:
+        return frozenset(members)
 
 
 # ---------------------------------------------------------------------------

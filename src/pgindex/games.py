@@ -27,7 +27,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import gt
+from operator import gt, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -383,20 +383,31 @@ class TUGame(_Record):
 
     def __init__(self, n, worths, *, labels=None):
         _check_length(worths, 1 << n, "worth table")
-        if worths[0] != 0:
-            raise NonZeroEmptyCoalition(f"empty coalition has worth {worths[0]}, must be 0")
-        d, limit, most_bits = 1, sys.get_int_max_str_digits(), TABLE_BITS // len(worths)
-        for b in {q.denominator for q in worths}:
+        nums, dens = [q.numerator for q in worths], [q.denominator for q in worths]
+        self._fill(n, nums, dens, labels, worths)
+
+    def _fill(self, n, nums, dens, labels=None, worths=None):
+        """The game of the reduced worths ``nums[rank] / dens[rank]``, whose
+        Fractions are ``worths`` when given: worth(∅) = 0 and D's bounds."""
+        if nums[0]:
+            raise NonZeroEmptyCoalition(
+                f"empty coalition has worth {Fraction(nums[0], dens[0])}, must be 0"
+            )
+        d, limit, most_bits = 1, sys.get_int_max_str_digits(), TABLE_BITS // len(nums)
+        distinct = set(dens)
+        for b in distinct:
             d = math.lcm(d, b)
             if _over_digit_limit(d, limit):
                 raise DenominatorTooLarge(f"the worths' common denominator exceeds {limit} digits")
             if d.bit_length() > most_bits:  # a wide table: every numerator carries D
                 raise DenominatorTooLarge(
                     f"the worths' common denominator exceeds {most_bits} bits"
-                    f" for {len(worths)} coalitions"
+                    f" for {len(nums)} coalitions"
                 )
+        worths = tuple(map(Fraction, nums, dens)) if worths is None else worths
+        scale = {b: d // b for b in distinct}.__getitem__
         self.__dict__.update(n=n, worths=worths, labels=_labels(labels, n), denominator=d)
-        self.__dict__["numerators"] = tuple(q.numerator * (d // q.denominator) for q in worths)
+        self.__dict__["numerators"] = tuple(map(mul, nums, map(scale, dens)))
 
     @cached_property
     def monotone(self) -> bool:
@@ -419,8 +430,9 @@ def _labels(labels: tuple[int, ...] | None, n: int) -> tuple[int, ...]:
 
 
 def _trusted(game_type, *args, **kwargs):
-    """``game_type(*args, **kwargs)`` without the table check, for a table
-    valid by construction; each caller says why."""
+    """A game built by its type's ``_fill(*args, **kwargs)``, without the
+    constructor's table check, for a table valid by construction; each
+    caller says why."""
     game = object.__new__(game_type)
     game._fill(*args, **kwargs)
     return game
@@ -602,27 +614,37 @@ def simple_game_from_generators(
 
 
 def make_tu_game(n: int, worth: Mapping, *, cap: int = DEFAULT_CAP) -> TUGame:
-    """Build a TU game from a coalition -> worth mapping (exact rationals)."""
-    convert = lambda value, S: _as_fraction(value, f"worth of {sorted(S)}")
-    return _rank_filled(n, worth.items(), cap, convert)
+    """Build a TU game from a coalition -> worth mapping (exact rationals).
+    The first failure wins: n < 0, the cap, pair by pair an unknown player
+    or a bad worth, a missing coalition, then the checks of :class:`TUGame`."""
+    _check_tu_size(n, cap)
+    nums, dens = {}, {}
+    for key, value in worth.items():
+        S = _check_players(key, n)
+        q = _as_fraction(value, f"worth of {sorted(S)}")
+        rank = coalition_index(S, n)
+        nums[rank], dens[rank] = q.numerator, q.denominator
+    return _rank_filled(n, nums, dens)
 
 
-def _rank_filled(n: int, pairs: Iterable, cap: int, convert) -> TUGame:
-    """The TU game of ``(members, worth)`` pairs, each worth at its rank as
-    ``convert(worth, members)``. The first failure wins: n < 0, the cap, pair
-    by pair an unknown player or a bad worth, a missing coalition, then the
-    checks of :class:`TUGame`."""
+def _check_tu_size(n: int, cap: int) -> None:
+    """n >= 0 players, and their 2^n worths within ``cap``."""
     if n < 0:
         raise ValidationError(f"player count must be >= 0, got {n}")
-    size = check_cap(n, 2, cap, "worth table would need {} entries")
-    table = {}
-    for key, value in pairs:
-        S = _check_players(key, n)
-        table[coalition_index(S, n)] = convert(value, S)
-    missing = size - len(table)
+    check_cap(n, 2, cap, "worth table would need {} entries")
+
+
+def _rank_filled(n: int, nums: dict[int, int], dens: dict[int, int]) -> TUGame:
+    """The TU game whose worth at each rank is ``nums[rank] / dens[rank]``,
+    reduced, with ranks in 0..2^n - 1: a missing coalition first, then the
+    checks of :class:`TUGame`."""
+    size = 1 << n
+    missing = size - len(nums)
     if missing:
         raise IncompleteWorthTable(f"{missing} of {size} coalitions have no worth")
-    return TUGame(n, tuple(map(table.__getitem__, range(size))))
+    ranks = range(size)
+    # one reduced pair per rank, so only the worths' own checks remain
+    return _trusted(TUGame, n, [*map(nums.__getitem__, ranks)], [*map(dens.__getitem__, ranks)])
 
 
 # ---------------------------------------------------------------------------

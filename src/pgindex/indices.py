@@ -15,9 +15,10 @@ Values are exact Fractions; raw counts are widened to Fraction in reports.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
-from .errors import RecursionCapExceeded, TrivialGame
+from .errors import DigitLimitExceeded, RecursionCapExceeded, TrivialGame
 from .critical import (
     CoalitionSet,
     MCVSet,
@@ -32,6 +33,7 @@ from .games import (
     TUGame,
     _Record,
     _check_players,
+    _over_digit_limit,
     check_cap,
     profile_index,
     subgame,
@@ -85,7 +87,12 @@ def _tally(variant: str, players: tuple, listing, support, surplus_of=None, d=1)
         for p in positions:
             values[p] += w if rank is None else w - levels[rank - strides[p]]
     widened = tuple(Fraction(v, d) for v in values)
-    return IndexReport(variant, players, widened, Fraction(potential, d), Fraction(lam, d), listing)
+    totals = Fraction(potential, d), Fraction(lam, d)
+    limit = sys.get_int_max_str_digits()
+    # in-limit worths can sum beyond the limit; denominators divide d, which is within it
+    if any(_over_digit_limit(q.numerator, limit) for q in (*totals, *widened)):
+        raise DigitLimitExceeded(f"a sum of the game's worths exceeds {limit} digits")
+    return IndexReport(variant, players, widened, *totals, listing)
 
 
 def _members(coalition) -> list[int]:

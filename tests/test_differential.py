@@ -10,6 +10,10 @@ TU games run on integer numerators over a common denominator; random TU
 games with mixed denominators are checked against the definitions computed
 literally with ``Fraction`` worths, and one rational written in several
 forms must give the same game and the same CLI output.
+
+TU game files load in one integer pass; a naive per-key loader kept here
+(frozensets, ``Fraction`` worths, the player check per key) must give the
+same game, or the same error, on random worth maps with faults injected.
 """
 
 import contextlib
@@ -17,18 +21,27 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgindex import (
+    GameError,
     JKGame,
+    ParseError,
     SimpleGame,
+    TUGame,
+    ValidationError,
     dump_game,
     load_game,
+    loads_game,
     make_tu_game,
     make_weighted_game,
     minimal_critical_coalitions,
@@ -40,9 +53,19 @@ from pgindex import (
     real_gaining_coalitions,
     simple_game_from_generators,
 )
+from pgindex import games
 from pgindex.cli import main
-from pgindex.gamefile import coalition_key
-from pgindex.games import all_coalitions, coalition_index
+from pgindex.errors import IncompleteWorthTable
+from pgindex.gamefile import _get_int, coalition_key
+from pgindex.games import (
+    DEFAULT_CAP,
+    _check_exponent,
+    _check_players,
+    _over_digit_limit,
+    all_coalitions,
+    check_cap,
+    coalition_index,
+)
 
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
 
@@ -214,3 +237,213 @@ class TestIntegerTUKernels:
                     for family in ("mcc", "rgc")
                 ])
         assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the TU loader against a naive per-key reference
+
+
+def _reference_rational(obj, path, what: str) -> Fraction:
+    """Every worth through ``Fraction``: the exponent check, then the digits."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+        raise ParseError(path, f'{what} must be an integer or a "p/q" string, got {obj!r}')
+    try:
+        _check_exponent(obj, what)
+        q, limit = Fraction(obj), sys.get_int_max_str_digits()
+        if _over_digit_limit(q.numerator, limit) or _over_digit_limit(q.denominator, limit):
+            raise ParseError(path, f"{what} {obj!r} has more than {limit} digits")
+        return q
+    except ValidationError as exc:
+        raise ParseError(path, str(exc)) from None
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(path, f"{what} is not a rational: {obj!r}") from None
+
+
+def _reference_load_tu(doc: dict, path, cap: int) -> TUGame:
+    """Key by key: a set of members, a frozenset per coalition and a
+    ``Fraction`` per worth; then n, the cap and the players pair by pair,
+    a rank table, and the public constructor."""
+    n = _get_int(doc, "n", path)
+    worth = doc.get("worth")
+    if not isinstance(worth, dict):
+        raise ParseError(path, '"worth" must be an object keyed by member lists')
+    pairs, keys = [(frozenset(), Fraction(0))], {}
+    for key, value in worth.items():
+        members = set()
+        for token in key.split(",") if key else ():
+            try:
+                member = int(token.strip())
+            except ValueError:
+                raise ParseError(
+                    path, f"worth key {key!r} is not a comma-separated member list"
+                ) from None
+            if member in members:
+                raise ParseError(path, f"worth key {key!r} lists member {member} twice")
+            members.add(member)
+        coalition = frozenset(members)
+        if coalition in keys:
+            raise ParseError(
+                path, f"worth keys {keys[coalition]!r} and {key!r} name the same coalition"
+            )
+        keys[coalition] = key
+        pairs.append((coalition, _reference_rational(value, path, f"worth of {key!r}")))
+    if n < 0:
+        raise ValidationError(f"player count must be >= 0, got {n}")
+    size = check_cap(n, 2, cap, "worth table would need {} entries")
+    table = {}
+    for S, value in pairs:
+        table[coalition_index(_check_players(S, n), n)] = value
+    missing = size - len(table)
+    if missing:
+        raise IncompleteWorthTable(f"{missing} of {size} coalitions have no worth")
+    return TUGame(n, tuple(map(table.__getitem__, range(size))))
+
+
+def _key_forms(S, draw) -> str:
+    """One way to write the members of S as a worth key."""
+    members = sorted(S)
+    if draw(st.booleans()):
+        members = draw(st.permutations(members))
+    form = draw(st.sampled_from(("plain", "plain", "spaced", "padded", "signed")))
+    tokens = [str(i) for i in members]
+    if form == "spaced":
+        tokens = [f" {t}\t" for t in tokens]
+    elif form == "padded":
+        tokens = [f"0{t}" for t in tokens]
+    elif form == "signed":
+        tokens = [f"+{t}" for t in tokens]
+    return ",".join(tokens)
+
+
+#: worths in every accepted form, the plain ones most often
+RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-50, 50).map(str),
+    st.tuples(st.integers(-50, 50), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from((
+        "0.5", "1.5e3", "-2.5E-1", " 1/2 ", "1_000", "+3", "-0", "0/7", "٣/٤", "6/4", "10/-4",
+    )),
+)
+
+#: a fault of each kind of ``tools/bytecheck.py`` DOCS, as (key, value) or a change to n
+_HUGE = ("1/1" + "0" * 2199 + "1", "1/1" + "0" * 2199 + "3")
+KEY_FAULTS = ("x", "1,x", "1,1", "1,1,x", "x,1,1", "1,,2", " ", "0", "9,0", "9,0,1", "-1", "5")
+VALUE_FAULTS = (
+    "a", "1/0", "0/0", "", "1/", "/2", None, 1.5, True, [1], {"1": 1}, "1e10000000",
+    "1e4300", "10e4299", "1e-4300", "9" * 4301, _HUGE[0], _HUGE[1],
+)
+
+
+@st.composite
+def worth_files(draw):
+    """A TU game file with up to four players, keys and worths in random
+    forms and order, and up to three faults of the DOCS kinds injected."""
+    n = draw(st.integers(0, 4))
+    items = [
+        (_key_forms(S, draw), draw(RATIONALS))
+        for S in all_coalitions(n)
+        if S or draw(st.booleans())  # "" may be explicit, worth 0 or not
+    ]
+    if items and items[0][0] == "" and draw(st.booleans()):
+        items[0] = ("", 0)
+    items = draw(st.permutations(items))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(("key", "value", "same", "missing", "empty", "lcm", "n")))
+        at = draw(st.integers(0, len(items)))
+        if fault == "key":
+            key = draw(st.sampled_from(KEY_FAULTS))
+            if items and draw(st.booleans()):  # a member of a named coalition twice
+                named = items[at % len(items)][0]
+                key = f"{named},{named.split(',')[-1]}" if named else key
+            items.insert(at, (key, draw(RATIONALS)))
+        elif fault == "value" and items:
+            key, _ = items[at % len(items)]
+            items[at % len(items)] = (key, draw(st.sampled_from(VALUE_FAULTS)))
+        elif fault == "same" and len(items) > 1:
+            key, _ = items[at % len(items)]
+            members = [t.strip() for t in key.split(",") if t.strip()]
+            if members:
+                items.insert(at, (", ".join(reversed(members)) + " ", draw(RATIONALS)))
+        elif fault == "missing" and items:
+            del items[at % len(items)]
+        elif fault == "empty":
+            items = [(k, v) for k, v in items if k != ""]
+            items.insert(at, ("", draw(st.sampled_from((5, "1/2", "-0", _HUGE[0])))))
+        elif fault == "lcm" and len(items) > 1:  # two coprime 2,201-digit denominators
+            for huge in _HUGE:
+                key, _ = items[at % len(items)]
+                items[at % len(items)] = (key, huge)
+                at += 1
+        elif fault == "n":
+            n = draw(st.sampled_from((-2, -1, n + 1, n + 2, 24, 40, 100)))
+    worth = {}
+    for key, value in items:  # a repeated key would be a JSON error, not a TU one
+        worth.setdefault(key, value)
+    return {"kind": "tu", "n": n, "worth": worth}
+
+
+def _outcome(load):
+    try:
+        return load()
+    except GameError as exc:
+        return type(exc), str(exc)
+
+
+def _tu(n, worth, cap=DEFAULT_CAP, table_bits=games.TABLE_BITS):
+    return {"doc": {"kind": "tu", "n": n, "worth": worth}, "cap": cap, "table_bits": table_bits}
+
+
+class TestLoaderReference:
+    @settings(max_examples=400, deadline=None)
+    # fault orders pinned in tools/bytecheck.py DOCS
+    @example(**_tu(1, {"x": "1", "1": "a"}))
+    @example(**_tu(1, {"1,1,x": "1"}))
+    @example(**_tu(-1, {"0": "1", "1,1": "2"}))
+    @example(**_tu(100, {"1,2": "1", "2,1": "2", "1": "1/0"}))
+    @example(**_tu(-2, {"1": "1/0"}))
+    @example(**_tu(40, {"41": "1"}))
+    @example(**_tu(2, {"1": "1", "7": "1", "0": "1", "9,0": "1"}))
+    @example(**_tu(2, {"9,0,1": "1", "1": "1"}))
+    @example(**_tu(2, {"": "5", "3": "1"}))
+    @example(**_tu(2, {"": "5", "1": "1"}))
+    @example(**_tu(1, {"": _HUGE[0], "1": _HUGE[1]}))
+    @example(**_tu(2, {"1": _HUGE[0], "2": _HUGE[1], "1,2": "1"}))
+    @example(**_tu(1, {"1": "1e4300"}))
+    @example(**_tu(1, {"1": "10e4299"}))
+    # a repeat within a canonical key of a full table; D over the bits bound
+    @example(**_tu(2, {"1": "1", "2": "1", "1,2": "1", "2,2": "1"}))
+    @example(**_tu(2, {"1": "1/6", "2": "1/35", "1,2": "1/11"}, table_bits=2 ** 5))
+    @given(
+        doc=worth_files(),
+        cap=st.sampled_from((DEFAULT_CAP, DEFAULT_CAP, 2 ** 3, 7)),
+        table_bits=st.sampled_from((games.TABLE_BITS, games.TABLE_BITS, 2 ** 8, 2 ** 5)),
+    )
+    def test_one_pass_matches_per_key_reference(self, doc, cap, table_bits):
+        text = json.dumps(doc)
+        with mock.patch.object(games, "TABLE_BITS", table_bits):
+            got = _outcome(lambda: loads_game(text, cap=cap))
+            want = _outcome(lambda: _reference_load_tu(json.loads(text), "<input>", cap))
+        assert type(got) is type(want)
+        if isinstance(want, TUGame):
+            assert got == want and repr(got) == repr(want)
+            assert got.labels == want.labels
+            assert all(type(q) is Fraction for q in got.worths)
+            assert (got.denominator, got.numerators) == (want.denominator, want.numerators)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "n, error",
+        [(24, "^16777213 of 16777216 coalitions have no worth"), (5000, "^5000 players")],
+    )
+    def test_few_keys_for_many_players_build_no_table(self, n, error):
+        # three of 2^n coalitions named: refused in memory proportional to
+        # the keys, with no table and no n-bit ranks
+        doc = json.dumps({"kind": "tu", "n": n, "worth": {"1": "1", "2,24": 2}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(GameError, match=error):
+                loads_game(doc)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()

@@ -177,6 +177,33 @@ class TestMalformedFiles:
         assert (status, out) == (1, "")
         assert err.startswith("error: ") and err.endswith("has more than 4300 digits\n"), err
 
+    @pytest.mark.parametrize("fmt", ("table", "machine"))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_value_beyond_float_range_renders(self, tmp_path, command, fmt):
+        # 401 digits load, but 10^400/3 is beyond the float range of the
+        # table format's decimal approximation
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"kind": "tu", "n": 1, "worth": {"1": "1" + "0" * 400 + "/3"}}))
+        status, out, err = _run([command, "--format", fmt, str(path)])
+        if command in ("analyze", "mcv", "potential"):
+            assert (status, err) == (0, "")
+            assert ("(~3.333333e+399)" in out) == (fmt == "table")
+        else:  # TU games have no average, axioms or embedding
+            assert (status, out) == (1, "") and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("command", ("analyze", "potential"))
+    def test_sum_beyond_digit_limit_refused(self, tmp_path, command):
+        # two worths of 4,300 digits load; their sum, the potential, has 4,301
+        nines = "9" * 4300
+        doc = {"kind": "tu", "n": 2, "worth": {"1": nines, "2": nines, "1,2": nines}}
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for fmt in ("table", "machine"):
+            status, out, err = _run([command, "--format", fmt, str(path)])
+            assert (status, out) == (1, "")
+            assert err == "error: a sum of the game's worths exceeds 4300 digits\n"
+        assert _run(["mcv", str(path)])[0] == 0  # the worths themselves print
+
     def test_huge_common_denominator_refused_early(self, tmp_path):
         # 4,095 coalitions, each worth 1/(10^4000 + rank): neighbouring
         # denominators are coprime, so their lcm would have millions of

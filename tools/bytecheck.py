@@ -56,8 +56,9 @@ def _tu(n, worth):
 
 #: Inline game files, name -> document, each written to the directory named
 #: by its kind: TU worths in every accepted rational form, files with
-#: several faults, of which the first in loading order must win, and
-#: values one digit beyond the integer digit limit.
+#: several faults, of which the first in loading order must win, values
+#: one digit beyond the integer digit limit, in-limit worths whose sum is
+#: beyond it, and a worth beyond the float range.
 DOCS = {
     "mixed": _tu(3, {"1": "3/6", "2": "0.5", "3": "1.5e3", "1,2": " 1/2 ", "1, 3": "1_000",
                      "2,3": "-0", "1,2,3": "-7/4"}),
@@ -83,6 +84,8 @@ DOCS = {
     "digits_mantissa": _tu(1, {"1": "10e4299"}),
     "digits_weight": {"kind": "jk", "n": 1, "j": 2, "k": 2,
                       "weighted": {"weights": ["1e4300"], "thresholds": [1]}},
+    "digits_sum": _tu(2, {"1": "9" * 4300, "2": "9" * 4300, "1,2": "9" * 4300}),
+    "float_range": _tu(1, {"1": "1" + "0" * 400 + "/3"}),
 }
 
 
