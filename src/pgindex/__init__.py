@@ -7,6 +7,8 @@ normalizations, the average-game reduction back to TU, and the merge /
 permutation / axiom toolkit used to characterize the normalized value.
 """
 
+import types
+
 from .algebra import (
     AxiomReport,
     AxiomResult,
@@ -92,73 +94,8 @@ from .indices import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "AxiomResult",
-    "AverageGameResult",
-    "CapExceeded",
-    "CoalitionSet",
-    "DEFAULT_CAP",
-    "GameError",
-    "IndexReport",
-    "JKGame",
-    "MCVSet",
-    "MergeReport",
-    "MergeViolation",
-    "ParseError",
-    "SimpleGame",
-    "TUGame",
-    "TrivialGame",
-    "UsageError",
-    "ValidationError",
-    "ValueComparison",
-    "WeightedRule",
-    "average_game",
-    "average_worth_oracle",
-    "axiom_report",
-    "compare_pgv_vs_jk",
-    "criticality_count",
-    "decompose",
-    "dump_game",
-    "dumps_game",
-    "embed_2k_as_tu",
-    "embed_simple",
-    "evaluate",
-    "extract_simple",
-    "game_to_dict",
-    "is_critical_for",
-    "is_mergeable",
-    "is_null_player",
-    "jk_potential",
-    "jk_potential_recursive",
-    "lambda_total",
-    "load_game",
-    "loads_game",
-    "make_simple_game",
-    "make_table_game",
-    "make_tu_game",
-    "make_weighted_game",
-    "mcv_union_check",
-    "minimal_critical_below",
-    "minimal_critical_coalitions",
-    "minimal_critical_vectors",
-    "minimal_critical_vectors_oracle",
-    "minimal_winning_coalitions",
-    "normalized_variant",
-    "oplus",
-    "permute",
-    "pgi_normalized",
-    "pgi_raw",
-    "pgv_tu",
-    "public_good_value_jk",
-    "rational_str",
-    "real_gaining_coalitions",
-    "remove_player",
-    "simple_game_from_generators",
-    "single_mcv_game",
-    "subgame",
-    "total_criticality",
-    "tu_potential",
-    "variant_value",
-    "zero_game",
-]
+# every public name imported above, and none of the submodules
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -16,6 +16,7 @@ the explicit sum over the outside profiles and the multiplicity j^|S|.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterable
 
 from .errors import InvariantViolation
@@ -25,6 +26,7 @@ from .games import (
     TUGame,
     _Record,
     _check_players,
+    _lowest_terms,
     all_profiles,
     check_cap,
 )
@@ -64,16 +66,16 @@ def _pin_or_sum(levels: tuple[int, ...], n: int, j: int, pin: int) -> list[int]:
 def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
     """Reduce to a TU game by averaging top-versus-bottom pinning gains."""
     check_cap(game.n, game.j, cap, "averaging would reduce {} table entries")
-    scale = Fraction(1, game.j ** game.n * (game.k - 1))
+    unit = game.j ** game.n * (game.k - 1)
     top = _pin_or_sum(game.levels, game.n, game.j, game.j - 1)
     bottom = _pin_or_sum(game.levels, game.n, game.j, 0)
-    worths = tuple((hi - lo) * scale for hi, lo in zip(top, bottom))
-    tu = TUGame(game.n, worths, labels=game.labels)
+    # worth(∅) = 0: with no member pinned, both tables sum the same entries
+    tu = _lowest_terms(game.n, [*map(sub, top, bottom)], unit, game.labels)
     if not tu.monotone:
         raise InvariantViolation("averaging a monotone game must stay monotone")
-    if not all(0 <= q <= 1 for q in tu.worths):
+    if not all(0 <= p <= tu.denominator for p in tu.numerators):
         raise InvariantViolation("average worths must lie in [0, 1]")
-    return AverageGameResult(tu, scale)
+    return AverageGameResult(tu, Fraction(1, unit))
 
 
 def average_worth_oracle(game: JKGame, coalition: Iterable[int]) -> Fraction:

@@ -152,15 +152,8 @@ def _json_default(obj):
         return str(obj)
     if isinstance(obj, (JKGame, SimpleGame, TUGame)):
         return _game_json(obj)
-    if isinstance(obj, IndexReport):
-        return {
-            "variant": obj.variant,
-            "players": obj.players,
-            "player_values": obj.player_values,
-            "potential": obj.potential,
-            "lambda_total": obj.lambda_total,
-            "listing": obj.listing,
-        }
+    if isinstance(obj, IndexReport):  # its fields, in order
+        return dict(zip(obj._fields, obj._values()))
     if isinstance(obj, MCVSet):
         return [{"vector": x, "worth": w} for x, w in obj.pairs()]
     if isinstance(obj, CoalitionSet):
@@ -424,15 +417,17 @@ def _cmd_embed(games, request: AnalysisRequest):
     return dumps_game(embedded), None
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "mcv": _cmd_mcv,
-    "potential": _cmd_potential,
-    "merge": _cmd_merge,
-    "axioms": _cmd_axioms,
-    "average": _cmd_average,
-    "embed": _cmd_embed,
-}
+#: (name, game files, help, handler) of each command, in the help's order
+_COMMANDS = (
+    ("analyze", 1, "all applicable index reports for the game", _cmd_analyze),
+    ("mcv", 1, "the minimal critical structure with worths", _cmd_mcv),
+    ("potential", 1, "direct and recursive potential", _cmd_potential),
+    ("merge", 2, "mergeability report and union-lemma check", _cmd_merge),
+    ("average", 1, "average-game reduction and value comparison", _cmd_average),
+    ("axioms", "+", "axiom checks (give a second game for the merge axiom)", _cmd_axioms),
+    ("embed", 1, "write the (2,2) or TU embedding as a game file", _cmd_embed),
+)
+_HANDLERS = {name: handler for name, _, _, handler in _COMMANDS}
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the enumeration cap (default: 2**24)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("analyze", 1, "all applicable index reports for the game"),
-        ("mcv", 1, "the minimal critical structure with worths"),
-        ("potential", 1, "direct and recursive potential"),
-        ("merge", 2, "mergeability report and union-lemma check"),
-        ("average", 1, "average-game reduction and value comparison"),
-        ("axioms", "+", "axiom checks (give a second game for the merge axiom)"),
-        ("embed", 1, "write the (2,2) or TU embedding as a game file"),
-    )
-    for name, nargs, help_text in specs:
+    for name, nargs, help_text, _ in _COMMANDS:
         sub = subparsers.add_parser(name, parents=[common], help=help_text)
         sub.add_argument("paths", nargs=nargs, metavar="GAME")
     return parser

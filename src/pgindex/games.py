@@ -10,8 +10,9 @@ worths with the empty coalition worth 0.
 Profiles are plain int tuples with player 1 first; tables are flat tuples
 ordered by the profile rank with the first coordinate most significant, so
 ``itertools.product(range(j), repeat=n)`` walks them in storage order.
-Coalitions are frozensets of 1-based player ids. All worths are exact
-``fractions.Fraction`` values.
+Coalitions are frozensets of 1-based player ids. Worths are exact: every
+rational is read by one checked reader, :func:`_rational_pair`, and a TU
+game keeps its worths as integers over one common denominator.
 
 Games are immutable once built, and a ``JKGame`` or ``SimpleGame`` is valid
 by type: its constructor checks the table, and games derived from valid
@@ -27,7 +28,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import gt, mul
+from operator import floordiv, gt, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -223,16 +224,32 @@ def _over_digit_limit(x: int, limit: int) -> bool:
     return bool(limit) and abs(x).bit_length() > 3 * limit and abs(x) >= 10 ** limit
 
 
-def _as_fraction(value: RationalLike, what: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+def _rational_pair(value: RationalLike, what: str) -> tuple[int, int]:
+    """The reduced numerator and denominator of an exact rational (an int, a
+    ``Fraction`` or a string ``Fraction`` reads), with no ``Fraction`` for an
+    int or a plain "p" or "p/q"; refused beyond the integer digit limit."""
+    if isinstance(value, (bool, float)):
         raise ValidationError(
             f"{what} must be an exact rational (int, Fraction, or 'p/q'), got {value!r}"
         )
-    _check_exponent(value, what)
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{what} is not a rational: {value!r} ({exc})") from None
+        if isinstance(value, str):
+            num, slash, den = value.partition("/")
+            if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+                # decimal digits: read as Fraction(value) reads them, minus its regex
+                p, q = int(num), int(den or 1)
+                g = math.gcd(p, q) if q else 0  # q = 0 divides by zero below
+                return p // g, q // g
+            _check_exponent(value, what)
+        q = value if isinstance(value, int) else Fraction(value)
+        limit = sys.get_int_max_str_digits()
+        # a report could not render it: "1e4300" and "10e4299" pass the exponent check
+        if _over_digit_limit(q.numerator, limit) or _over_digit_limit(q.denominator, limit):
+            shown = f" {value!r}" if isinstance(value, str) else ""  # no repr beyond the limit
+            raise ValidationError(f"{what}{shown} has more than {limit} digits")
+        return q.numerator, q.denominator
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValidationError(f"{what} is not a rational: {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +260,12 @@ class _Record:
     """Base of the package's immutable records. A subclass declares its
     fields as annotations, in order, with class attributes as defaults, and
     gets ``__init__`` by field order, ``==``, ``hash`` and a ``Name(a=...)``
-    repr over them; assignment and deletion raise. Its own ``__init__`` may
-    keep further attributes out of the fields. Instances keep a ``__dict__``
-    for ``cached_property`` and the listing cache. Hand-written, so that
-    startup generates no code (see the README, "Module map")."""
+    repr over them, read through ``getattr``, so that a field may be a
+    ``cached_property``; assignment and deletion raise. Its own ``__init__``
+    may keep further attributes out of the fields. Instances keep a
+    ``__dict__`` for ``cached_property`` and the listing cache.
+    Hand-written, so that startup generates no code (see the README,
+    "Module map")."""
 
     _fields: tuple[str, ...] = ()
 
@@ -263,7 +282,7 @@ class _Record:
         self.__dict__.update({f: given[f] if f in given else cls.__dict__[f] for f in fields})
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(map(getattr, itertools.repeat(self), self._fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -308,10 +327,11 @@ class JKGame(_Record):
 
     def __init__(self, n, j, k, levels, provenance=None, labels=None):
         self._fill(n, j, k, levels, provenance, labels)
-        _check_levels(n, j, k, levels)
+        _check_levels(n, j, k, self.levels)
 
     def _fill(self, n, j, k, levels, provenance=None, labels=None):
         _check_shape(n, j, k)
+        levels = tuple(levels)
         _check_length(levels, j ** n)
         labels = _labels(labels, n)
         self.__dict__.update(n=n, j=j, k=k, levels=levels, provenance=provenance, labels=labels)
@@ -343,10 +363,11 @@ class SimpleGame(_Record):
 
     def __init__(self, n, levels):
         self._fill(n, levels)
-        _check_holes(n, levels)
+        _check_holes(n, self.levels)
 
     def _fill(self, n, levels):
         _check_shape(n, 2, 2)
+        levels = tuple(levels)
         _check_length(levels, 1 << n)
         self.__dict__.update(n=n, levels=levels)
 
@@ -370,25 +391,27 @@ class SimpleGame(_Record):
 class TUGame(_Record):
     """A coalition worth function with worth(∅) = 0; not necessarily monotone.
 
-    ``worths`` is flat in coalition-rank order and checked at construction:
-    one worth per coalition, the empty one worth 0. ``labels`` are the
-    external player names. Every kernel reads the derived integer table
-    ``numerators``, worth·D in rank order, for D the ``denominator``, the lcm
-    of the worths' denominators, refused beyond the integer digit limit or
-    when D's bit length times the table's length exceeds ``TABLE_BITS``.
+    The game is its integer table ``numerators``, worth·D in coalition-rank
+    order, for D the ``denominator``, the lcm of the worths' reduced
+    denominators; every kernel reads it, and ``worths``, the ``Fraction``
+    table, is derived on first use. The constructor takes one worth per
+    coalition, the empty one worth 0, and refuses D beyond the integer
+    digit limit or when D's bit length times the table's length exceeds
+    ``TABLE_BITS``. ``labels`` are the external player names.
     """
 
     n: int
     worths: tuple[Fraction, ...]
 
     def __init__(self, n, worths, *, labels=None):
+        worths = tuple(worths)
         _check_length(worths, 1 << n, "worth table")
-        nums, dens = [q.numerator for q in worths], [q.denominator for q in worths]
-        self._fill(n, nums, dens, labels, worths)
+        self._fill(n, [q.numerator for q in worths], [q.denominator for q in worths], labels)
 
-    def _fill(self, n, nums, dens, labels=None, worths=None):
-        """The game of the reduced worths ``nums[rank] / dens[rank]``, whose
-        Fractions are ``worths`` when given: worth(∅) = 0 and D's bounds."""
+    def _fill(self, n, nums, dens, labels=None):
+        """The game of the reduced worths ``nums[rank] / dens[rank]``, kept as
+        numerators over D, the lcm of ``dens``, once worth(∅) = 0 and D's
+        bounds are checked."""
         if nums[0]:
             raise NonZeroEmptyCoalition(
                 f"empty coalition has worth {Fraction(nums[0], dens[0])}, must be 0"
@@ -404,10 +427,14 @@ class TUGame(_Record):
                     f"the worths' common denominator exceeds {most_bits} bits"
                     f" for {len(nums)} coalitions"
                 )
-        worths = tuple(map(Fraction, nums, dens)) if worths is None else worths
         scale = {b: d // b for b in distinct}.__getitem__
-        self.__dict__.update(n=n, worths=worths, labels=_labels(labels, n), denominator=d)
+        self.__dict__.update(n=n, labels=_labels(labels, n), denominator=d)
         self.__dict__["numerators"] = tuple(map(mul, nums, map(scale, dens)))
+
+    @cached_property
+    def worths(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(p, d) for p in self.numerators)
 
     @cached_property
     def monotone(self) -> bool:
@@ -415,7 +442,8 @@ class TUGame(_Record):
         return next(_descents(self.n, 2, self.numerators), None) is None
 
     def worth(self, coalition: Iterable[int]) -> Fraction:
-        return self.worths[coalition_index(_check_players(coalition, self.n), self.n)]
+        rank = coalition_index(_check_players(coalition, self.n), self.n)
+        return Fraction(self.numerators[rank], self.denominator)
 
     def players(self) -> range:
         return range(1, self.n + 1)
@@ -424,6 +452,7 @@ class TUGame(_Record):
 def _labels(labels: tuple[int, ...] | None, n: int) -> tuple[int, ...]:
     if labels is None:
         return tuple(range(1, n + 1))
+    labels = tuple(labels)
     if len(labels) != n:
         raise ValidationError("one label per player required")
     return labels
@@ -541,8 +570,8 @@ def make_weighted_game(
 ) -> JKGame:
     """Build the game whose output at x counts how many of the k-1
     thresholds the weighted sum of input levels reaches."""
-    w = tuple(_as_fraction(v, "weight") for v in weights)
-    t = tuple(_as_fraction(v, "threshold") for v in thresholds)
+    w = tuple(Fraction(*_rational_pair(v, "weight")) for v in weights)
+    t = tuple(Fraction(*_rational_pair(v, "threshold")) for v in thresholds)
     if len(t) != k - 1:
         raise ValidationError(f"need k-1 = {k - 1} thresholds, got {len(t)}")
     if any(a >= b for a, b in zip(t, t[1:])):
@@ -617,21 +646,14 @@ def make_tu_game(n: int, worth: Mapping, *, cap: int = DEFAULT_CAP) -> TUGame:
     """Build a TU game from a coalition -> worth mapping (exact rationals).
     The first failure wins: n < 0, the cap, pair by pair an unknown player
     or a bad worth, a missing coalition, then the checks of :class:`TUGame`."""
-    _check_tu_size(n, cap)
+    _check_shape(n, 2, 2)
+    check_cap(n, 2, cap, "worth table would need {} entries")
     nums, dens = {}, {}
     for key, value in worth.items():
         S = _check_players(key, n)
-        q = _as_fraction(value, f"worth of {sorted(S)}")
         rank = coalition_index(S, n)
-        nums[rank], dens[rank] = q.numerator, q.denominator
+        nums[rank], dens[rank] = _rational_pair(value, f"worth of {sorted(S)}")
     return _rank_filled(n, nums, dens)
-
-
-def _check_tu_size(n: int, cap: int) -> None:
-    """n >= 0 players, and their 2^n worths within ``cap``."""
-    if n < 0:
-        raise ValidationError(f"player count must be >= 0, got {n}")
-    check_cap(n, 2, cap, "worth table would need {} entries")
 
 
 def _rank_filled(n: int, nums: dict[int, int], dens: dict[int, int]) -> TUGame:
@@ -645,6 +667,13 @@ def _rank_filled(n: int, nums: dict[int, int], dens: dict[int, int]) -> TUGame:
     ranks = range(size)
     # one reduced pair per rank, so only the worths' own checks remain
     return _trusted(TUGame, n, [*map(nums.__getitem__, ranks)], [*map(dens.__getitem__, ranks)])
+
+
+def _lowest_terms(n: int, nums: list[int], d: int, labels: tuple[int, ...]) -> TUGame:
+    """The TU game of the worths ``nums[rank] / d``, each reduced, through
+    the worths' own checks in ``TUGame._fill``; the table has 2^n entries."""
+    gcds = [*map(math.gcd, nums, itertools.repeat(d))]
+    return _trusted(TUGame, n, [*map(floordiv, nums, gcds)], [d // g for g in gcds], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +696,8 @@ def embed_2k_as_tu(game: JKGame) -> TUGame:
     """View a two-input-level game as a TU game: worth(S) = v(x^S)."""
     if game.j != 2:
         raise NotTwoLevelInput(f"expected two input levels, got j={game.j}")
-    return TUGame(game.n, tuple(map(Fraction, game.levels)), labels=game.labels)
+    # j = 2: the levels fill a worth table, as integers over 1
+    return _trusted(TUGame, game.n, game.levels, (1,) * len(game.levels), game.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +742,10 @@ def _subgame_jk(game: JKGame, keep: list[int]) -> JKGame:
 
 
 def _subgame_tu(game: TUGame, keep: list[int]) -> TUGame:
-    worths = tuple(map(game.worths.__getitem__, _kept_rows(game.n, 2, keep)))
-    return TUGame(len(keep), worths, labels=tuple(game.labels[pos - 1] for pos in keep))
+    nums = [*map(game.numerators.__getitem__, _kept_rows(game.n, 2, keep))]
+    labels = tuple(game.labels[pos - 1] for pos in keep)
+    # a valid table's numerators without the coalitions of the players dropped
+    return _lowest_terms(len(keep), nums, game.denominator, labels)
 
 
 def remove_player(game: JKGame | TUGame, i: int):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgindex import (
+    GameError,
     ParseError,
     ValidationError,
     SimpleGame,
@@ -13,6 +15,7 @@ from pgindex import (
     dumps_game,
     load_game,
     loads_game,
+    make_tu_game,
     rational_str,
 )
 from pgindex.gamefile import parse_rational
@@ -59,6 +62,34 @@ class TestRationalStrings:
             with pytest.raises(ParseError) as info:
                 parse_rational(text, "t.json", "worth")
             assert expected in str(info.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789-+/_. eE\u0663\t", max_size=8),
+            st.sampled_from((
+                "1e4300", "10e4299", "1e-4300", "1e4299", "1e10000000", "9" * 4301,
+                "1/" + "9" * 4301, "1/0", "0/0", "6/4", "-0", "\u0663/\u0664", "nan", "inf",
+            )),
+        )
+    )
+    def test_library_and_file_read_the_same_strings(self, text):
+        # one reader: the same worths, or the same refusal, in which the library
+        # names the worth by its coalition and the file by its key
+        def outcome(build):
+            try:
+                return build()
+            except GameError as exc:
+                return type(exc), str(exc)
+
+        library = outcome(lambda: make_tu_game(1, {(): 0, (1,): text}))
+        doc = json.dumps({"kind": "tu", "n": 1, "worth": {"1": text}})
+        file = outcome(lambda: loads_game(doc))
+        if isinstance(library, TUGame):
+            assert file == library and file.worths == library.worths
+        else:
+            assert library[0] is ValidationError and file[0] is ParseError
+            assert file[1] == "<input>: " + library[1].replace("worth of [1]", "worth of '1'")
 
     def test_decimal_exponent_within_limit_loads(self):
         game = loads_game('{"kind": "tu", "n": 1, "worth": {"1": "1.5e300"}}')

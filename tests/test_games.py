@@ -13,6 +13,7 @@ from pgindex import (
     SimpleGame,
     TUGame,
     ValidationError,
+    average_game,
     embed_2k_as_tu,
     embed_simple,
     evaluate,
@@ -57,7 +58,7 @@ from pgindex.games import (
     profile_of_coalition,
 )
 
-from gamegen import random_monotone_jk
+from gamegen import random_monotone_jk, random_tu
 
 
 class TestProfileArithmetic:
@@ -221,9 +222,12 @@ class TestWeightedGames:
             make_weighted_game((text, 1), (1,), 2, 2)
 
     def test_decimal_exponent_within_limit_loads(self):
-        game = make_weighted_game(("1e4300", "1e-4300"), ("1.5e300",), 2, 2)
+        game = make_weighted_game(("1e4299", "1e-4299"), ("1.5e300",), 2, 2)
         assert game.provenance.thresholds[0] == 15 * 10 ** 299
         assert game.levels == (0, 0, 1, 1)
+        # an exponent within the limit, but 4,301 digits, which no report could print
+        with pytest.raises(ValidationError, match="^weight '1e4300' has more than 4300 digits$"):
+            make_weighted_game(("1e4300", "1e-4300"), ("1.5e300",), 2, 2)
 
 
 class TestSimpleGames:
@@ -358,8 +362,11 @@ class TestTUGames:
         limit = sys.get_int_max_str_digits()
         widest = make_tu_game(1, {(): 0, (1,): Fraction(1, 10 ** limit - 1)})
         assert len(str(widest.denominator)) == limit
+        # two coprime denominators within the limit, whose lcm is beyond it
+        half = 10 ** (limit // 2 + 50)
+        worths = {(): 0, (1,): Fraction(1, half + 1), (2,): Fraction(1, half + 3), (1, 2): 1}
         with pytest.raises(DenominatorTooLarge) as info:
-            make_tu_game(1, {(): 0, (1,): Fraction(1, 10 ** limit)})
+            make_tu_game(2, worths)
         assert str(info.value) == f"the worths' common denominator exceeds {limit} digits"
 
     def test_common_denominator_bounded_by_table_bits(self, monkeypatch):
@@ -390,6 +397,72 @@ class TestTUGames:
         tu = make_tu_game(2, {S: len(S) for S in all_coalitions(2)})
         with pytest.raises(UnknownPlayer):
             tu.worth([1, member])
+
+
+class TestStoredTables:
+    """A game keeps a tuple of the table it was given and checks that tuple,
+    so a change to the caller's list afterwards changes nothing."""
+
+    def test_caller_lists_mutated_after_construction(self):
+        levels, winning, worths, labels = [0, 1], [0, 1], [Fraction(0), Fraction(1)], [7]
+        jk = JKGame(1, 2, 2, levels, labels=labels)
+        simple = SimpleGame(1, winning)
+        tu = TUGame(1, worths, labels=labels)
+        levels[1], winning[1], worths[1], labels[0] = 5, 0, Fraction(-3), 9
+        assert repr(jk) == "JKGame(n=1, j=2, k=2, levels=(0, 1))"
+        assert repr(simple) == "SimpleGame(n=1, levels=(0, 1))"
+        assert repr(tu) == "TUGame(n=1, worths=(Fraction(0, 1), Fraction(1, 1)))"
+        assert jk.labels == tu.labels == (7,)
+        assert hash(jk) == hash(JKGame(1, 2, 2, (0, 1)))
+        assert hash(simple) == hash(SimpleGame(1, (0, 1)))
+        assert hash(tu) == hash(TUGame(1, (Fraction(0), Fraction(1))))
+
+    def test_the_stored_tuple_is_checked(self):
+        # an iterator is used up by the copy, so only the copy can be checked
+        assert JKGame(1, 3, 2, iter([0, 1, 1])).levels == (0, 1, 1)
+        with pytest.raises(MonotonicityViolation):
+            JKGame(1, 3, 2, iter([0, 1, 0]))
+        assert SimpleGame(1, iter([0, 1])).levels == (0, 1)
+        with pytest.raises(MonotonicityViolation):
+            SimpleGame(2, iter([0, 1, 1, 0]))
+        tu = TUGame(1, iter([Fraction(0), Fraction(1, 2)]), labels=iter([7]))
+        assert (tu.numerators, tu.denominator, tu.labels) == ((0, 1), 2, (7,))
+        with pytest.raises(NonZeroEmptyCoalition):
+            TUGame(1, iter([Fraction(1), Fraction(1)]))
+
+
+class TestTUIntegerTables:
+    """TU games derived from others are built from integers, with the table
+    ``make_tu_game`` gives on their worths; none builds its ``Fraction``
+    worths before they are read."""
+
+    @staticmethod
+    def _assert_canonical(tu):
+        assert "worths" not in tu.__dict__
+        again = make_tu_game(tu.n, dict(zip(all_coalitions(tu.n), tu.worths)))
+        assert (tu.denominator, tu.numerators) == (again.denominator, again.numerators)
+        assert tu == again and type(tu.numerators) is tuple
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 4), denominator=st.sampled_from((1, 2, 6, 35)), seed=st.integers(0, 10**6))
+    def test_derived_games_match_make_tu_game(self, n, denominator, seed):
+        rng = random.Random(seed)
+        tu = random_tu(n, rng, denominator)
+        self._assert_canonical(subgame(tu, [i for i in range(1, n + 1) if rng.random() < 0.5]))
+        jk = random_monotone_jk(n, 2, rng.randrange(2, 5), rng)
+        self._assert_canonical(embed_2k_as_tu(jk))
+        self._assert_canonical(average_game(random_monotone_jk(n, rng.randrange(2, 4), 3, rng)).tu)
+
+    def test_subgame_denominator_shrinks_with_its_worths(self):
+        tu = make_tu_game(2, {(): 0, (1,): "1/2", (2,): 1, (1, 2): "5/3"})
+        assert (tu.denominator, tu.numerators) == (6, (0, 6, 3, 10))
+        sub = subgame(tu, [2])
+        assert (sub.denominator, sub.numerators) == (1, (0, 1))
+
+    def test_average_denominator_is_reduced(self):
+        # the gains 0, 4, 4, 8 over j^n (k - 1) = 8 are 0, 1/2, 1/2, 1
+        tu = average_game(make_table_game(2, 2, 3, [0, 0, 0, 2])).tu
+        assert (tu.denominator, tu.numerators) == (2, (0, 1, 1, 2))
 
 
 class TestEmbeddings:

@@ -237,3 +237,14 @@ class TestMalformedFiles:
         assert time.perf_counter() - start < 20
         assert (status, out) == (1, "")
         assert err == "error: the worths' common denominator exceeds 8192 bits for 131072 coalitions\n"
+
+    def test_average_with_huge_common_denominator_refused(self, tmp_path):
+        # the average divides by j^n (k - 1): with k = 10^4299 a singleton's
+        # worth 1/(16 (k - 1)) keeps a 4,301-digit denominator once reduced
+        doc = {"kind": "jk", "n": 5, "j": 2, "k": 10**4299, "table": [0] * 31 + [1]}
+        path = tmp_path / "bigk.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert _run(["analyze", str(path)])[0] == 0  # the game itself loads
+        status, out, err = _run(["average", str(path)])
+        assert (status, out) == (1, "")
+        assert err == "error: the worths' common denominator exceeds 4300 digits\n"
