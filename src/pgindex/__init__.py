@@ -46,7 +46,6 @@ from .errors import (
     GameError,
     ParseError,
     TrivialGame,
-    UsageError,
     ValidationError,
 )
 from .gamefile import (

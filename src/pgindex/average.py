@@ -15,11 +15,12 @@ the explicit sum over the outside profiles and the multiplicity j^|S|.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import sub
 from typing import Iterable
 
-from .errors import InvariantViolation
+from .errors import DigitLimitExceeded, InvariantViolation
 from .games import (
     DEFAULT_CAP,
     JKGame,
@@ -27,6 +28,7 @@ from .games import (
     _Record,
     _check_players,
     _lowest_terms,
+    _over_digit_limit,
     all_profiles,
     check_cap,
 )
@@ -71,6 +73,9 @@ def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
     bottom = _pin_or_sum(game.levels, game.n, game.j, 0)
     # worth(∅) = 0: with no member pinned, both tables sum the same entries
     tu = _lowest_terms(game.n, [*map(sub, top, bottom)], unit, game.labels)
+    limit = sys.get_int_max_str_digits()
+    if _over_digit_limit(unit, limit):  # checked after the worths' bound, which names D
+        raise DigitLimitExceeded(f"the scale's denominator j^n (k-1) exceeds {limit} digits")
     if not tu.monotone:
         raise InvariantViolation("averaging a monotone game must stay monotone")
     if not all(0 <= p <= tu.denominator for p in tu.numerators):

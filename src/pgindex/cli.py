@@ -30,7 +30,6 @@ from .errors import (
     GameError,
     OracleCapExceeded,
     TrivialGame,
-    UsageError,
     ValidationError,
 )
 from .gamefile import dumps_game, game_to_dict, load_game
@@ -314,7 +313,11 @@ def _cmd_potential(games, request: AnalysisRequest):
     if recursive is not None:
         lines.append(f"potential (recursive) = {_frac_table(recursive)}")
         lines.append(f"routes agree: {'yes' if match else 'NO'}")
-    return _render(request, doc, [[_game_heading(games[0])], lines]), None
+    blocks = [[_game_heading(games[0])], lines]
+    if request.oracle:  # on the listing the potential sums
+        doc["oracle_agrees"], doc["oracle_note"] = _oracle(game, _listing(game))
+        blocks.append([_oracle_line(doc["oracle_agrees"], doc["oracle_note"])])
+    return _render(request, doc, blocks), None
 
 
 def _require_jk(games, command: str) -> list[JKGame]:
@@ -492,13 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "axioms" and len(args.paths) > 2:
-            raise UsageError("axioms takes one game plus an optional second game")
-        if args.cap <= 0:
-            raise UsageError("--cap must be positive")
-    except UsageError as exc:
-        parser.error(str(exc))  # exits 2
+    if args.command == "axioms" and len(args.paths) > 2:
+        parser.error("axioms takes one game plus an optional second game")  # exits 2
+    if args.cap <= 0:
+        parser.error("--cap must be positive")
     request = AnalysisRequest(
         command=args.command,
         input_paths=tuple(args.paths),

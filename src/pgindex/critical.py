@@ -232,22 +232,18 @@ def minimal_critical_vectors_oracle(game: JKGame) -> MCVSet:
 def minimal_critical_below(game: JKGame, x: Profile) -> Profile:
     """A minimal critical vector y <= x with the same output as x.
 
-    Descends one level at a time, always at the lowest-index coordinate
-    whose decrement keeps the output unchanged; the fixpoint is minimal
-    critical. Requires a valid profile with v(x) > 0.
+    Lowers each coordinate in turn, one level at a time, while the output
+    stays unchanged. By monotonicity a coordinate that cannot descend never
+    can again once others are lower, so one pass reaches a minimal critical
+    vector. Requires a valid profile with v(x) > 0.
     """
     level = evaluate(game, x)
     x = tuple(x)
     if level == 0:
         raise ValueError(f"profile {x} has output 0; no critical vector below it")
-    moved = True
-    while moved:
-        moved = False
-        for p in range(game.n):
-            if x[p] and game.value(decrement(x, p + 1)) == level:
-                x = decrement(x, p + 1)
-                moved = True
-                break
+    for p in range(1, game.n + 1):
+        while x[p - 1] and game.value(decrement(x, p)) == level:
+            x = decrement(x, p)
     return x
 
 

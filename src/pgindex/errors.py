@@ -129,7 +129,3 @@ class ParseError(GameError):
         self.path = path
         self.line = line
         self.col = col
-
-
-class UsageError(Exception):
-    """Bad command-line invocation; maps to exit status 2."""

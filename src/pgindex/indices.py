@@ -14,16 +14,16 @@ Values are exact Fractions; raw counts are widened to Fraction in reports.
 
 from __future__ import annotations
 
-import itertools
+import math
 import sys
 from fractions import Fraction
+from operator import add
 
 from .errors import DigitLimitExceeded, RecursionCapExceeded, TrivialGame
 from .critical import (
     CoalitionSet,
     MCVSet,
     _listing,
-    _predecessor_scan,
     minimal_critical_vectors,
 )
 from .games import (
@@ -32,11 +32,11 @@ from .games import (
     SimpleGame,
     TUGame,
     _Record,
+    _axis_steps,
     _check_players,
     _over_digit_limit,
     check_cap,
     profile_index,
-    subgame,
 )
 
 RECURSION_CAP = 20
@@ -160,27 +160,30 @@ def public_good_value_jk(game: JKGame) -> IndexReport:
 
 def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
     """The potential by the averaging recursion over all subgames:
-    P(v) = (Lambda(v) + sum over players of P(v without that player)) / n,
-    anchored at P = 0 for the zero-player game. Memoized over coalition
-    masks; capped at 20 players, and at ``cap`` subgame table entries:
-    j^|S| summed over the coalitions S, which is (j+1)^n.
-
-    Subgames are valid by type, like the game, so each Lambda(S) comes
-    from the predecessor scan of the subgame's table alone.
+    P(v_S) = (Lambda(v_S) + sum over i in S of P(v_{S without i})) / |S|,
+    with P = 0 at the empty coalition; capped at 20 players, and at ``cap``
+    coalition totals, 2^n. The subgame on S keeps the minimal critical
+    vectors supported inside S (the scan decides x from x's entry and its
+    predecessors along x's positive coordinates), so one subset-sum pass
+    over the cached listing, w·|supp x| at its support's rank, gives every
+    Lambda(v_S). The memo holds the integers Q(S) = |S|!·P(v_S).
     """
     if game.n > RECURSION_CAP:
         raise RecursionCapExceeded(
             f"recursive potential capped at {RECURSION_CAP} players, game has {game.n}"
         )
-    check_cap(game.n, game.j + 1, cap, "recursion would build {} subgame table entries")
-    memo = [Fraction(0)] * (1 << game.n)
-    for size in range(1, game.n + 1):
-        for combo in itertools.combinations(game.players(), size):
-            found = _predecessor_scan(size, game.j, subgame(game, combo).levels)
-            lam = sum(w * (size - x.count(0)) for _, x, w in found)
-            mask = sum(1 << (i - 1) for i in combo)
-            memo[mask] = (lam + sum(memo[mask ^ (1 << (i - 1))] for i in combo)) / size
-    return memo[-1]
+    size = check_cap(game.n, 2, cap, "recursion would hold {} coalition totals")
+    lam = [0] * size
+    for x, w in minimal_critical_vectors(game).pairs():
+        support = [level > 0 for level in x]
+        lam[profile_index(support, 2)] += w * sum(support)
+    for _, lower, upper in _axis_steps(game.n, 2, size):
+        lam[upper] = list(map(add, lam[upper], lam[lower]))
+    memo = [0] * size
+    for rank in range(1, size):
+        below = sum(memo[rank ^ 1 << p] for p in range(game.n) if rank >> p & 1)
+        memo[rank] = math.factorial(rank.bit_count() - 1) * lam[rank] + below
+    return Fraction(memo[-1], math.factorial(game.n))
 
 
 def variant_value(game: JKGame) -> IndexReport:

@@ -101,6 +101,24 @@ class TestAnalyze:
             doc = json.loads(stdout)
             assert (doc["oracle_agrees"], doc["oracle_note"]) == (True, note)
 
+    def test_potential_oracle_checks_the_summed_listing(self, capsys):
+        # simple games sum the listing of their (2,2) embedding
+        for name, note in (
+            ("example33.json", "full down-set scan"),
+            ("simple_quota.json", "full down-set scan"),
+            ("tu3.json", "minimal critical vs real gaining"),
+        ):
+            plain = main_captured(capsys, "potential", str(DATA / name))
+            checked = main_captured(capsys, "potential", str(DATA / name), "--oracle")
+            assert checked == (0, plain[1] + "\noracle cross-check: agrees\n", "")
+            argv = ["potential", str(DATA / name), "--format", "machine"]
+            plain_doc = json.loads(main_captured(capsys, *argv)[1])
+            status, stdout, stderr = main_captured(capsys, *argv, "--oracle")
+            assert (status, stderr) == (0, "")
+            doc = json.loads(stdout)
+            assert "oracle_agrees" not in plain_doc
+            assert doc == {**plain_doc, "oracle_agrees": True, "oracle_note": note}
+
     # unanimity games just above the oracle's cap of 3**9 profiles
     WIDE = {
         "jk": {"kind": "jk", "n": 10, "j": 3, "k": 2, "table": [0] * (3**10 - 1) + [1]},
@@ -357,11 +375,14 @@ class TestErrorPaths:
         assert code == 2
 
     def test_potential_recursion_over_cap(self):
-        # the table has 27 entries, the recursion would build 64
-        code, stdout, stderr = invoke("potential", str(EXAMPLE), "--cap", "50")
-        assert code == 1
-        assert stdout == ""
-        assert stderr.startswith("error: ") and "cap is 50" in stderr
+        # the table has 27 entries and the recursion holds 2^3 = 8 totals, so
+        # a cap that admits the table admits the recursion
+        code, stdout, stderr = invoke("potential", str(EXAMPLE), "--cap", "27")
+        assert (code, stderr) == (0, "")
+        assert stdout == invoke("potential", str(EXAMPLE))[1]
+        code, stdout, stderr = invoke("potential", str(EXAMPLE), "--cap", "26")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: table would need 27 entries, cap is 26\n"
 
     def test_huge_player_count(self, tmp_path):
         # would try to build a j ** n integer without the player-count guard

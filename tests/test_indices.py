@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgindex import (
     TrivialGame,
@@ -21,6 +24,7 @@ from pgindex import (
     public_good_value_jk,
     remove_player,
     simple_game_from_generators,
+    subgame,
     total_criticality,
     tu_potential,
     variant_value,
@@ -131,10 +135,11 @@ class TestPotentialIdentity:
             jk_potential_recursive(zero_game(21, 2, 2))
 
     def test_recursion_respects_table_cap(self, example33):
-        # the recursion builds (j+1)^n = 64 subgame table entries
-        assert jk_potential_recursive(example33, cap=64) == 6
-        with pytest.raises(CapExceeded, match="64 subgame table entries"):
-            jk_potential_recursive(example33, cap=63)
+        # the recursion holds 2^n = 8 coalition totals; for base 2, check_cap's
+        # guard refuses every n >= cap.bit_length() before sizing, naming n
+        assert jk_potential_recursive(example33, cap=8) == 6
+        with pytest.raises(CapExceeded, match="3 players are beyond the cap 7"):
+            jk_potential_recursive(example33, cap=7)
         with pytest.raises(RecursionCapExceeded):
             jk_potential_recursive(zero_game(21, 2, 2), cap=1)
 
@@ -142,6 +147,38 @@ class TestPotentialIdentity:
         # Lambda counts each MCV worth once per supporter
         assert lambda_total(example33) == 15
         assert sum(public_good_value_jk(example33).player_values) == 15
+
+
+def _per_subgame_potential(game):
+    """The averaging recursion with every subgame built and its distributed
+    total read off its own listing: the naive reference route."""
+    memo = {frozenset(): Fraction(0)}
+    for size in range(1, game.n + 1):
+        for S in map(frozenset, itertools.combinations(game.players(), size)):
+            memo[S] = (lambda_total(subgame(game, S)) + sum(memo[S - {i}] for i in S)) / size
+    return memo[frozenset(game.players())]
+
+
+class TestRecursionRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(
+            ((0, 2, 2), (1, 4, 3), (2, 3, 3), (3, 2, 4), (3, 3, 3), (4, 2, 3), (4, 3, 2))
+        ),
+        simple_n=st.integers(1, 6),
+        embedded=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_subset_sums_match_subgames_and_direct(self, shape, simple_n, embedded, seed):
+        # random monotone (j,k) games, or (2,2) embeddings of random simple games
+        rng = random.Random(seed)
+        if embedded:
+            players = range(1, simple_n + 1)
+            gens = [rng.sample(players, rng.randint(1, simple_n)) for _ in range(rng.randint(0, 4))]
+            game = embed_simple(simple_game_from_generators(simple_n, gens))
+        else:
+            game = random_monotone_jk(*shape, rng)
+        assert jk_potential_recursive(game) == _per_subgame_potential(game) == jk_potential(game)
 
 
 class TestCriticalityCounts:

@@ -248,3 +248,14 @@ class TestMalformedFiles:
         status, out, err = _run(["average", str(path)])
         assert (status, out) == (1, "")
         assert err == "error: the worths' common denominator exceeds 4300 digits\n"
+
+    def test_average_with_huge_scale_refused(self, tmp_path):
+        # the reduced worths keep denominators within the limit, but the
+        # scale 1/(j^n (k - 1)) = 1/(16 (k - 1)) would print 4,301 digits
+        doc = {"kind": "jk", "n": 4, "j": 2, "k": 10**4299, "table": [0] * 15 + [1]}
+        path = tmp_path / "bigk.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for fmt in ("table", "machine"):
+            status, out, err = _run(["average", str(path), "--format", fmt])
+            assert (status, out) == (1, "")
+            assert err == "error: the scale's denominator j^n (k-1) exceeds 4300 digits\n"

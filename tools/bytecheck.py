@@ -14,7 +14,7 @@ version's ``src`` and ``diff`` the outputs (see the README, "Tests").
 Requests, per file: ``analyze``, ``mcv``, ``embed``, ``average`` and
 ``axioms`` in both formats, each plain, with ``--oracle`` and with
 ``--family rgc``; ``potential`` in both formats where the table has at
-most 3^7 entries; and ``merge`` and two-game ``axioms`` in both formats on
+most 2^14 entries; and ``merge`` and two-game ``axioms`` in both formats on
 each pair of neighbouring (j,k) files of one directory.
 
     PYTHONPATH=src python tools/bytecheck.py [SEED ...]
@@ -43,7 +43,7 @@ from pgindex.cli import main  # noqa: E402
 FORMATS = ("table", "machine")
 SINGLE = ("analyze", "mcv", "embed", "average", "axioms")
 VARIANTS = ((), ("--oracle",), ("--family", "rgc"))
-POTENTIAL_MAX_ENTRIES = 3 ** 7
+POTENTIAL_MAX_ENTRIES = 2 ** 14
 
 #: Two coprime denominators of 2,201 digits: their lcm has more than the
 #: 4,300 digits of Python's default integer string limit.
