@@ -27,13 +27,11 @@ from .games import (
     JKGame,
     Profile,
     _Record,
-    _axis_max,
     _axis_steps,
     _check_players,
     _subgame_jk,
     _trusted,
     check_cap,
-    profile_index,
 )
 from .indices import normalized_variant, variant_value
 
@@ -162,10 +160,13 @@ def single_mcv_game(x: Sequence[int], worth: int, j: int, k: int) -> JKGame:
         raise LevelOutOfRange(f"profile {x} has entries outside 0..{j - 1}")
     if not 1 <= worth <= k - 1:
         raise LevelOutOfRange(f"worth {worth} outside 1..{k - 1}")
-    levels = [0] * check_cap(len(x), j, DEFAULT_CAP, "table would need {} entries")
-    levels[profile_index(x, j)] = worth
-    # an up-closure of one entry in 1..k-1 at x != 0: monotone, origin at 0
-    return _trusted(JKGame, len(x), j, k, tuple(_axis_max(levels, len(x), j)))
+    check_cap(len(x), j, DEFAULT_CAP, "table would need {} entries")
+    # the up-set of x, last axis first: below x's level a block is all 0
+    levels = [worth]
+    for level in reversed(x):
+        levels = [0] * (len(levels) * level) + levels * (j - level)
+    # an up-set of x != 0 at one worth in 1..k-1: monotone, origin at 0
+    return _trusted(JKGame, len(x), j, k, tuple(levels))
 
 
 def decompose(v: JKGame) -> tuple[JKGame, ...]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from fractions import Fraction
 from typing import TextIO
@@ -32,7 +31,7 @@ from .errors import (
     TrivialGame,
     ValidationError,
 )
-from .gamefile import dumps_game, game_to_dict, load_game
+from .gamefile import _dumps, dumps_game, game_to_dict, load_game
 from .games import (
     DEFAULT_CAP,
     JKGame,
@@ -198,7 +197,7 @@ def _render(request: AnalysisRequest, doc: dict, blocks: list[list[str]]) -> str
     """The machine document as JSON, or the table blocks separated by
     blank lines."""
     if request.format == "machine":
-        return json.dumps(doc, indent=2, default=_json_default) + "\n"
+        return _dumps(doc, _json_default) + "\n"
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 
 

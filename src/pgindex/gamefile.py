@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .critical import minimal_winning_coalitions
@@ -241,8 +242,49 @@ def game_to_dict(game: Game) -> dict:
 
 
 def dumps_game(game: Game) -> str:
-    return json.dumps(game_to_dict(game), indent=2) + "\n"
+    return _dumps(game_to_dict(game)) + "\n"
 
 
 def dump_game(game: Game, path) -> None:
     Path(path).write_text(dumps_game(game), encoding="utf-8")
+
+
+def _dumps(obj, default=None, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, default=default)``, byte for byte, on the
+    documents the package writes (string keys, no floats), built by joins:
+    with an indent, ``json`` runs its pure-Python encoder, one generator
+    per value. Types are tested in ``json``'s order, so bool, tuple and
+    dict subclasses render as there, and a list of ints only or of strings
+    only is joined in one call. ``pad`` is the newline and indent before
+    the closing bracket of ``obj``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        elif all(type(v) is str for v in obj):
+            items = map(encode_basestring_ascii, obj)
+        else:
+            items = (_dumps(v, default, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            encode_basestring_ascii(k) + ": " + _dumps(v, default, inner) for k, v in obj.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if default is None:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    return _dumps(default(obj), default, pad)

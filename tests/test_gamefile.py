@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,8 @@ from pgindex import (
     make_tu_game,
     rational_str,
 )
-from pgindex.gamefile import parse_rational
+from pgindex.cli import _json_default
+from pgindex.gamefile import _dumps, parse_rational
 from pgindex.games import _check_exponent
 
 from gamegen import random_monotone_jk, random_monotone_tu
@@ -214,3 +216,55 @@ def test_deterministic_serialization(example33):
     text = dumps_game(example33)
     assert text.endswith("\n")
     assert loads_game(text) == example33
+
+
+class _Pair(NamedTuple):
+    x: object
+    y: object
+
+
+#: escapes, control and non-ASCII characters, beside arbitrary text
+_awkward = ['"', "\\", "/", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀", "a"]
+_text = st.text() | st.lists(st.sampled_from(_awkward)).map("".join)
+_plain_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2 ** 200), 2 ** 200) | _text
+)
+
+
+def _documents(scalars):
+    """Nested documents as the package builds them: string keys, no floats."""
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.builds(_Pair, inner, inner)
+        | st.lists(st.integers() | st.booleans())
+        | st.lists(_text)
+        | st.dictionaries(_text, inner),
+        max_leaves=40,
+    )
+
+
+class TestEncoder:
+    """The machine renderer's encoder writes what ``json.dumps`` with an
+    indent of 2 writes, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_documents(_plain_scalars | st.fractions()))
+    @example(doc={"a": [], "b": {}, "c": [True, 1, False], "d": (), "e": [2 ** 64, -(2 ** 70)]})
+    @example(doc=[Fraction(1, 3), [Fraction(-7, 2)], {"q": Fraction(4)}])
+    def test_matches_json_dumps(self, doc):
+        assert _dumps(doc, _json_default) == json.dumps(doc, indent=2, default=_json_default)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_documents(_plain_scalars))
+    def test_matches_json_dumps_without_default(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [object(), [1, Fraction(1, 2)], {"a": {"b": 0.5j}}])
+    def test_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError) as ours:
+            _dumps(doc)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(doc, indent=2)
+        assert str(ours.value) == str(theirs.value)
