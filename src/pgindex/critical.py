@@ -157,13 +157,9 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     if cached is not None:
         return cached
     if isinstance(game, TUGame):
-        # worths as numerators over the denominator d: too many distinct
-        # values for per-level lane work, so the scan goes entry by entry
         table, d = game.numerators, game.denominator
     else:
-        # levels below 256 fit a byte table, which the scan reads lane-parallel
-        small = isinstance(game, SimpleGame) or game.k <= 256
-        table, d = (bytes(game.levels) if small else game.levels), 1
+        table, d = game.levels, 1
     if isinstance(game, JKGame):
         found = _predecessor_scan(game.n, game.j, table)
         listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
@@ -199,54 +195,31 @@ def _real_gaining(n: int, worths) -> list[int]:
 
 def _predecessor_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:
     """``(idx, x, entry)`` in table order for every profile but the origin
-    whose entry exceeds each immediate predecessor's: by the lane kernel
-    :func:`_lane_scan` on a ``bytes`` table, else by :func:`_entry_scan`."""
-    if isinstance(table, bytes):
-        return _lane_scan(n, j, table)
-    return _entry_scan(n, j, table)
+    whose entry exceeds each immediate predecessor's, on any integer table.
 
-
-def _entry_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:
-    """:func:`_predecessor_scan` entry by entry, for any integer table.
-    Entries at the table's minimum (0 on a (j,k) or 0/1 table) can beat
-    nothing and are skipped."""
-    strides = [j ** (n - 1 - p) for p in range(n)]
-    floor = min(table)
-    profiles = all_profiles(n, j)
-    next(profiles)  # the origin has no predecessor to beat
-    found = []
-    for idx, x in enumerate(profiles, 1):
-        level = table[idx]
-        if level == floor:
-            continue
-        if all(table[idx - strides[p]] < level for p in range(n) if x[p]):
-            found.append((idx, x, level))
-    return found
-
-
-def _lane_scan(n: int, j: int, table: bytes) -> list[tuple[int, Profile, int]]:
-    """:func:`_predecessor_scan` on a byte table, read as one int with one
-    byte lane per rank. For each entry w above the minimum, from the top
-    down, the lanes at or above w come from one ``translate``; the ones
-    at exactly w that no predecessor reaches, a predecessor being a lane
-    set shifted one level up an axis, are found at w. The origin's lane
-    is masked off, as it has no predecessor."""
-    lanes = _axis_lanes(n, j, len(table))
-    found = above = 0
-    for w in range(max(table), min(table), -1):
-        at_least = int.from_bytes(table.translate(bytes(w) + b"\x01" * (256 - w)), "little")
-        if at_least != above:
-            reached = 0
-            for shift, mask in lanes:
-                reached |= (at_least << shift) & mask
-            found |= (at_least & ~above & ~reached) * w  # lane value w at each hit
-        above = at_least
-    entries = (found & ~0xFF).to_bytes(len(table), "little")
-    ranks = [m.start() for m in re.finditer(rb"[^\x00]", entries)]
+    Only order counts, so each entry gives way to its rank among the
+    distinct entries: a key in a b-bit lane of one int, b = 8, 16 or 32 the
+    narrowest with every key below 2^(b-1). Biased to key + 2^(b-1) - 1, a
+    lane takes a predecessor (at most 2^(b-1) - 1) off without a borrow and
+    keeps its top bit exactly where the key is larger. Where x_p = 0 the
+    predecessor is 0, which only key 0, the minimum, fails to beat."""
+    distinct = sorted(set(table))
+    width = next(w for w in (1, 2, 4) if len(distinct) <= 1 << (8 * w - 1))
+    lane = {v: r.to_bytes(width, "little") for r, v in enumerate(distinct)}
+    size, bits = len(table), 8 * width
+    packed = int.from_bytes(b"".join(map(lane.__getitem__, table)), "little")
+    ones = int.from_bytes((1).to_bytes(width, "little") * size, "little")
+    guard = ones << (bits - 1)
+    biased = (packed | guard) - ones
+    hits = guard ^ (1 << (bits - 1))  # the origin has no predecessor to beat
+    for shift, mask in _axis_lanes(n, j, size, width):
+        hits &= biased - ((packed << shift) & mask)
+    lanes = (hits >> (bits - 1)).to_bytes(size * width, "little")
+    ranks = [m.start() // width for m in re.finditer(b"\x01", lanes)]
     # each hit's profile joins the profiles of its rank's high and low digits
     high, low = list(all_profiles(n // 2, j)), list(all_profiles(n - n // 2, j))
     parts = map(divmod, ranks, itertools.repeat(len(low)))
-    return [(r, high[h] + low[q], entries[r]) for r, (h, q) in zip(ranks, parts)]
+    return [(r, high[h] + low[q], table[r]) for r, (h, q) in zip(ranks, parts)]
 
 
 def minimal_critical_vectors_oracle(game: JKGame) -> MCVSet:

@@ -12,6 +12,7 @@ floats are rejected to keep everything exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -145,6 +146,10 @@ def _load_simple(doc: dict, path, cap: int) -> SimpleGame:
     for entry in winning:
         if not isinstance(entry, list):
             raise ParseError(path, f"coalitions must be lists of players, got {entry!r}")
+        # any member but an int is an unknown player, refused below
+        twice = [m for m, c in Counter(m for m in entry if type(m) is int).items() if c > 1]
+        if twice:
+            raise ParseError(path, f"winning coalition {entry!r} lists member {twice[0]} twice")
     return simple_game_from_generators(n, winning, cap=cap)
 
 

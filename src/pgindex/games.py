@@ -158,17 +158,17 @@ def _axis_steps(n: int, j: int, size: int) -> Iterator[tuple[int, slice, slice]]
                     yield s, slice(lo - s, lo), slice(lo, lo + s)
 
 
-def _axis_lanes(n: int, j: int, size: int) -> list[tuple[int, int]]:
-    """``(shift, mask)`` per axis for tables read as one byte lane per rank
-    (``int.from_bytes(table, "little")``): shifting a 0/1 lane set left by
-    ``shift`` moves each rank one level up the axis, and ``mask`` has lane
-    value 1 at the ranks whose coordinate on that axis is positive, the
-    ranks such a move can reach."""
+def _axis_lanes(n: int, j: int, size: int, width: int) -> list[tuple[int, int]]:
+    """``(shift, mask)`` per axis for tables read as one lane of ``width``
+    bytes per rank (``int.from_bytes(table, "little")``): shifting the
+    table left by ``shift`` moves each rank's lane one level up the axis,
+    and ``mask`` has every bit set in the lanes of the ranks whose
+    coordinate on that axis is positive, the ranks such a move can reach."""
     lanes = []
     for p in range(n):
         s = j ** (n - 1 - p)
-        raised = (bytes(s) + b"\x01" * (s * (j - 1))) * (size // (s * j))
-        lanes.append((8 * s, int.from_bytes(raised, "little")))
+        raised = (bytes(s * width) + b"\xff" * (s * (j - 1) * width)) * (size // (s * j))
+        lanes.append((8 * width * s, int.from_bytes(raised, "little")))
     return lanes
 
 
@@ -177,7 +177,7 @@ def _up_closure(n: int, j: int, marks: bytes) -> bytes:
     marked one. Each axis ORs the lanes one level up into the set, j - 1
     times, so a mark climbs the whole axis."""
     up = int.from_bytes(marks, "little")
-    for shift, mask in _axis_lanes(n, j, len(marks)):
+    for shift, mask in _axis_lanes(n, j, len(marks), 1):
         for _ in range(j - 1):
             up |= (up << shift) & mask
     return up.to_bytes(len(marks), "little")
@@ -555,8 +555,8 @@ def make_table_game(
 ) -> JKGame:
     """Build a (j,k) simple game from an explicit level table.
 
-    ``table`` is either a mapping defined on every profile or a flat
-    sequence in profile-rank order.
+    ``table`` is either a mapping defined on every profile and nothing
+    else, or a flat sequence in profile-rank order.
     """
     _check_shape(n, j, k)
     size = check_cap(n, j, cap, "table would need {} entries")
@@ -564,6 +564,8 @@ def make_table_game(
         missing = sum(1 for x in all_profiles(n, j) if x not in table)
         if missing:
             raise IncompleteTable(f"{missing} of {size} profiles have no entry")
+        if len(table) > size:
+            raise IncompleteTable(f"{len(table) - size} keys are not profiles")
         table = [table[x] for x in all_profiles(n, j)]
     levels = tuple(table)
     if len(levels) != size:

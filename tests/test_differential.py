@@ -177,32 +177,53 @@ FORMS = (
 )
 
 
+def _check_literal_fractions(game) -> None:
+    """The integer kernels of a TU game against the literal ``Fraction``
+    reference: denominator, numerators, monotonicity, both listings and
+    each report's values."""
+    worth = dict(zip(all_coalitions(game.n), game.worths))  # rank order
+    d = math.lcm(*(q.denominator for q in game.worths))
+    assert game.denominator == d
+    assert game.numerators == tuple(q * d for q in game.worths)
+    assert all(type(num) is int for num in game.numerators)
+    assert game.monotone == all(
+        worth[S] <= worth[S | {i}] for S in worth for i in game.players()
+    )
+    families = {
+        "mcc": [S for S in worth if S and all(worth[S - {i}] < worth[S] for i in S)],
+        "rgc": [S for S in worth if S and all(worth[T] < worth[S] for T in worth if T < S)],
+    }
+    for family, found in families.items():
+        report = pgv_tu(game, family)
+        assert list(report.listing.pairs()) == [(S, worth[S]) for S in found]
+        expected = tuple(
+            sum((worth[S] for S in found if i in S), Fraction(0)) for i in game.players()
+        )
+        assert report.player_values == expected
+        assert all(type(q) is Fraction for q in report.player_values)
+        assert report.potential == sum((worth[S] for S in found), Fraction(0))
+        assert report.lambda_total == sum((worth[S] * len(S) for S in found), Fraction(0))
+
+
 class TestIntegerTUKernels:
     @settings(max_examples=80, deadline=None)
     @given(game=mixed_tu())
     def test_kernels_match_literal_fractions(self, game):
-        worth = dict(zip(all_coalitions(game.n), game.worths))  # rank order
-        d = math.lcm(*(q.denominator for q in game.worths))
-        assert game.denominator == d
-        assert game.numerators == tuple(q * d for q in game.worths)
-        assert all(type(num) is int for num in game.numerators)
-        assert game.monotone == all(
-            worth[S] <= worth[S | {i}] for S in worth for i in game.players()
-        )
-        families = {
-            "mcc": [S for S in worth if S and all(worth[S - {i}] < worth[S] for i in S)],
-            "rgc": [S for S in worth if S and all(worth[T] < worth[S] for T in worth if T < S)],
-        }
-        for family, found in families.items():
-            report = pgv_tu(game, family)
-            assert list(report.listing.pairs()) == [(S, worth[S]) for S in found]
-            expected = tuple(
-                sum((worth[S] for S in found if i in S), Fraction(0)) for i in game.players()
-            )
-            assert report.player_values == expected
-            assert all(type(q) is Fraction for q in report.player_values)
-            assert report.potential == sum((worth[S] for S in found), Fraction(0))
-            assert report.lambda_total == sum((worth[S] * len(S) for S in found), Fraction(0))
+        _check_literal_fractions(game)
+
+    @pytest.mark.parametrize("monotone", (True, False))
+    def test_many_distinct_numerators(self, monotone):
+        # more than 127 distinct numerators, negative ones too when not
+        # monotone: the scan ranks the entries into wider lanes
+        rng, worths = random.Random(17), {}
+        for S in all_coalitions(8):
+            floor = max((worths[S - {i}] for i in S), default=Fraction(0)) if monotone else 0
+            step = Fraction(rng.randrange(0 if monotone else -500, 500), rng.choice((1, 2, 3)))
+            worths[S] = floor + step if S else Fraction(0)
+        game = make_tu_game(8, worths)
+        assert len(set(game.numerators)) > 127
+        assert min(game.numerators) < 0 or monotone
+        _check_literal_fractions(game)
 
     @settings(max_examples=25, deadline=None)
     @given(picks=st.lists(st.integers(1, len(FORMS[0]) - 1), min_size=7, max_size=7))

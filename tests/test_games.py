@@ -102,6 +102,11 @@ class TestTableGames:
             make_table_game(2, 2, 2, {(0, 0): 0, (1, 1): 1})
         assert "2" in str(info.value)
 
+    def test_keys_that_are_not_profiles_refused(self):
+        with pytest.raises(IncompleteTable) as info:
+            make_table_game(1, 2, 2, {(0,): 0, (1,): 1, (7,): 1, "junk": 3})
+        assert str(info.value) == "2 keys are not profiles"
+
     def test_nonzero_origin_rejected(self):
         with pytest.raises(NonZeroAtOrigin):
             make_table_game(1, 2, 2, [1, 1])

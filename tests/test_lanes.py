@@ -1,15 +1,17 @@
 """The lane kernels against the entry-by-entry routes they replace.
 
-``critical._lane_scan`` reads a byte table as one int with a byte lane per
-rank; ``critical._entry_scan`` is the loop it must agree with on every
-table, monotone or not. ``games._up_closure`` must agree with the running
-maximum along each axis, kept here as the reference, on every 0/1 table.
+``critical._predecessor_scan`` ranks the entries of any integer table and
+packs the ranks into one int with a lane of 1, 2 or 4 bytes per table
+rank; ``_entry_scan``, the loop it replaced, is kept here as the reference
+it must agree with on every table, monotone or not.
+``games._up_closure`` must agree with the running maximum along each
+axis, also kept here as the reference, on every 0/1 table.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pgindex import (
@@ -23,11 +25,28 @@ from pgindex import (
     single_mcv_game,
     simple_game_from_generators,
 )
-from pgindex import critical
-from pgindex.critical import _entry_scan, _lane_scan, _predecessor_scan
-from pgindex.games import _axis_steps, _up_closure, all_coalitions
+from pgindex.critical import _predecessor_scan
+from pgindex.games import _axis_steps, _up_closure, all_coalitions, all_profiles
 
 from gamegen import random_monotone_jk
+
+
+def _entry_scan(n: int, j: int, table) -> list:
+    """The predecessor scan entry by entry, the reference: every profile but
+    the origin whose entry exceeds each immediate predecessor's. Entries at
+    the table's minimum can beat nothing and are skipped."""
+    strides = [j ** (n - 1 - p) for p in range(n)]
+    floor = min(table)
+    profiles = all_profiles(n, j)
+    next(profiles)  # the origin has no predecessor to beat
+    found = []
+    for idx, x in enumerate(profiles, 1):
+        level = table[idx]
+        if level == floor:
+            continue
+        if all(table[idx - strides[p]] < level for p in range(n) if x[p]):
+            found.append((idx, x, level))
+    return found
 
 
 def _axis_max(table: list, n: int, j: int) -> list:
@@ -39,8 +58,9 @@ def _axis_max(table: list, n: int, j: int) -> list:
 
 
 def _table(n, j, k, kind, rng):
-    """A table of the given kind: arbitrary entries, monotone, or with the
-    origin above the minimum (so the minimum is not at rank 0)."""
+    """A table of the given kind with entries in 0..k-1: arbitrary,
+    monotone, or with the origin above the minimum (so the minimum is not
+    at rank 0)."""
     size = j ** n
     if kind == "monotone":
         return list(random_monotone_jk(n, j, k, rng).levels)
@@ -53,44 +73,100 @@ def _table(n, j, k, kind, rng):
     return table
 
 
-def _refuse(monkeypatch, name):
-    def refuse(*args):
-        raise AssertionError(f"{name} used")
+def _distinct_table(n, j, kind, rng):
+    """A table with j^n distinct entries: a shuffle, or a monotone one
+    whose entry has one digit per axis in base j^n, increasing along the
+    axis; for ``origin_above_min`` the minimum is kept off the origin."""
+    size = j ** n
+    if kind == "monotone":
+        table = [0]
+        for _ in range(n):
+            digits = [0] + sorted(rng.sample(range(1, size), j - 1))
+            table = [t * size + d for t in table for d in digits]
+        return table
+    table = list(range(size))
+    rng.shuffle(table)
+    if kind == "origin_above_min" and table[0] == 0:
+        table[0], table[-1] = table[-1], table[0]
+    return table
 
-    monkeypatch.setattr(critical, name, refuse)
 
+#: order-preserving maps: one-byte keys as they stand, negative entries,
+#: and entries beyond 2^64
+SPREADS = {
+    "as_is": lambda v: v,
+    "negative": lambda v: v - 3,
+    "beyond_2_64": lambda v: (v + 1) * (2 ** 64 + 1) - 2 ** 65,
+}
 
 shapes = st.tuples(st.integers(0, 6), st.integers(2, 4), st.integers(2, 6))
+kinds = st.sampled_from(("arbitrary", "monotone", "origin_above_min"))
 
 
 class TestLaneScan:
     @settings(max_examples=200, deadline=None)
     @given(
         shape=shapes,
-        kind=st.sampled_from(("arbitrary", "monotone", "origin_above_min")),
+        kind=kinds,
+        spread=st.sampled_from(sorted(SPREADS)),
         seed=st.integers(0, 10 ** 6),
     )
-    def test_matches_entry_scan(self, shape, kind, seed):
+    def test_matches_entry_scan(self, shape, kind, spread, seed):
         n, j, k = shape
-        table = _table(n, j, k, kind, random.Random(seed))
-        expected = _entry_scan(n, j, table)
-        assert _lane_scan(n, j, bytes(table)) == expected
-        assert _predecessor_scan(n, j, bytes(table)) == expected
+        table = [SPREADS[spread](v) for v in _table(n, j, k, kind, random.Random(seed))]
+        assert _predecessor_scan(n, j, table) == _entry_scan(n, j, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(((8, 2), (5, 3), (4, 4), (6, 3))),
+        kind=kinds,
+        spread=st.sampled_from(sorted(SPREADS)),
+        seed=st.integers(0, 10 ** 6),
+    )
+    def test_two_byte_lanes(self, shape, kind, spread, seed):
+        # more than 128 distinct entries: ranks beyond 127 need 2-byte lanes
+        n, j = shape
+        table = _distinct_table(n, j, kind, random.Random(seed))
+        table = [SPREADS[spread](v) for v in table]
+        assert 128 < len(set(table)) <= 2 ** 15
+        assert _predecessor_scan(n, j, table) == _entry_scan(n, j, table)
+
+    # no shrinking: each step would rerun the reference loop on 2^16 entries
+    @settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(kind=kinds, seed=st.integers(0, 10 ** 6))
+    def test_four_byte_lanes(self, kind, seed):
+        # 2^16 distinct entries: more ranks than a 2-byte lane's 2^15 keys
+        table = _distinct_table(16, 2, kind, random.Random(seed))
+        assert len(set(table)) == 2 ** 16
+        assert _predecessor_scan(16, 2, table) == _entry_scan(16, 2, table)
+
+    @pytest.mark.parametrize("distinct", (128, 129, 2 ** 15, 2 ** 15 + 1))
+    def test_lane_width_boundaries(self, distinct):
+        # the most distinct entries a lane holds, and one more
+        table = list(range(distinct))
+        random.Random(distinct).shuffle(table)
+        assert _predecessor_scan(1, distinct, table) == _entry_scan(1, distinct, table)
+
+    @pytest.mark.parametrize("entry", (0, 5, -3, 2 ** 70))
+    def test_no_players(self, entry):
+        assert _predecessor_scan(0, 3, [entry]) == _entry_scan(0, 3, [entry]) == []
 
     def test_origin_lane_is_masked(self):
-        # the minimum 0 is at rank 1 and the origin holds the top entry 2,
-        # which no predecessor reaches; the origin is still never listed
-        table = (2, 0, 1, 2)
-        assert _entry_scan(1, 4, table) == [(2, (2,), 1), (3, (3,), 2)]
-        assert _lane_scan(1, 4, bytes(table)) == _entry_scan(1, 4, table)
+        # the minimum is at rank 1 and the origin holds the top entry, which
+        # no predecessor reaches; the origin is still never listed
+        for spread in SPREADS.values():
+            low, mid, top = map(spread, (0, 1, 2))
+            table = (top, low, mid, top)
+            assert _entry_scan(1, 4, table) == [(2, (2,), mid), (3, (3,), top)]
+            assert _predecessor_scan(1, 4, table) == _entry_scan(1, 4, table)
 
     def test_full_byte_range(self):
+        # 256 distinct entries, beyond a 1-byte lane's 0..127
         table = list(range(256))
-        assert _lane_scan(1, 256, bytes(table)) == _entry_scan(1, 256, table)
-        assert len(_lane_scan(1, 256, bytes(table))) == 255
+        assert _predecessor_scan(1, 256, table) == _entry_scan(1, 256, table)
+        assert len(_predecessor_scan(1, 256, table)) == 255
 
-    def test_jk_and_simple_games_take_the_lanes(self, monkeypatch):
-        _refuse(monkeypatch, "_entry_scan")
+    def test_jk_and_simple_games_take_the_lanes(self):
         game = random_monotone_jk(4, 3, 4, random.Random(7))
         assert minimal_critical_vectors(game) == minimal_critical_vectors_oracle(game)
         game = make_simple_game(3, [{1}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}])
@@ -98,18 +174,18 @@ class TestLaneScan:
 
 
 class TestLoopRoutes:
-    """Tables that do not fit a byte lane, and TU numerators, keep the loop."""
+    """Tables that took an entry loop before every table shared one scan:
+    levels beyond 255, and TU numerators."""
 
-    def test_k_beyond_256(self, monkeypatch):
-        _refuse(monkeypatch, "_lane_scan")
+    def test_k_beyond_256(self):
         game = make_table_game(2, 3, 300, (0, 1, 299, 257, 257, 299, 257, 258, 299))
         mcv = minimal_critical_vectors(game)
         assert mcv == minimal_critical_vectors_oracle(game)
         assert mcv.as_dict() == {(0, 1): 1, (0, 2): 299, (1, 0): 257, (2, 1): 258}
 
-    def test_tu_numerators(self, monkeypatch):
-        _refuse(monkeypatch, "_lane_scan")
-        game = make_tu_game(2, {(): 0, (1,): "1/2", (2,): 3, (1, 2): 3})
+    def test_tu_numerators(self):
+        game = make_tu_game(2, {(): 0, (1,): "1/2", (2,): 300, (1, 2): 300})
+        assert game.numerators == (0, 600, 1, 600)
         assert minimal_critical_coalitions(game) == {frozenset({1}), frozenset({2})}
 
 

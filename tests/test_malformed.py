@@ -145,6 +145,21 @@ class TestMalformedFiles:
         assert status in (1, 2), (status, out, err)
         assert any(line.startswith("error:") for line in err.splitlines()), err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "simple", "n": 2, "winning": [[2], [1, 2, 1]]},
+             "winning coalition [1, 2, 1] lists member 1 twice"),
+            ({"kind": "tu", "n": 2, "worth": {"1,1": 1}}, "worth key '1,1' lists member 1 twice"),
+        ],
+        ids=["simple", "tu"],
+    )
+    def test_repeated_member_refused(self, tmp_path, doc, message):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status, out, err = _run(["mcv", str(path)])
+        assert (status, out, err) == (1, "", f"error: {path}: {message}\n")
+
     def test_unreadable_texts(self, tmp_path):
         cases = {
             "latin1.json": b'{"kind": "simple", "n": 1, "winning": [[1]], "x": "\xe9"}',
