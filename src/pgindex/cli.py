@@ -11,11 +11,10 @@ errors.
 
 from __future__ import annotations
 
-import argparse
 import io
 import sys
 from fractions import Fraction
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from .algebra import AxiomResult, _union_holds, axiom_report, is_mergeable
 from .average import ValueComparison, average_worth_oracle, compare_pgv_vs_jk
@@ -56,6 +55,9 @@ from .indices import (
     tu_potential,
     variant_value,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 MAX_WITNESSES = 10
 
@@ -461,18 +463,26 @@ def run(
     return 1
 
 
+#: the choices of the options that have them
+_CHOICES = {"--format": ("table", "machine"), "--family": ("mcc", "rgc")}
+#: (fewest, most) game files of each command; axioms takes "+" but two at most
+_ARITY = {name: (1, 2) if nargs == "+" else (nargs, nargs) for name, nargs, _, _ in _COMMANDS}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, as a canonical argv never needs it (see _accept)
+
     parser = argparse.ArgumentParser(
         prog="pgindex",
         description="Public Good indices and values for simple, TU, and (j,k) simple games.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format", choices=("table", "machine"), default="table",
+        "--format", choices=_CHOICES["--format"], default="table",
         help="human table or deterministic JSON (default: table)",
     )
     common.add_argument(
-        "--family", choices=("mcc", "rgc"), default="mcc",
+        "--family", choices=_CHOICES["--family"], default="mcc",
         help="TU coalition family (default: mcc)",
     )
     common.add_argument("--output", help="write the report here instead of stdout")
@@ -491,7 +501,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _accept(argv: list[str]) -> tuple[AnalysisRequest, str | None] | None:
+    """The request and output path of a canonical argv, or None.
+
+    Canonical: the command, then one contiguous run of game files within
+    its arity, and around it each option at most once, spelled out in
+    full, with a separate value that does not start with "-" (one of the
+    choices, or for --cap what ``int`` reads as positive). argparse reads
+    such an argv the same way (tests/test_cli.py compares the two); any
+    other argv, help and every usage error included, goes to
+    :func:`build_parser`, which a canonical one never imports."""
+    if not argv or argv[0] not in _ARITY:
+        return None
+    options, paths, closed = {}, [], False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] not in ("", "-"):  # a game file
+            if closed:
+                return None
+            paths.append(token)
+            continue
+        closed = bool(paths)  # an option after the game files ends their run
+        if token in options:
+            return None
+        if token == "--oracle":
+            options[token] = True
+        elif token in ("--format", "--family", "--output", "--cap"):
+            value = options[token] = next(tokens, "")
+            if value[:1] in ("", "-") or token in _CHOICES and value not in _CHOICES[token]:
+                return None
+        else:
+            return None
+    fewest, most = _ARITY[argv[0]]
+    try:
+        cap = int(options.get("--cap", DEFAULT_CAP))  # argparse's type=int
+    except ValueError:
+        return None
+    if not (fewest <= len(paths) <= most and cap > 0):
+        return None
+    request = AnalysisRequest(
+        command=argv[0],
+        input_paths=tuple(paths),
+        format=options.get("--format", "table"),
+        family=options.get("--family", "mcc"),
+        oracle="--oracle" in options,
+        cap=cap,
+    )
+    return request, options.get("--output")
+
+
+def _parse(argv) -> tuple[AnalysisRequest, str | None]:
+    """The request and output path by argparse, which prints help and exits
+    2 on every usage error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "axioms" and len(args.paths) > 2:
@@ -506,14 +567,20 @@ def main(argv=None) -> int:
         oracle=args.oracle,
         cap=args.cap,
     )
-    if args.output is None:
+    return request, args.output
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    request, output = _accept(argv) or _parse(argv)
+    if output is None:
         return run(request)
     # the report is built before the target is opened, which may be an input
     report = io.StringIO()
     status = run(request, out=report)
     if report.getvalue():
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
+            with open(output, "w", encoding="utf-8") as handle:
                 handle.write(report.getvalue())
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

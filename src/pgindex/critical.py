@@ -32,8 +32,8 @@ from .games import (
     _Record,
     _axis_lanes,
     _check_players,
+    all_coalitions,
     all_profiles,
-    coalition_from_index,
     decrement,
     evaluate,
 )
@@ -167,10 +167,9 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
         if family == "rgc":
             ranks = _real_gaining(game.n, table)
         else:
-            ranks = [idx for idx, _, _ in _predecessor_scan(game.n, 2, table)]
+            ranks = _predecessor_ranks(game.n, 2, table)
         listing = CoalitionSet(
-            tuple(coalition_from_index(idx, game.n) for idx in ranks),
-            tuple(Fraction(table[idx], d) for idx in ranks),
+            _coalitions(game.n, ranks), tuple(Fraction(table[idx], d) for idx in ranks)
         )
     # every record keeps an instance __dict__ (see games._Record)
     game.__dict__[key] = listing
@@ -195,7 +194,18 @@ def _real_gaining(n: int, worths) -> list[int]:
 
 def _predecessor_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:
     """``(idx, x, entry)`` in table order for every profile but the origin
-    whose entry exceeds each immediate predecessor's, on any integer table.
+    whose entry exceeds each immediate predecessor's, on any integer table
+    (the ranks of :func:`_predecessor_ranks` with their profiles)."""
+    ranks = _predecessor_ranks(n, j, table)
+    # each hit's profile joins the profiles of its rank's high and low digits
+    high, low = list(all_profiles(n // 2, j)), list(all_profiles(n - n // 2, j))
+    parts = map(divmod, ranks, itertools.repeat(len(low)))
+    return [(r, high[h] + low[q], table[r]) for r, (h, q) in zip(ranks, parts)]
+
+
+def _predecessor_ranks(n: int, j: int, table) -> list[int]:
+    """Ranks in table order of every profile but the origin whose entry
+    exceeds each immediate predecessor's, on any integer table.
 
     Only order counts, so each entry gives way to its rank among the
     distinct entries: a key in a b-bit lane of one int, b = 8, 16 or 32 the
@@ -215,11 +225,16 @@ def _predecessor_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:
     for shift, mask in _axis_lanes(n, j, size, width):
         hits &= biased - ((packed << shift) & mask)
     lanes = (hits >> (bits - 1)).to_bytes(size * width, "little")
-    ranks = [m.start() // width for m in re.finditer(b"\x01", lanes)]
-    # each hit's profile joins the profiles of its rank's high and low digits
-    high, low = list(all_profiles(n // 2, j)), list(all_profiles(n - n // 2, j))
-    parts = map(divmod, ranks, itertools.repeat(len(low)))
-    return [(r, high[h] + low[q], table[r]) for r, (h, q) in zip(ranks, parts)]
+    return [m.start() // width for m in re.finditer(b"\x01", lanes)]
+
+
+def _coalitions(n: int, ranks) -> tuple[Coalition, ...]:
+    """The coalition of each rank, joined from the coalitions of its high
+    and low bits (players 1..n//2 and the rest)."""
+    half, rest = n // 2, n - n // 2
+    high = list(all_coalitions(half))
+    low = [frozenset(i + half for i in S) for S in all_coalitions(rest)]
+    return tuple(high[r >> rest] | low[r & ((1 << rest) - 1)] for r in ranks)
 
 
 def minimal_critical_vectors_oracle(game: JKGame) -> MCVSet:

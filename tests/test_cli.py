@@ -1,14 +1,20 @@
+import contextlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgindex import algebra, cli, dump_game, make_simple_game, single_mcv_game, zero_game
 from pgindex.algebra import is_mergeable
-from pgindex.cli import AnalysisRequest, build_parser, main, run
+from pgindex.cli import AnalysisRequest, _accept, _parse, build_parser, main, run
 
 from conftest import DATA, GOLDEN, SRC
 
@@ -470,3 +476,139 @@ def test_startup_loads_no_code_generators():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_request_loads_no_argparse():
+    # a canonical argv is read without argparse, which imports gettext and,
+    # when it formats a message, locale; help and usage errors still go
+    # through argparse, imported on demand
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from pgindex.cli import main\n"
+        "status = main(['mcv', sys.argv[1]])\n"
+        "loaded = {'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)\n"
+        "print(status, sorted(loaded), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(EXAMPLE)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.startswith("(3,3) game on 3 players\n")
+    assert proc.stderr == "0 []\n"
+    code, stdout, stderr = invoke("--help")
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith("usage: pgindex")
+    code, stdout, stderr = invoke()
+    assert (code, stdout) == (2, "")
+    lines = stderr.splitlines()
+    assert lines[0].startswith("usage: pgindex") and lines[-1].startswith("pgindex: error: ")
+
+
+# ---------------------------------------------------------------------------
+# the canonical-argv acceptor against argparse
+
+COMMANDS = tuple(name for name, _, _, _ in cli._COMMANDS)
+#: options, their abbreviations and "=" forms, help, separators, values
+#: argparse reads in more than one way, choices and paths
+TOKENS = COMMANDS + (
+    "--format", "--family", "--output", "--oracle", "--cap",
+    "--fo", "--form", "--fa", "--fam", "--o", "--ou", "--or", "--orac", "--c", "--ca",
+    "--format=machine", "--family=rgc", "--output=o.txt", "--cap=5", "--oracle=1", "--cap=",
+    "-h", "--help", "--", "-", "", "-5", "-0", "0", "010", "5", "+5", " 7", "1_0", "1e3",
+    "\uff19", "9" * 4301,
+    "table", "machine", "mcc", "rgc", "tab", "MACHINE",
+    "g.json", "h.json", "i.json", "o.txt", "a b", "-a b", "@args",
+)
+#: whole options of a canonical argv
+OPTIONS = tuple(
+    [option, value]
+    for option, values in (
+        ("--format", ("table", "machine")),
+        ("--family", ("mcc", "rgc")),
+        ("--output", ("o.txt", "g.json")),
+        ("--cap", ("5", "010", "+5", " 7", "\uff19", "0")),
+    )
+    for value in values
+) + (["--oracle"],)
+
+
+@st.composite
+def argvs(draw):
+    """A command, one or two game files among distinct whole options, and
+    up to two tokens of TOKENS put in or swapped in anywhere, or tokens
+    dropped, so that many drawn argv sit just on either side of canonical."""
+    options = draw(st.lists(st.sampled_from(OPTIONS), max_size=3, unique_by=lambda o: o[0]))
+    for path in ["g.json", "h.json"][: draw(st.integers(1, 2))]:
+        options.insert(draw(st.integers(0, len(options))), [path])
+    argv = [draw(st.sampled_from(COMMANDS)), *sum(options, [])]
+    for _ in range(draw(st.integers(0, 2))):
+        pos, token = draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS))
+        argv[pos:pos + draw(st.integers(0, 1))] = draw(st.sampled_from([[token], []]))
+    return argv
+
+
+def _parsed(argv):
+    """The request and output path by argparse, with main's two checks."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        return _parse(argv)
+
+
+class TestAcceptor:
+    @settings(max_examples=2000, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["analyze", "--cap", "010", "g.json", "--oracle"])
+    @example(argv=["axioms", "--output", "o.txt", "g.json", "h.json", "--family", "rgc"])
+    @example(argv=["merge", "--cap", "\uff19", "g.json", "h.json"])
+    def test_accepted_argv_reads_the_same_by_argparse(self, argv):
+        accepted = _accept(argv)
+        if accepted is not None:
+            assert accepted == _parsed(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["mcv", "-h", "g.json"],
+        ["mcv", "--fo", "table", "g.json"],
+        ["mcv", "--format=machine", "g.json"],
+        ["mcv", "--", "g.json"],
+        ["mcv", "-", "g.json"],
+        ["mcv", "", "g.json"],
+        ["mcv", "--format", "table", "--format", "machine", "g.json"],
+        ["mcv", "--oracle", "--oracle", "g.json"],
+        ["mcv", "--format", "json", "g.json"],
+        ["mcv", "--family", "--oracle", "g.json"],
+        ["mcv", "g.json", "--output"],
+        ["mcv", "g.json", "h.json"],
+        ["merge", "g.json"],
+        ["merge", "g.json", "--oracle", "h.json"],
+        ["axioms", "g.json", "h.json", "i.json"],
+        ["mcv", "--cap", "0", "g.json"],
+        ["mcv", "--cap", "-5", "g.json"],
+        ["mcv", "--cap", "1e3", "g.json"],
+        ["mcv", "-5"],
+        ["g.json", "mcv"],
+        ["--format", "table", "mcv", "g.json"],
+    ])
+    def test_other_argv_goes_to_argparse(self, argv):
+        assert _accept(argv) is None
+
+    def test_benchmark_and_bytecheck_requests_take_the_fast_path(self, monkeypatch):
+        # bytecheck puts bench/ on sys.path and turns off bytecode writing
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+        tool = Path(__file__).parent.parent / "tools" / "bytecheck.py"
+        spec = importlib.util.spec_from_file_location("bytecheck", tool)
+        bytecheck = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bytecheck)
+        workloads = bytecheck.workloads
+        for name in workloads.WORKLOADS:
+            built = workloads.build(name, 1)
+            for request in [built.warmup, *built.requests]:
+                assert _accept(request.argv) is not None, request.argv
+        with tempfile.TemporaryDirectory() as tmp:
+            dirs = bytecheck.write_files(Path(tmp), [1])
+            matrix = list(bytecheck.requests(Path(tmp), dirs))
+        assert len(matrix) > 1000
+        assert all(_accept(argv) is not None for argv in matrix)

@@ -14,6 +14,11 @@ forms must give the same game and the same CLI output.
 TU game files load in one integer pass; a naive per-key loader kept here
 (frozensets, ``Fraction`` worths, the player check per key) must give the
 same game, or the same error, on random worth maps with faults injected.
+
+``potential --oracle``, ``average --oracle``, ``merge`` and ``embed`` are
+checked the same way against their library twins: the down-set oracle's
+listing, ``average_worth_oracle``, ``mcv_union_check`` and the embeddings
+loaded back with ``loads_game``.
 """
 
 import contextlib
@@ -39,23 +44,33 @@ from pgindex import (
     SimpleGame,
     TUGame,
     ValidationError,
+    average_worth_oracle,
     dump_game,
+    dumps_game,
+    embed_2k_as_tu,
+    embed_simple,
+    extract_simple,
     load_game,
     loads_game,
     make_tu_game,
     make_weighted_game,
+    mcv_union_check,
     minimal_critical_coalitions,
     minimal_critical_vectors,
+    minimal_critical_vectors_oracle,
     minimal_winning_coalitions,
+    oplus,
     pgi_raw,
     pgv_tu,
     public_good_value_jk,
     real_gaining_coalitions,
     simple_game_from_generators,
+    single_mcv_game,
 )
 from pgindex import games
 from pgindex.cli import main
-from pgindex.errors import IncompleteWorthTable
+from pgindex.critical import ORACLE_CAP
+from pgindex.errors import IncompleteWorthTable, NotMergeable
 from pgindex.gamefile import _get_int, coalition_key
 from pgindex.games import (
     DEFAULT_CAP,
@@ -65,6 +80,7 @@ from pgindex.games import (
     all_coalitions,
     check_cap,
     coalition_index,
+    coalition_of_profile,
 )
 
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
@@ -145,6 +161,114 @@ class TestDifferential:
             assert doc["oracle_agrees"] is True or (
                 doc["oracle_agrees"] is None and doc["oracle_note"]
             ), doc["oracle_note"]
+
+
+def _machine(command: str, *games_, oracle: bool = False) -> dict:
+    """``command --format machine`` on the games written to files; the run
+    must succeed with nothing on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"game{pos}.json" for pos in range(len(games_))]
+        for game, path in zip(games_, paths):
+            dump_game(game, path)
+        extra = ("--oracle",) if oracle else ()
+        status, out, err = _cli(command, *map(str, paths), "--format", "machine", *extra)
+    assert (status, err) == (0, "")
+    return json.loads(out)
+
+
+def _literal_mcc(game: TUGame) -> list:
+    """Minimal critical coalitions by the definition, with ``Fraction`` worths."""
+    worth = dict(zip(all_coalitions(game.n), game.worths))
+    return [(S, w) for S, w in worth.items() if S and all(worth[S - {i}] < w for i in S)]
+
+
+def _random_mcv_game(n: int, j: int, k: int, rng: random.Random) -> JKGame:
+    """A random monotone game, or one with a single minimal critical
+    vector, which is far more often mergeable with another."""
+    x = [rng.randrange(j) for _ in range(n)]
+    if rng.random() < 0.5 or not any(x):
+        return random_monotone_jk(n, j, k, rng)
+    return single_mcv_game(x, rng.randrange(1, k), j, k)
+
+
+class TestCommandOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 10**6))
+    def test_potential_matches_oracle_listing(self, kind, seed):
+        game = _draw_game(kind, random.Random(seed))
+        doc = _machine("potential", game, oracle=True)
+        assert doc["oracle_agrees"] is True or (
+            doc["oracle_agrees"] is None and doc["oracle_note"]
+        ), doc["oracle_note"]
+        potential = Fraction(doc["potential"])
+        if isinstance(game, TUGame):
+            assert potential == sum((w for _, w in _literal_mcc(game)), Fraction(0))
+            assert doc["recursive"] is doc["match"] is None
+            return
+        jk = embed_simple(game) if isinstance(game, SimpleGame) else game
+        assert jk.j ** jk.n <= ORACLE_CAP
+        assert potential == sum(minimal_critical_vectors_oracle(jk).worths)
+        assert Fraction(doc["recursive"]) == potential and doc["match"] is True
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(("table", "weighted")), seed=st.integers(0, 10**6))
+    def test_average_matches_worth_oracle(self, kind, seed):
+        game = _draw_game(kind, random.Random(seed))
+        doc = _machine("average", game, oracle=True)
+        assert doc["oracle_agrees"] is True
+        average = loads_game(json.dumps(doc["average_game"]))
+        expected = [average_worth_oracle(game, S) for S in all_coalitions(game.n)]
+        assert list(average.worths) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_merge_matches_union_check(self, seed):
+        rng = random.Random(seed)
+        n, j, k = rng.randrange(1, 4), rng.randrange(2, 4), rng.randrange(2, 5)
+        v, w = (_random_mcv_game(n, j, k, rng) for _ in range(2))
+        doc = _machine("merge", v, w)
+        listings = [list(minimal_critical_vectors_oracle(game).pairs()) for game in (v, w)]
+        # the clauses on the oracle's listings: no shared vector, and each
+        # comparable cross pair strictly ordered the same way by worth
+        literal = all(
+            x != y
+            and (not all(map(int.__le__, x, y)) or a < b)
+            and (not all(map(int.__ge__, x, y)) or a > b)
+            for x, a in listings[0] for y, b in listings[1]
+        )
+        assert doc["mergeable"] is literal
+        assert (doc["violations"] == []) is literal
+        if not literal:
+            assert doc["union_check"] is None
+            with pytest.raises(NotMergeable):
+                mcv_union_check(v, w)
+            return
+        assert doc["union_check"] is mcv_union_check(v, w) is True
+        union = sorted([*minimal_critical_vectors(v).pairs(), *minimal_critical_vectors(w).pairs()])
+        assert union == list(minimal_critical_vectors_oracle(oplus(v, w)).pairs())
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(("table", "weighted", "simple")), seed=st.integers(0, 10**6))
+    def test_embed_round_trips(self, kind, seed):
+        game = _draw_game(kind, random.Random(seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "game.json"
+            dump_game(game, path)
+            status, out, err = _cli("embed", str(path))
+        if isinstance(game, JKGame) and game.j != 2:  # no TU view of it
+            assert (status, out) == (1, "") and err.startswith("error: ")
+            return
+        assert (status, err) == (0, "")
+        embedded = loads_game(out)
+        assert dumps_game(embedded) == out
+        if isinstance(game, SimpleGame):
+            assert embedded == embed_simple(game) and extract_simple(embedded) == game
+            images = {coalition_of_profile(x) for x in minimal_critical_vectors_oracle(embedded).vectors}
+            assert images == minimal_winning_coalitions(game)
+        else:
+            assert embedded == embed_2k_as_tu(game)
+            images = {coalition_of_profile(x) for x in minimal_critical_vectors_oracle(game).vectors}
+            assert images == minimal_critical_coalitions(embedded)
 
 
 @st.composite

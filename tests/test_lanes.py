@@ -5,7 +5,8 @@ packs the ranks into one int with a lane of 1, 2 or 4 bytes per table
 rank; ``_entry_scan``, the loop it replaced, is kept here as the reference
 it must agree with on every table, monotone or not.
 ``games._up_closure`` must agree with the running maximum along each
-axis, also kept here as the reference, on every 0/1 table.
+axis, also kept here as the reference, on every 0/1 table, and
+``critical._coalitions`` with ``coalition_from_index`` on every rank.
 """
 
 import random
@@ -25,8 +26,14 @@ from pgindex import (
     single_mcv_game,
     simple_game_from_generators,
 )
-from pgindex.critical import _predecessor_scan
-from pgindex.games import _axis_steps, _up_closure, all_coalitions, all_profiles
+from pgindex.critical import _coalitions, _predecessor_scan
+from pgindex.games import (
+    _axis_steps,
+    _up_closure,
+    all_coalitions,
+    all_profiles,
+    coalition_from_index,
+)
 
 from gamegen import random_monotone_jk
 
@@ -171,6 +178,13 @@ class TestLaneScan:
         assert minimal_critical_vectors(game) == minimal_critical_vectors_oracle(game)
         game = make_simple_game(3, [{1}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}])
         assert minimal_winning_coalitions(game) == {frozenset({1}), frozenset({2, 3})}
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_coalitions_join_the_halves_of_each_rank(n):
+    # every rank, and a sparse selection out of order with repeats
+    ranks = [*range(1 << n), *range((1 << n) - 1, -1, -3)]
+    assert _coalitions(n, ranks) == tuple(coalition_from_index(r, n) for r in ranks)
 
 
 class TestLoopRoutes:
