@@ -14,14 +14,17 @@ from __future__ import annotations
 import io
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, TextIO
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .algebra import AxiomResult, _union_holds, axiom_report, is_mergeable
 from .average import ValueComparison, average_worth_oracle, compare_pgv_vs_jk
 from .critical import (
     CoalitionSet,
     MCVSet,
+    _coalitions,
     _listing,
+    _real_gaining,
     minimal_critical_vectors_oracle,
 )
 from .errors import (
@@ -90,11 +93,11 @@ def _frac_table(q: Fraction) -> str:
 
 
 def _profile_str(x) -> str:
-    return "(" + ",".join(str(a) for a in x) + ")"
+    return "(" + ",".join(map(str, x)) + ")"
 
 
 def _coalition_str(S) -> str:
-    return "{" + ",".join(str(i) for i in sorted(S)) + "}"
+    return "{" + ",".join(map(str, sorted(S))) + "}"
 
 
 def _aligned(rows) -> list[str]:
@@ -109,12 +112,40 @@ def _listing_rows(listing, title: str) -> list[str]:
     if not len(listing):
         return [f"no {title}"]
     if isinstance(listing, MCVSet):
-        rows = [("vector", "worth")]
-        rows += [(_profile_str(x), str(w)) for x, w in listing.pairs()]
+        head, cells = "vector", [*map(_profile_str, listing.vectors)]
+        worths = map(str, listing.worths)
     else:
-        rows = [("coalition", "worth")]
-        rows += [(_coalition_str(S), _frac_table(w)) for S, w in listing.pairs()]
-    return [f"{title} ({len(listing)})"] + _aligned(rows)
+        head, cells = "coalition", [*map(_coalition_str, listing.coalitions)]
+        worths = _each_worth(listing.worths, _frac_table)
+    row = f"  %-{max(len(head), *map(len, cells))}s  %s"  # _aligned's, as no worth is blank
+    return [f"{title} ({len(listing)})", *map(row.__mod__, [(head, "worth"), *zip(cells, worths)])]
+
+
+def _each_worth(worths, render) -> Iterator[str]:
+    """``map(render, worths)``, by object: a ``Fraction`` hashes slowly."""
+    text = {key: render(w) for key, w in dict(zip(map(id, worths), worths)).items()}
+    return map(text.__getitem__, map(id, worths))
+
+
+def _listing_json(listing, pad: str) -> str:
+    """``_dumps`` at ``pad`` of rows {"vector": x, "worth": w} or {"coalition":
+    sorted(S), "worth": str(w)}, by one template of all rows; kept on the
+    listing by pad, so that the reports sharing it encode it once."""
+    cache = listing.__dict__.setdefault("_json", {})
+    if pad in cache or not len(listing):
+        return cache.get(pad, "[]")
+    i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+    if isinstance(listing, MCVSet):
+        field = ("," + i3).join(["%d"] * len(listing.vectors[0]))
+        row = f'{{{i2}"vector": [{i3}{field}{i2}],{i2}"worth": %d{i1}}}'
+        flat = chain.from_iterable(map(tuple.__add__, listing.vectors, zip(listing.worths)))
+    else:
+        row = f'{{{i2}"coalition": [{i3}%s{i2}],{i2}"worth": %s{i1}}}'
+        members = [("," + i3).join(map(str, sorted(S))) for S in listing.coalitions]
+        worths = _each_worth(listing.worths, lambda w: _dumps(str(w)))
+        flat = chain.from_iterable(zip(members, worths))
+    text = cache[pad] = "[" + i1 + ("," + i1).join([row] * len(listing)) % tuple(flat) + pad + "]"
+    return text
 
 
 def _game_heading(game) -> str:
@@ -147,52 +178,28 @@ def _oracle_line(agrees: bool | None, note: str | None = None) -> str:
 
 
 def _json_default(obj):
-    """The JSON form of every result object a machine document holds."""
+    """The JSON form of every result object a machine document holds (a
+    comparison's average game is the document's "average_game")."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (JKGame, SimpleGame, TUGame)):
         return _game_json(obj)
-    if isinstance(obj, IndexReport):  # its fields, in order
-        return dict(zip(obj._fields, obj._values()))
-    if isinstance(obj, MCVSet):
-        return [{"vector": x, "worth": w} for x, w in obj.pairs()]
-    if isinstance(obj, CoalitionSet):
-        return [{"coalition": sorted(S), "worth": w} for S, w in obj.pairs()]
-    if isinstance(obj, ValueComparison):
-        return {
-            "pgv_of_average": obj.pgv_of_average,
-            "jk_value": obj.jk_value,
-            "variant": obj.variant,
-            "equal_after_normalization": obj.equal_after_normalization,
-            "degenerate": obj.degenerate,
-        }
-    if isinstance(obj, AxiomResult):
-        return {
-            "axiom": obj.axiom,
-            "status": obj.status,
-            "detail": obj.detail,
-            "witnesses": [str(w) for w in obj.witnesses],
-        }
+    if isinstance(obj, (MCVSet, CoalitionSet)):  # JSON text, by the pad
+        return lambda pad: _listing_json(obj, pad)
+    if isinstance(obj, (IndexReport, ValueComparison, AxiomResult)):
+        fields = {f: v for f, v in zip(obj._fields, obj._values()) if f != "average"}
+        if isinstance(obj, AxiomResult):
+            fields["witnesses"] = [str(w) for w in obj.witnesses]
+        return fields
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
 def _game_json(game) -> dict:
     if isinstance(game, JKGame):
-        return {
-            "kind": "jk",
-            "n": game.n,
-            "j": game.j,
-            "k": game.k,
-            "players": list(game.labels),
-        }
+        return {"kind": "jk", "n": game.n, "j": game.j, "k": game.k, "players": list(game.labels)}
     if isinstance(game, SimpleGame):
         return {"kind": "simple", "n": game.n, "players": list(game.players())}
-    return {
-        "kind": "tu",
-        "n": game.n,
-        "monotone": game.monotone,
-        "players": list(game.labels),
-    }
+    return {"kind": "tu", "n": game.n, "monotone": game.monotone, "players": list(game.labels)}
 
 
 def _render(request: AnalysisRequest, doc: dict, blocks: list[list[str]]) -> str:
@@ -248,7 +255,8 @@ def _oracle(game, listing):
     # on monotone TU games the minimal critical and real gaining families coincide
     if not game.monotone:
         return None, "no independent route for non-monotone games"
-    return _listing(game) == _listing(game, "rgc"), "minimal critical vs real gaining"
+    literal = _coalitions(game.n, _real_gaining(game.n, game.numerators))
+    return _listing(game).coalitions == literal, "minimal critical vs real gaining"
 
 
 def _cmd_analyze(games, request: AnalysisRequest):

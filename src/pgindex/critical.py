@@ -122,8 +122,10 @@ def minimal_critical_coalitions(game: TUGame) -> frozenset[Coalition]:
 def real_gaining_coalitions(game: TUGame) -> frozenset[Coalition]:
     """Nonempty coalitions worth strictly more than every proper subset.
 
-    Found by the literal all-proper-subsets scan, so on monotone games it
-    is an independent route to the minimal critical coalitions.
+    Found on lanes: one pass per player gives each coalition's down-max,
+    the largest worth at or below it, and a coalition gains where it beats
+    the down-max of each coalition one member short. The literal
+    all-proper-subsets scan, :func:`_real_gaining`, is the TU ``--oracle``.
     """
     return frozenset(_listing(game, "rgc").coalitions)
 
@@ -164,13 +166,10 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
         found = _predecessor_scan(game.n, game.j, table)
         listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
     else:
-        if family == "rgc":
-            ranks = _real_gaining(game.n, table)
-        else:
-            ranks = _predecessor_ranks(game.n, 2, table)
-        listing = CoalitionSet(
-            _coalitions(game.n, ranks), tuple(Fraction(table[idx], d) for idx in ranks)
-        )
+        ranks = _predecessor_ranks(game.n, 2, table, family == "rgc")
+        listed = [*map(table.__getitem__, ranks)]
+        worth = {v: Fraction(v, d) for v in set(listed)}  # one, shared, per numerator
+        listing = CoalitionSet(_coalitions(game.n, ranks), tuple(map(worth.__getitem__, listed)))
     # every record keeps an instance __dict__ (see games._Record)
     game.__dict__[key] = listing
     return listing
@@ -178,7 +177,8 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
 
 def _real_gaining(n: int, worths) -> list[int]:
     """Ranks of the coalitions worth more than every proper subset, by the
-    literal scan of all of them, kept apart from :func:`_predecessor_scan`."""
+    literal scan of all of them, kept apart from :func:`_predecessor_ranks`
+    as the TU oracle."""
     found = []
     for mask in range(1, 1 << n):
         w = worths[mask]
@@ -203,9 +203,11 @@ def _predecessor_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:
     return [(r, high[h] + low[q], table[r]) for r, (h, q) in zip(ranks, parts)]
 
 
-def _predecessor_ranks(n: int, j: int, table) -> list[int]:
+def _predecessor_ranks(n: int, j: int, table, gaining: bool = False) -> list[int]:
     """Ranks in table order of every profile but the origin whose entry
-    exceeds each immediate predecessor's, on any integer table.
+    exceeds each immediate predecessor's, on any integer table; with
+    ``gaining`` (j = 2), each predecessor's down-max instead, which leaves
+    the real gaining coalitions.
 
     Only order counts, so each entry gives way to its rank among the
     distinct entries: a key in a b-bit lane of one int, b = 8, 16 or 32 the
@@ -218,14 +220,26 @@ def _predecessor_ranks(n: int, j: int, table) -> list[int]:
     lane = {v: r.to_bytes(width, "little") for r, v in enumerate(distinct)}
     size, bits = len(table), 8 * width
     packed = int.from_bytes(b"".join(map(lane.__getitem__, table)), "little")
+    lanes = _axis_lanes(n, j, size, width)
     ones = int.from_bytes((1).to_bytes(width, "little") * size, "little")
     guard = ones << (bits - 1)
+    below = _down_max(packed, guard, bits, lanes) if gaining else packed
     biased = (packed | guard) - ones
     hits = guard ^ (1 << (bits - 1))  # the origin has no predecessor to beat
-    for shift, mask in _axis_lanes(n, j, size, width):
-        hits &= biased - ((packed << shift) & mask)
-    lanes = (hits >> (bits - 1)).to_bytes(size * width, "little")
-    return [m.start() // width for m in re.finditer(b"\x01", lanes)]
+    for shift, mask in lanes:
+        hits &= biased - ((below << shift) & mask)
+    flags = (hits >> (bits - 1)).to_bytes(size * width, "little")
+    return [m.start() // width for m in re.finditer(b"\x01", flags)]
+
+
+def _down_max(packed: int, guard: int, bits: int, lanes) -> int:
+    """The down-max on a 0/1 table, each lane the largest key at or below it:
+    per axis a guard bit keeps the lanes at least their predecessor's key."""
+    for shift, mask in lanes:
+        pred = (packed << shift) & mask
+        sel = ((((packed | guard) - pred) & guard) >> (bits - 1)) * ((1 << bits) - 1)
+        packed = (packed & sel) | (pred & ~sel)
+    return packed
 
 
 def _coalitions(n: int, ranks) -> tuple[Coalition, ...]:

@@ -162,20 +162,20 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
     worth = doc.get("worth")
     if not isinstance(worth, dict):
         raise ParseError(path, '"worth" must be an object keyed by member lists')
-    # player i is bit n - i of a rank, once the keys could fill the table; until
-    # then every key takes the general route, in memory proportional to the keys
+    # the ranks of the canonical keys ("1,3"), once the keys could fill the table;
+    # until then every key takes the general route, in memory proportional to them
     fill = len(worth) + 1  # coalitions named at most, the empty one included
-    bits = {str(i): 1 << (n - i) for i in range(1, n + 1)} if fill >> max(n, 0) else {}
+    canon, half = {}, n // 2
+    if n >= 0 and fill >> n:
+        high = [coalition_key(S) for S in all_coalitions(half)]
+        low = [coalition_key(i + half for i in S) for S in all_coalitions(n - half)]
+        tails = ["", *("," + q for q in low[1:])]
+        canon = dict(zip(low + [h + t for h in high[1:] for t in tails], range(1 << n)))
     nums, dens = {0: 0}, {0: 1}  # "": 0 implied; an explicit "" overrides it
+    bulk = canon and _read_canonical(canon, worth, path, nums, dens)
     names, general = {}, []
-    for key, value in worth.items():
-        tokens = key.split(",")
-        try:  # "1,3": a canonical member per token, each once (a repeat carries)
-            rank = sum(map(bits.__getitem__, tokens))
-            if rank.bit_count() != len(tokens):
-                raise KeyError(key)
-        except KeyError:
-            rank = _key_rank(key, path, bits)
+    for key, value in () if bulk else worth.items():
+        rank = canon[key] if key in canon else _key_rank(key, path, canon)
         if rank in names:
             raise ParseError(
                 path, f"worth keys {names[rank]!r} and {key!r} name the same coalition"
@@ -191,9 +191,25 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
     return _rank_filled(n, nums, dens)
 
 
-def _key_rank(key: str, path, bits: dict[str, int]) -> int | frozenset[int]:
-    """The rank of a worth key in any form ``int`` reads (" 1", "01", or ""),
-    or the frozenset of its members when one of them has no bit."""
+def _read_canonical(canon: dict, worth: dict, path, nums: dict, dens: dict) -> bool:
+    """Whether every key is in ``canon`` and every worth a JSON int or string
+    that reads; if so ``nums`` and ``dens`` take each rank's pair, by one
+    lookup per key and one read per distinct worth (``true`` is no int)."""
+    ranks, values = [*map(canon.get, worth)], [*worth.values()]
+    if None in ranks or not set(map(type, values)) <= {int, str}:
+        return False
+    try:
+        read = {v: _read_pair(v, path, "worth") for v in set(values)}
+    except ParseError:
+        return False
+    nums.update(zip(ranks, [read[v][0] for v in values]))
+    dens.update(zip(ranks, [read[v][1] for v in values]))
+    return True
+
+
+def _key_rank(key: str, path, canon: dict[str, int]) -> int | frozenset[int]:
+    """The rank of a worth key in any form ``int`` reads (" 1", "01", "") by its
+    members' ranks in ``canon``, or its members' frozenset if one has none."""
     members = set()
     for token in key.split(",") if key else ():
         try:
@@ -206,7 +222,7 @@ def _key_rank(key: str, path, bits: dict[str, int]) -> int | frozenset[int]:
             raise ParseError(path, f"worth key {key!r} lists member {member} twice")
         members.add(member)
     try:
-        return sum(bits[str(member)] for member in members)
+        return sum(canon[str(member)] for member in members)
     except KeyError:
         return frozenset(members)
 
@@ -261,7 +277,8 @@ def _dumps(obj, default=None, pad: str = "\n") -> str:
     per value. Types are tested in ``json``'s order, so bool, tuple and
     dict subclasses render as there, and a list of ints only or of strings
     only is joined in one call. ``pad`` is the newline and indent before
-    the closing bracket of ``obj``."""
+    the closing bracket of ``obj``. ``default`` gives any other object a
+    value to encode, or a function of the pad that returns its JSON text."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -292,4 +309,5 @@ def _dumps(obj, default=None, pad: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if default is None:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-    return _dumps(default(obj), default, pad)
+    value = default(obj)
+    return value(pad) if callable(value) else _dumps(value, default, pad)

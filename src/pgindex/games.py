@@ -274,7 +274,7 @@ class _Record:
     repr over them, read through ``getattr``, so that a field may be a
     ``cached_property``; assignment and deletion raise. Its own ``__init__``
     may keep further attributes out of the fields. Instances keep a
-    ``__dict__`` for ``cached_property`` and the listing cache.
+    ``__dict__`` for ``cached_property``, the listings and their JSON text.
     Hand-written, so that startup generates no code (see the README,
     "Module map")."""
 

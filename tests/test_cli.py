@@ -3,20 +3,35 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgindex import algebra, cli, dump_game, make_simple_game, single_mcv_game, zero_game
+from pgindex import algebra, cli, critical, dump_game, make_simple_game, single_mcv_game, zero_game
 from pgindex.algebra import is_mergeable
-from pgindex.cli import AnalysisRequest, _accept, _parse, build_parser, main, run
+from pgindex.cli import (
+    AnalysisRequest,
+    _accept,
+    _json_default,
+    _listing_json,
+    _listing_rows,
+    _parse,
+    build_parser,
+    main,
+    run,
+)
+from pgindex.critical import CoalitionSet, MCVSet
+from pgindex.gamefile import _dumps
 
 from conftest import DATA, GOLDEN, SRC
+from gamegen import random_monotone_jk, random_tu
 
 EXAMPLE = DATA / "example33.json"
 
@@ -612,3 +627,96 @@ class TestAcceptor:
             matrix = list(bytecheck.requests(Path(tmp), dirs))
         assert len(matrix) > 1000
         assert all(_accept(argv) is not None for argv in matrix)
+
+
+def _old_rows(listing) -> list[dict]:
+    """A listing in the dict-per-row form it was encoded from before."""
+    if isinstance(listing, MCVSet):
+        return [{"vector": list(x), "worth": w} for x, w in listing.pairs()]
+    return [{"coalition": sorted(S), "worth": str(w)} for S, w in listing.pairs()]
+
+
+def _nested(value, depth: int):
+    for level in range(depth):
+        value = {"level": level, "inside": [value]}
+    return value
+
+
+def _listings():
+    rng = random.Random(3)
+    yield MCVSet((), ())
+    yield CoalitionSet((), ())
+    yield critical._listing(zero_game(2, 3, 3))
+    yield critical._listing(random_monotone_jk(2, 12, 14, rng))  # j > 10 and k > 10
+    yield critical._listing(random_monotone_jk(3, 3, 4, rng))
+    for family in ("mcc", "rgc"):
+        yield critical._listing(random_tu(4, rng), family)  # Fraction and negative worths
+    yield CoalitionSet(
+        (frozenset({1}), frozenset({2, 10}), frozenset({3, 11, 12})),
+        (Fraction(-1, 3), Fraction(5), Fraction(-1, 3)),  # equal worths, distinct objects
+    )
+
+
+class TestListingEncoders:
+    """The row-template encoders against the dict-per-row form they replace:
+    ``json.dumps(indent=2)`` for the machine format and ``_aligned`` rows
+    for the table format."""
+
+    @pytest.mark.parametrize("depth", (0, 1, 3))
+    @pytest.mark.parametrize("listing", list(_listings()), ids=lambda L: f"{type(L).__name__}-{len(L)}")
+    def test_machine_rows_match_json_dumps(self, listing, depth):
+        old = json.dumps(_nested(_old_rows(listing), depth), indent=2)
+        assert _dumps(_nested(listing, depth), _json_default) == old
+        if depth == 0:
+            assert _listing_json(listing, "\n") == old
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.frozensets(st.integers(1, 12), min_size=1),
+                st.fractions(min_value=-(10 ** 6), max_value=10 ** 6),
+            ),
+            max_size=8,
+        ),
+        depth=st.integers(0, 3),
+    )
+    def test_any_coalition_listing(self, rows, depth):
+        listing = CoalitionSet(tuple(S for S, _ in rows), tuple(w for _, w in rows))
+        old = json.dumps(_nested(_old_rows(listing), depth), indent=2)
+        assert _dumps(_nested(listing, depth), _json_default) == old
+        reference = [("coalition", "worth")]
+        reference += [(cli._coalition_str(S), cli._frac_table(w)) for S, w in listing.pairs()]
+        want = [f"t ({len(rows)})", *cli._aligned(reference)] if rows else ["no t"]
+        assert _listing_rows(listing, "t") == want
+
+    @pytest.mark.parametrize("listing", list(_listings()), ids=lambda L: f"{type(L).__name__}-{len(L)}")
+    def test_table_rows_match_aligned(self, listing):
+        if not len(listing):
+            assert _listing_rows(listing, "t") == ["no t"]
+            return
+        if isinstance(listing, MCVSet):
+            rows = [("vector", "worth")] + [(cli._profile_str(x), str(w)) for x, w in listing.pairs()]
+        else:
+            rows = [("coalition", "worth")]
+            rows += [(cli._coalition_str(S), cli._frac_table(w)) for S, w in listing.pairs()]
+        assert _listing_rows(listing, "t") == [f"t ({len(listing)})", *cli._aligned(rows)]
+
+    def test_analyze_reports_share_one_encoding(self, monkeypatch):
+        game = random_monotone_jk(3, 3, 4, random.Random(5))
+        texts, encode = [], cli._listing_json
+
+        def spy(listing, pad):
+            texts.append(encode(listing, pad))
+            return texts[-1]
+
+        monkeypatch.setattr(cli, "_listing_json", spy)
+        request = AnalysisRequest("analyze", ("g.json",), format="machine")
+        text, error = cli._cmd_analyze([game], request)
+        listing = critical._listing(game)
+        assert error is None and len(texts) == 3
+        assert texts[0] is texts[1] is texts[2]  # encoded once, then reused
+        assert list(listing.__dict__["_json"]) == ["\n      "]
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert [r["listing"] for r in doc["reports"]] == [_old_rows(listing)] * 3

@@ -1,6 +1,8 @@
+import contextlib
 import json
 from fractions import Fraction
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,11 +21,13 @@ from pgindex import (
     make_tu_game,
     rational_str,
 )
+from pgindex import gamefile
 from pgindex.cli import _json_default
+from pgindex.errors import NonZeroEmptyCoalition
 from pgindex.gamefile import _dumps, parse_rational
 from pgindex.games import _check_exponent
 
-from gamegen import random_monotone_jk, random_monotone_tu
+from gamegen import random_monotone_jk, random_monotone_tu, random_tu
 import random
 
 
@@ -176,6 +180,131 @@ class TestTUFiles:
         with pytest.raises(ParseError) as info:
             loads_game(f'{{"kind": "tu", "n": 2, "worth": {worth}}}', path="t.json")
         assert str(info.value) == f"t.json: {message}"
+
+
+@contextlib.contextmanager
+def _bulk_taken():
+    """Record whether each TU load took the canonical-key route."""
+    taken, read = [], gamefile._read_canonical
+
+    def spy(*args):
+        taken.append(read(*args))
+        return taken[-1]
+
+    with mock.patch.object(gamefile, "_read_canonical", spy):
+        yield taken
+
+
+def _outcome(text):
+    try:
+        game = loads_game(text, path="t.json")
+    except GameError as exc:
+        return type(exc), str(exc)
+    return game, game.numerators, game.denominator
+
+
+def _both_routes(text):
+    """The outcome of loading ``text`` as it is, and with the canonical-key
+    route switched off, so that every key goes through the ordered route."""
+    bulk = _outcome(text)
+    with mock.patch.object(gamefile, "_read_canonical", lambda *args: False):
+        return bulk, _outcome(text)
+
+
+def _awkward_key(key: str, rng) -> str:
+    """The same coalition in a form only the ordered route reads: members
+    out of order, blanks around them, or leading zeros."""
+    members = key.split(",")
+    rng.shuffle(members)
+    form = rng.choice(("plain", "pad", "zero"))
+    if form == "pad":
+        members = [f" {m}" if rng.random() < 0.5 else f"{m} " for m in members]
+    elif form == "zero":
+        members = ["0" + m for m in members]
+    return ",".join(members)
+
+
+def _bad_worth(key: str, value) -> str:
+    return f't.json: worth of {key!r} must be an integer or a "p/q" string, got {value!r}'
+
+
+class TestCanonicalKeyRoute:
+    """``gamefile._read_canonical`` reads a full table of canonical keys in
+    bulk; every other file takes the ordered route, and both must agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 6), seed=st.integers(0, 10 ** 6), monotone=st.booleans())
+    def test_awkward_keys_load_the_same_game(self, n, seed, monotone):
+        rng = random.Random(seed)
+        game = (random_monotone_tu if monotone else random_tu)(n, rng)
+        doc = json.loads(dumps_game(game))
+        awkward = [(_awkward_key(k, rng) if k else k, v) for k, v in doc["worth"].items()]
+        rng.shuffle(awkward)
+        with _bulk_taken() as taken:
+            assert loads_game(json.dumps(doc)) == game
+            doc["worth"] = dict(awkward)
+            loaded = loads_game(json.dumps(doc))
+        assert loaded == game
+        assert (loaded.numerators, loaded.denominator) == (game.numerators, game.denominator)
+        canonical = all(k == gamefile.coalition_key(map(int, k.split(","))) for k, _ in awkward if k)
+        assert taken == [True, canonical]
+
+    @pytest.mark.parametrize(
+        "worth, want",
+        [
+            ({"": 0, "1": "1/2"}, Fraction(1, 2)),
+            ({"1": "1/2", "": "0/3"}, Fraction(1, 2)),
+            ({"": "5", "1": "1"}, "empty coalition has worth 5, must be 0"),
+            ({"1": "1", "": "-1/2"}, "empty coalition has worth -1/2, must be 0"),
+        ],
+    )
+    def test_explicit_empty_key_overrides_the_implied_zero(self, worth, want):
+        text = json.dumps({"kind": "tu", "n": 1, "worth": worth})
+        with _bulk_taken() as taken:
+            bulk, ordered = _both_routes(text)
+        assert taken == [True] and bulk == ordered
+        if isinstance(want, str):
+            assert bulk == (NonZeroEmptyCoalition, want)
+        else:
+            assert bulk[0].worth({1}) == want
+
+    @pytest.mark.parametrize(
+        "worth",
+        [
+            {"1": True, "2": 1, "1,2": 1},
+            {"1": 1, "2": True, "1,2": 1},
+            {"1": 1, "2": 1, "1,2": False},
+            {"": True, "1": 1, "2": 1, "1,2": 1},
+        ],
+    )
+    def test_true_is_not_one(self, worth):
+        # a memo keyed by value alone would read true as the 1 beside it
+        text = json.dumps({"kind": "tu", "n": 2, "worth": worth})
+        with _bulk_taken() as taken:
+            bulk, ordered = _both_routes(text)
+        assert taken == [False] and bulk == ordered
+        key, value = next((k, v) for k, v in worth.items() if type(v) is bool)
+        assert bulk == (ParseError, _bad_worth(key, value))
+        ones = json.dumps({"kind": "tu", "n": 2, "worth": {k: 1 for k in worth if k}})
+        assert loads_game(ones).worth({1, 2}) == 1
+
+    @pytest.mark.parametrize(
+        "worth, message",
+        [
+            ({"1": [1], "2": 1, "1,2": 1}, _bad_worth("1", [1])),
+            ({"1": 1, "2": {"a": 1}, "1,2": 1}, _bad_worth("2", {"a": 1})),
+            ({"1": 1, "2": 1, "1,2": []}, _bad_worth("1,2", [])),
+            ({"1": "1", "x": "1", "2": "a", "1,2": 1},
+             "t.json: worth key 'x' is not a comma-separated member list"),
+            ({"1": "1", "2, 1": "1", "2": "a", "1,2": 1}, "t.json: worth of '2' is not a rational: 'a'"),
+            ({"1": "1", "2": "a", "x": "1", "1,2": 1}, "t.json: worth of '2' is not a rational: 'a'"),
+            ({"1": "1/0", "2": "1/0", "1,2": 1}, "t.json: worth of '1' is not a rational: '1/0'"),
+        ],
+    )
+    def test_first_failure_wins(self, worth, message):
+        text = json.dumps({"kind": "tu", "n": 2, "worth": worth})
+        bulk, ordered = _both_routes(text)
+        assert bulk == ordered == (ParseError, message)
 
 
 class TestErrors:

@@ -7,6 +7,9 @@ it must agree with on every table, monotone or not.
 ``games._up_closure`` must agree with the running maximum along each
 axis, also kept here as the reference, on every 0/1 table, and
 ``critical._coalitions`` with ``coalition_from_index`` on every rank.
+The real gaining route of ``_predecessor_ranks`` (its down-max on lanes)
+must agree with ``critical._real_gaining``, the literal all-subsets scan
+that stays in the package as the TU oracle.
 """
 
 import random
@@ -26,8 +29,15 @@ from pgindex import (
     single_mcv_game,
     simple_game_from_generators,
 )
-from pgindex.critical import _coalitions, _predecessor_scan
+from pgindex.critical import (
+    _coalitions,
+    _down_max,
+    _predecessor_ranks,
+    _predecessor_scan,
+    _real_gaining,
+)
 from pgindex.games import (
+    _axis_lanes,
     _axis_steps,
     _up_closure,
     all_coalitions,
@@ -35,7 +45,7 @@ from pgindex.games import (
     coalition_from_index,
 )
 
-from gamegen import random_monotone_jk
+from gamegen import random_monotone_jk, random_monotone_tu, random_tu
 
 
 def _entry_scan(n: int, j: int, table) -> list:
@@ -235,3 +245,88 @@ class TestUpClosure:
         game = simple_game_from_generators(n, generators)
         winning = {S for S in coalitions if any(G <= S for G in generators)}
         assert game.winning == winning
+
+
+def _down_max_ranks(n: int, table, width: int) -> list[int]:
+    """The down-max of ``table`` on lanes of ``width`` bytes, unpacked: each
+    coalition's rank of the largest entry at or below it."""
+    ranks = {v: r for r, v in enumerate(sorted(set(table)))}
+    bits, size = 8 * width, len(table)
+    packed = int.from_bytes(b"".join(ranks[v].to_bytes(width, "little") for v in table), "little")
+    guard = int.from_bytes(((1 << (bits - 1)).to_bytes(width, "little")) * size, "little")
+    down = _down_max(packed, guard, bits, _axis_lanes(n, 2, size, width))
+    lanes = down.to_bytes(size * width, "little")
+    return [int.from_bytes(lanes[r * width : (r + 1) * width], "little") for r in range(size)]
+
+
+def _additive(n: int, rng) -> list[int]:
+    """A monotone 0/1 table with 2^n distinct entries: sums of distinct
+    powers of two per player, shuffled among the players."""
+    weights = [1 << p for p in range(n)]
+    rng.shuffle(weights)
+    return [sum(w for p, w in enumerate(weights) if r >> (n - 1 - p) & 1) for r in range(1 << n)]
+
+
+class TestGainingLanes:
+    """``_predecessor_ranks(n, 2, table, gaining=True)`` against the literal
+    scan, on any table: monotone or not, negative entries, every lane width."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 7),
+        kind=st.sampled_from(("arbitrary", "monotone", "origin_above_min")),
+        k=st.integers(2, 9),
+        spread=st.sampled_from(sorted(SPREADS)),
+        seed=st.integers(0, 10 ** 6),
+    )
+    def test_matches_literal_scan(self, n, kind, k, spread, seed):
+        table = [SPREADS[spread](v) for v in _table(n, 2, k, kind, random.Random(seed))]
+        assert _predecessor_ranks(n, 2, table, True) == _real_gaining(n, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 7), seed=st.integers(0, 10 ** 6), monotone=st.booleans())
+    def test_tu_games_negative_worths(self, n, seed, monotone):
+        # random_tu draws worths in -1..2, so most non-monotone games have negatives
+        game = (random_monotone_tu if monotone else random_tu)(n, random.Random(seed))
+        table = game.numerators
+        assert _predecessor_ranks(n, 2, table, True) == _real_gaining(n, table)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=kinds, spread=st.sampled_from(sorted(SPREADS)), seed=st.integers(0, 10 ** 6))
+    def test_two_byte_lanes(self, kind, spread, seed):
+        # 256 distinct entries: ranks beyond 127 need 2-byte lanes
+        table = [SPREADS[spread](v) for v in _distinct_table(8, 2, kind, random.Random(seed))]
+        assert 128 < len(set(table)) <= 2 ** 15
+        assert _predecessor_ranks(8, 2, table, True) == _real_gaining(8, table)
+
+    @pytest.mark.parametrize("kind", ("arbitrary", "monotone"))
+    def test_four_byte_lanes(self, kind):
+        # 2^16 distinct entries, more ranks than a 2-byte lane's 2^15 keys; on
+        # the monotone table every coalition gains, the literal scan's worst case
+        rng = random.Random(kind)
+        table = _additive(16, rng) if kind == "monotone" else _distinct_table(16, 2, kind, rng)
+        assert len(set(table)) == 2 ** 16
+        found = _predecessor_ranks(16, 2, table, True)
+        assert found == _real_gaining(16, table)
+        assert (len(found) == (1 << 16) - 1) == (kind == "monotone")
+
+    @pytest.mark.parametrize("table", ([0], [5], [-3], [0, 1], [0, 0], [0, -1], [3, -1], [-2, 7]))
+    def test_no_players_and_one(self, table):
+        n = len(table).bit_length() - 1
+        assert _predecessor_ranks(n, 2, table, True) == _real_gaining(n, table)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(0, 6),
+        seed=st.integers(0, 10 ** 6),
+        monotone=st.booleans(),
+        width=st.sampled_from((1, 2, 4)),
+    )
+    def test_down_max_is_the_table_exactly_when_monotone(self, n, seed, monotone, width):
+        game = (random_monotone_tu if monotone else random_tu)(n, random.Random(seed))
+        table = game.numerators
+        ranks = sorted(set(table))
+        keys = [ranks.index(v) for v in table]
+        down = _down_max_ranks(n, table, width)
+        assert down == _axis_max(list(keys), n, 2)  # the running-maximum reference
+        assert (down == keys) == game.monotone
