@@ -27,8 +27,8 @@ from .games import (
     JKGame,
     Profile,
     _Record,
-    _axis_steps,
     _check_players,
+    _rank_lanes,
     _subgame_jk,
     _trusted,
     check_cap,
@@ -142,24 +142,26 @@ def permute(v: JKGame, pi: Sequence[int]) -> JKGame:
 def is_null_player(v: JKGame, i: int) -> bool:
     """Whether the output never depends on player i's level."""
     _check_players((i,), v.n)
-    stride = v.j ** (v.n - i)
-    return all(
-        v.levels[lower] == v.levels[upper]
-        for s, lower, upper in _axis_steps(v.n, v.j, len(v.levels))
-        if s == stride
-    )
+    return i in _null_players(v)
+
+
+def _null_players(v: JKGame) -> list[int]:
+    """The players along whose axis each lane of the table's one lane view
+    equals its predecessor, so that raising their level changes nothing."""
+    packed, _, _, lanes = _rank_lanes(v.n, v.j, v.levels)
+    return [i for i, (s, mask) in enumerate(lanes, 1) if (packed << s) & mask == packed & mask]
 
 
 def single_mcv_game(x: Sequence[int], worth: int, j: int, k: int) -> JKGame:
     """The smallest monotone game whose only minimal critical vector is x,
     at the given worth: everything at or above x maps there, the rest to 0."""
     x = tuple(x)
+    if any(not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < j for a in x):
+        raise LevelOutOfRange(f"profile {x} has entries that are not levels 0..{j - 1}")
     if not any(x):
         raise ValidationError("the zero profile cannot be a minimal critical vector")
-    if any(not 0 <= a < j for a in x):
-        raise LevelOutOfRange(f"profile {x} has entries outside 0..{j - 1}")
-    if not 1 <= worth <= k - 1:
-        raise LevelOutOfRange(f"worth {worth} outside 1..{k - 1}")
+    if not isinstance(worth, int) or isinstance(worth, bool) or not 1 <= worth <= k - 1:
+        raise LevelOutOfRange(f"worth {worth!r} is not a level 1..{k - 1}")
     check_cap(len(x), j, DEFAULT_CAP, "table would need {} entries")
     # the up-set of x, last axis first: below x's level a block is all 0
     levels = [worth]
@@ -198,7 +200,7 @@ def axiom_report(v: JKGame, w: JKGame | None = None) -> AxiomReport:
 
 
 def _axiom_null(v: JKGame, norm_v) -> AxiomResult:
-    nulls = [i for i in v.players() if is_null_player(v, i)]
+    nulls = _null_players(v)
     if not nulls:
         return AxiomResult("A1", "vacuous", "no null players")
     bad = tuple(

@@ -11,7 +11,6 @@ lowered; the full down-set scan survives as a brute-force oracle.
 from __future__ import annotations
 
 import itertools
-import re
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -30,8 +29,9 @@ from .games import (
     SimpleGame,
     TUGame,
     _Record,
-    _axis_lanes,
     _check_players,
+    _flagged,
+    _rank_lanes,
     all_coalitions,
     all_profiles,
     decrement,
@@ -53,8 +53,10 @@ class MCVSet(_Record):
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Profile, int]]) -> "MCVSet":
-        ordered = sorted(pairs)
+        ordered = sorted((tuple(x), w) for x, w in pairs)
         vectors = tuple(x for x, _ in ordered)
+        if len(set(map(len, vectors))) > 1:
+            raise ValidationError("minimal critical vectors of different lengths")
         if len(set(vectors)) != len(vectors):
             raise ValidationError("duplicate minimal critical vector")
         for a, (x, wx) in enumerate(ordered):
@@ -209,27 +211,18 @@ def _predecessor_ranks(n: int, j: int, table, gaining: bool = False) -> list[int
     ``gaining`` (j = 2), each predecessor's down-max instead, which leaves
     the real gaining coalitions.
 
-    Only order counts, so each entry gives way to its rank among the
-    distinct entries: a key in a b-bit lane of one int, b = 8, 16 or 32 the
-    narrowest with every key below 2^(b-1). Biased to key + 2^(b-1) - 1, a
-    lane takes a predecessor (at most 2^(b-1) - 1) off without a borrow and
-    keeps its top bit exactly where the key is larger. Where x_p = 0 the
+    On the lane view (:func:`games._rank_lanes`), a b-bit lane biased to
+    key + 2^(b-1) - 1 takes a predecessor off without a borrow and keeps
+    its top bit exactly where the key is larger. Where x_p = 0 the
     predecessor is 0, which only key 0, the minimum, fails to beat."""
-    distinct = sorted(set(table))
-    width = next(w for w in (1, 2, 4) if len(distinct) <= 1 << (8 * w - 1))
-    lane = {v: r.to_bytes(width, "little") for r, v in enumerate(distinct)}
-    size, bits = len(table), 8 * width
-    packed = int.from_bytes(b"".join(map(lane.__getitem__, table)), "little")
-    lanes = _axis_lanes(n, j, size, width)
-    ones = int.from_bytes((1).to_bytes(width, "little") * size, "little")
-    guard = ones << (bits - 1)
+    packed, width, guard, lanes = _rank_lanes(n, j, table)
+    bits = 8 * width
     below = _down_max(packed, guard, bits, lanes) if gaining else packed
-    biased = (packed | guard) - ones
+    biased = (packed | guard) - (guard >> (bits - 1))
     hits = guard ^ (1 << (bits - 1))  # the origin has no predecessor to beat
     for shift, mask in lanes:
         hits &= biased - ((below << shift) & mask)
-    flags = (hits >> (bits - 1)).to_bytes(size * width, "little")
-    return [m.start() // width for m in re.finditer(b"\x01", flags)]
+    return _flagged(hits, width)
 
 
 def _down_max(packed: int, guard: int, bits: int, lanes) -> int:

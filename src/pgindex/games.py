@@ -28,7 +28,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import floordiv, gt, mul
+from operator import floordiv, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -94,13 +94,6 @@ def decrement(x: Profile, i: int) -> Profile:
     return x[: i - 1] + (x[i - 1] - 1,) + x[i:]
 
 
-def increment(x: Profile, i: int, j: int) -> Profile:
-    """The profile x with player i (1-based) raised one level."""
-    if x[i - 1] >= j - 1:
-        raise LevelOutOfRange(f"player {i} is already at the top level in {x}")
-    return x[: i - 1] + (x[i - 1] + 1,) + x[i:]
-
-
 def all_coalitions(n: int) -> Iterator[Coalition]:
     """Every coalition, ordered like the 0/1 profiles they correspond to."""
     for bits in itertools.product((0, 1), repeat=n):
@@ -114,12 +107,6 @@ def coalition_index(coalition: Iterable[int], n: int) -> int:
 
 def coalition_from_index(idx: int, n: int) -> Coalition:
     return frozenset(i for i in range(1, n + 1) if idx >> (n - i) & 1)
-
-
-def profile_of_coalition(coalition: Iterable[int], n: int) -> Profile:
-    """Indicator profile x^S: level 1 exactly for the members of S."""
-    members = frozenset(coalition)
-    return tuple(1 if i in members else 0 for i in range(1, n + 1))
 
 
 def coalition_of_profile(x: Profile) -> Coalition:
@@ -140,22 +127,6 @@ def check_cap(n: int, base: int, cap: int, message: str) -> int:
     if size > cap:
         raise CapExceeded(f"{message.format(size)}, cap is {cap}")
     return size
-
-
-def _axis_steps(n: int, j: int, size: int) -> Iterator[tuple[int, slice, slice]]:
-    """``(stride, lower, upper)`` slices pairing every rank with the rank one
-    level up along each axis, lower levels first: one slice per offset in a
-    block across all blocks, or one per level step in each block, if fewer."""
-    for p in range(n):
-        s = j ** (n - 1 - p)
-        block = s * j
-        if s <= size // block:
-            for lo in range(s, block):
-                yield s, slice(lo - s, None, block), slice(lo, None, block)
-        else:
-            for start in range(0, size, block):
-                for lo in range(start + s, start + block, s):
-                    yield s, slice(lo - s, lo), slice(lo, lo + s)
 
 
 def _axis_lanes(n: int, j: int, size: int, width: int) -> list[tuple[int, int]]:
@@ -183,15 +154,38 @@ def _up_closure(n: int, j: int, marks: bytes) -> bytes:
     return up.to_bytes(len(marks), "little")
 
 
+def _rank_lanes(n: int, j: int, table: Sequence) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """The lane view of an integer table, ``(packed, width, guard, lanes)``:
+    each entry's rank among the distinct entries in a lane of ``width``
+    bytes per table rank, 1, 2 or 4, the narrowest that keeps every rank
+    below the lane's top bit; those top bits; and :func:`_axis_lanes` of
+    that width. A compare needs only order, which the ranks keep."""
+    distinct = sorted(set(table))
+    width = next(w for w in (1, 2, 4) if len(distinct) <= 1 << (8 * w - 1))
+    lane = {v: r.to_bytes(width, "little") for r, v in enumerate(distinct)}
+    packed = int.from_bytes(b"".join(map(lane.__getitem__, table)), "little")
+    guard = int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * len(table), "little")
+    return packed, width, guard, _axis_lanes(n, j, len(table), width)
+
+
+def _flagged(flags: int, width: int) -> list[int]:
+    """Ranks in table order of the lanes of ``width`` bytes whose top bit
+    is set in ``flags``, which sets no other bit."""
+    ones = flags >> (8 * width - 1)  # a flagged lane reads 1, so its first byte is 1
+    found = re.finditer(b"\x01", ones.to_bytes((ones.bit_length() + 7) // 8, "little"))
+    return [m.start() // width for m in found]
+
+
 def _descents(n: int, j: int, table: Sequence) -> Iterator[tuple[int, int]]:
-    """``(rank, stride)`` wherever raising one coordinate lowers the entry:
-    ``table[rank] > table[rank + stride]``, axis by axis."""
-    for s, lower, upper in _axis_steps(n, j, len(table)):
-        below, above = table[lower], table[upper]
-        if any(map(gt, below, above)):
-            for rank, a, b in zip(range(len(table))[lower], below, above):
-                if a > b:
-                    yield rank, s
+    """``(rank, stride)`` wherever raising one coordinate lowers the entry,
+    ``table[rank] > table[rank + stride]``, axis by axis: ``(packed | guard)
+    - pred`` takes each lane's predecessor (0 where there is none) off and
+    clears the lane's top bit exactly where the entry drops."""
+    packed, width, guard, lanes = _rank_lanes(n, j, table)
+    for shift, mask in lanes:
+        s = shift // (8 * width)
+        for rank in _flagged(guard & ~((packed | guard) - ((packed << shift) & mask)), width):
+            yield rank - s, s
 
 
 def _check_length(table: tuple, size: int, what: str = "table") -> None:
@@ -531,18 +525,16 @@ def _check_levels(n: int, j: int, k: int, levels: Sequence) -> None:
 
 
 def _check_holes(n: int, levels: Sequence) -> None:
-    """:func:`_check_entries` on a 0/1 coalition table, and every superset
-    of a winning coalition wins."""
-    _check_entries(n, 2, 2, levels)
-    holes = [
-        (coalition_from_index(rank, n), coalition_from_index(rank + s, n))
-        for rank, s in _descents(n, 2, levels)
-    ]
-    if holes:
+    """:func:`_check_levels` on a 0/1 coalition table, so every superset of
+    a winning coalition wins; a descent is a hole, named by its coalitions."""
+    try:
+        _check_levels(n, 2, 2, levels)
+    except MonotonicityViolation as exc:
+        holes = [tuple(map(coalition_of_profile, pair)) for pair in exc.witnesses]
         raise MonotonicityViolation(
             f"winning set is not closed under supersets ({len(holes)} holes)",
             witnesses=holes,
-        )
+        ) from None
 
 
 def make_table_game(
@@ -683,10 +675,12 @@ def _rank_filled(n: int, nums: dict[int, int], dens: dict[int, int]) -> TUGame:
 
 
 def _lowest_terms(n: int, nums: list[int], d: int, labels: tuple[int, ...]) -> TUGame:
-    """The TU game of the worths ``nums[rank] / d``, each reduced, through
-    the worths' own checks in ``TUGame._fill``; the table has 2^n entries."""
-    gcds = [*map(math.gcd, nums, itertools.repeat(d))]
-    return _trusted(TUGame, n, [*map(floordiv, nums, gcds)], [d // g for g in gcds], labels)
+    """The TU game of the worths ``nums[rank] / d``, through the worths' own
+    checks in ``TUGame._fill``; the table has 2^n entries. Their reduced
+    denominators' lcm is d / g for g = gcd(d, nums), so one gcd reduces all."""
+    g = math.gcd(d, *nums)
+    reduced = [*map(floordiv, nums, itertools.repeat(g))]
+    return _trusted(TUGame, n, reduced, (d // g,) * len(nums), labels)
 
 
 # ---------------------------------------------------------------------------

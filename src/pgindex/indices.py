@@ -32,7 +32,6 @@ from .games import (
     SimpleGame,
     TUGame,
     _Record,
-    _axis_steps,
     _check_players,
     _over_digit_limit,
     check_cap,
@@ -177,13 +176,20 @@ def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
     for x, w in minimal_critical_vectors(game).pairs():
         support = [level > 0 for level in x]
         lam[profile_index(support, 2)] += w * sum(support)
-    for _, lower, upper in _axis_steps(game.n, 2, size):
-        lam[upper] = list(map(add, lam[upper], lam[lower]))
+    lam = _subset_sums(lam, game.n)
     memo = [0] * size
     for rank in range(1, size):
         below = sum(memo[rank ^ 1 << p] for p in range(game.n) if rank >> p & 1)
         memo[rank] = math.factorial(rank.bit_count() - 1) * lam[rank] + below
     return Fraction(memo[-1], math.factorial(game.n))
+
+
+def _subset_sums(table: list[int], n: int) -> list[int]:
+    """Each coalition's sum of the entries of its subsets, in rank order:
+    each pass sums along the last axis and moves it to the front."""
+    for _ in range(n):
+        table = [*table[::2], *map(add, table[::2], table[1::2])]
+    return table
 
 
 def variant_value(game: JKGame) -> IndexReport:

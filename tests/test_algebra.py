@@ -70,6 +70,17 @@ class TestSingleMCVGames:
         with pytest.raises(CapExceeded):
             single_mcv_game((1,) * 60, 1, 2, 2)
 
+    @pytest.mark.parametrize("x", [(1, True), (1, 1.0), (True, 0), (0, 0.0), (1, "1")])
+    def test_profile_entries_are_int_levels(self, x):
+        # a bool passes 0 <= a < j, and would put True into a valid-by-type table
+        with pytest.raises(LevelOutOfRange):
+            single_mcv_game(x, 1, 2, 2)
+
+    @pytest.mark.parametrize("worth", [True, 1.0, "1", None])
+    def test_worth_is_an_int_level(self, worth):
+        with pytest.raises(LevelOutOfRange):
+            single_mcv_game((1, 1), worth, 2, 2)
+
 
 class TestMergeability:
     def test_worked_pair(self):

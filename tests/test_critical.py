@@ -39,7 +39,6 @@ from pgindex.games import (
     all_coalitions,
     all_profiles,
     evaluate,
-    increment,
     profile_index,
     subgame,
 )
@@ -57,6 +56,18 @@ class TestMCVSet:
     def test_duplicate_rejected(self):
         with pytest.raises(ValidationError):
             MCVSet.from_pairs([((1, 0), 1), ((1, 0), 1)])
+
+    def test_list_profiles_are_tuples(self):
+        mcv = MCVSet.from_pairs([([1, 0], 1), ([0, 1], 1)])
+        assert mcv.vectors == ((0, 1), (1, 0))
+        assert mcv == MCVSet.from_pairs([((1, 0), 1), ((0, 1), 1)])
+        assert [1, 0] in mcv and mcv.worth_of([0, 1]) == 1
+        with pytest.raises(ValidationError):
+            MCVSet.from_pairs([([1, 0], 1), ((1, 0), 1)])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValidationError):
+            MCVSet.from_pairs([((1, 0), 1), ((0, 1, 1), 1)])
 
     def test_comparable_pairs_need_increasing_worth(self):
         with pytest.raises(ValidationError):
@@ -129,7 +140,7 @@ def _premise_fails(n, j, levels) -> bool:
     if levels[0] != 0:
         return True
     return any(
-        levels[profile_index(increment(x, p + 1, j), j)] < levels[profile_index(x, j)]
+        levels[profile_index(x[:p] + (x[p] + 1,) + x[p + 1 :], j)] < levels[profile_index(x, j)]
         for x in all_profiles(n, j)
         for p in range(n)
         if x[p] < j - 1

@@ -50,12 +50,11 @@ from pgindex import games
 from pgindex.games import (
     all_coalitions,
     all_profiles,
+    coalition_index,
     coalition_of_profile,
     decrement,
-    increment,
     index_profile,
     profile_index,
-    profile_of_coalition,
 )
 
 from gamegen import random_monotone_jk, random_tu
@@ -72,22 +71,20 @@ class TestProfileArithmetic:
         assert profile_index((1, 0, 0), 3) == 9
         assert profile_index((0, 0, 1), 3) == 1
 
-    def test_decrement_and_increment(self):
+    def test_decrement(self):
         assert decrement((2, 1, 0), 1) == (1, 1, 0)
-        assert increment((2, 1, 0), 2, j=3) == (2, 2, 0)
+        assert decrement((2, 1, 0), 2) == (2, 0, 0)
         with pytest.raises(LevelOutOfRange):
             decrement((0, 1), 1)
-        with pytest.raises(LevelOutOfRange):
-            increment((2, 1), 1, j=3)
 
     def test_coalition_profile_correspondence(self):
-        S = frozenset({1, 3})
-        x = profile_of_coalition(S, 3)
-        assert x == (1, 0, 1)
-        assert coalition_of_profile(x) == S
-        # coalition rank equals profile rank at j=2
+        assert coalition_of_profile((1, 0, 1)) == frozenset({1, 3})
+        assert coalition_of_profile((2, 0, 1)) == frozenset({1, 3})
+        # coalition rank equals the rank of its 0/1 profile at j=2
         for n in (1, 2, 3, 4):
-            ranks = [profile_index(profile_of_coalition(S, n), 2) for S in all_coalitions(n)]
+            for x in all_profiles(n, 2):
+                assert coalition_index(coalition_of_profile(x), n) == profile_index(x, 2)
+            ranks = [coalition_index(S, n) for S in all_coalitions(n)]
             assert ranks == list(range(2**n))
 
 
@@ -457,6 +454,21 @@ class TestTUIntegerTables:
         jk = random_monotone_jk(n, 2, rng.randrange(2, 5), rng)
         self._assert_canonical(embed_2k_as_tu(jk))
         self._assert_canonical(average_game(random_monotone_jk(n, rng.randrange(2, 4), 3, rng)).tu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 4),
+        shared=st.integers(1, 10**40),
+        d=st.integers(1, 10**40),
+        data=st.data(),
+    )
+    def test_one_gcd_reduces_every_worth(self, n, shared, d, data):
+        # a factor shared by d and every numerator, negative and 40-digit numerators
+        rest = st.lists(st.integers(-(10**40), 10**40), min_size=2**n - 1, max_size=2**n - 1)
+        nums = [0, *(shared * x for x in data.draw(rest))]
+        tu = games._lowest_terms(n, nums, shared * d, tuple(range(1, n + 1)))
+        self._assert_canonical(tu)
+        assert tu == TUGame(n, [Fraction(x, shared * d) for x in nums])
 
     def test_subgame_denominator_shrinks_with_its_worths(self):
         tu = make_tu_game(2, {(): 0, (1,): "1/2", (2,): 1, (1, 2): "5/3"})

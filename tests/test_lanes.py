@@ -9,7 +9,11 @@ axis, also kept here as the reference, on every 0/1 table, and
 ``critical._coalitions`` with ``coalition_from_index`` on every rank.
 The real gaining route of ``_predecessor_ranks`` (its down-max on lanes)
 must agree with ``critical._real_gaining``, the literal all-subsets scan
-that stays in the package as the TU oracle.
+that stays in the package as the TU oracle. ``games._descents``, the
+monotone and hole checks on the same lane view, must agree with
+``_entry_descents``, the entry-by-entry compare kept here, and so must
+``algebra._null_players`` with the entry compare along each axis and
+``indices._subset_sums`` with the sum over each coalition's subsets.
 """
 
 import random
@@ -19,6 +23,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pgindex import (
+    SimpleGame,
     make_simple_game,
     make_table_game,
     make_tu_game,
@@ -29,6 +34,7 @@ from pgindex import (
     single_mcv_game,
     simple_game_from_generators,
 )
+from pgindex.algebra import _null_players
 from pgindex.critical import (
     _coalitions,
     _down_max,
@@ -36,14 +42,19 @@ from pgindex.critical import (
     _predecessor_scan,
     _real_gaining,
 )
+from pgindex.errors import MonotonicityViolation
 from pgindex.games import (
     _axis_lanes,
-    _axis_steps,
+    _descents,
+    _rank_lanes,
     _up_closure,
     all_coalitions,
     all_profiles,
     coalition_from_index,
+    index_profile,
+    profile_index,
 )
+from pgindex.indices import _subset_sums
 
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
 
@@ -67,11 +78,26 @@ def _entry_scan(n: int, j: int, table) -> list:
 
 
 def _axis_max(table: list, n: int, j: int) -> list:
-    """Running maximum along each axis in place: each entry becomes the
-    maximum at or below it, the reference closure."""
-    for _, lower, upper in _axis_steps(n, j, len(table)):
-        table[upper] = [p if p > q else q for p, q in zip(table[upper], table[lower])]
+    """Running maximum along each axis in place, entry by entry: each entry
+    becomes the maximum at or below it, the reference closure."""
+    for p in range(n):
+        stride = j ** (n - 1 - p)
+        for rank, x in enumerate(all_profiles(n, j)):
+            if x[p]:
+                table[rank] = max(table[rank], table[rank - stride])
     return table
+
+
+def _entry_descents(n: int, j: int, table) -> list:
+    """``(rank, stride)`` wherever raising one coordinate lowers the entry,
+    entry by entry, the reference: axis by axis, each in rank order."""
+    found = []
+    for p in range(n):
+        stride = j ** (n - 1 - p)
+        for rank, x in enumerate(all_profiles(n, j)):
+            if x[p] < j - 1 and table[rank] > table[rank + stride]:
+                found.append((rank, stride))
+    return found
 
 
 def _table(n, j, k, kind, rng):
@@ -330,3 +356,120 @@ class TestGainingLanes:
         down = _down_max_ranks(n, table, width)
         assert down == _axis_max(list(keys), n, 2)  # the running-maximum reference
         assert (down == keys) == game.monotone
+
+
+class TestDescents:
+    """``games._descents``, one guard-bit compare per axis on the lane view,
+    against the entry-by-entry reference ``_entry_descents``, on any integer
+    table: monotone or not, the origin above the minimum, negative entries
+    and entries beyond 2^64, and every lane width."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=shapes,
+        kind=kinds,
+        spread=st.sampled_from(sorted(SPREADS)),
+        seed=st.integers(0, 10 ** 6),
+    )
+    def test_matches_entry_descents(self, shape, kind, spread, seed):
+        n, j, k = shape
+        table = [SPREADS[spread](v) for v in _table(n, j, k, kind, random.Random(seed))]
+        found = list(_descents(n, j, table))
+        assert found == _entry_descents(n, j, table)
+        if kind == "monotone":
+            assert found == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(((8, 2), (5, 3), (4, 4))),
+        kind=kinds,
+        spread=st.sampled_from(sorted(SPREADS)),
+        seed=st.integers(0, 10 ** 6),
+    )
+    def test_two_byte_lanes(self, shape, kind, spread, seed):
+        n, j = shape
+        table = [SPREADS[spread](v) for v in _distinct_table(n, j, kind, random.Random(seed))]
+        assert _rank_lanes(n, j, table)[1] == 2
+        assert list(_descents(n, j, table)) == _entry_descents(n, j, table)
+
+    @pytest.mark.parametrize("kind", ("arbitrary", "monotone"))
+    def test_four_byte_lanes(self, kind):
+        table = _distinct_table(16, 2, kind, random.Random(kind))
+        assert _rank_lanes(16, 2, table)[1] == 4
+        found = list(_descents(16, 2, table))
+        assert found == _entry_descents(16, 2, table)
+        assert (found == []) == (kind == "monotone")
+
+    @pytest.mark.parametrize(
+        "table",
+        ([0], [5], [-3], [2 ** 70], [0, 1], [1, 0], [0, 0], [3, -1], [-2, 7], [2 ** 70, 0]),
+    )
+    def test_no_players_and_one(self, table):
+        n = len(table).bit_length() - 1
+        assert list(_descents(n, 2, table)) == _entry_descents(n, 2, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 7), seed=st.integers(0, 10 ** 6), monotone=st.booleans())
+    def test_tu_numerators(self, n, seed, monotone):
+        game = (random_monotone_tu if monotone else random_tu)(n, random.Random(seed))
+        table = game.numerators
+        assert list(_descents(n, 2, table)) == _entry_descents(n, 2, table)
+        assert game.monotone == (not _entry_descents(n, 2, table))
+
+    def test_hole_witnesses_by_rank_then_larger_stride(self):
+        # {2}, {1, 3} and {1, 2} win, every other coalition loses: the hole at
+        # {1, 3} is on the second axis and the one at {2} on the third, but
+        # {2} has the lower rank and comes first
+        levels = (0, 0, 1, 0, 0, 1, 1, 0)
+        assert list(_descents(3, 2, levels)) == [(5, 2), (2, 1), (6, 1)]
+        with pytest.raises(MonotonicityViolation) as info:
+            SimpleGame(3, levels)
+        assert str(info.value) == "winning set is not closed under supersets (3 holes)"
+        assert list(info.value.witnesses) == [
+            ({2}, {2, 3}),
+            ({1, 3}, {1, 2, 3}),
+            ({1, 2}, {1, 2, 3}),
+        ]
+
+
+class TestNullPlayers:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(((4, 4), (5, 3), (8, 2))),
+        seed=st.integers(0, 10 ** 6),
+        data=st.data(),
+    )
+    def test_two_byte_lanes(self, shape, seed, data):
+        # a monotone table with more than 128 distinct entries, and an unused
+        # coordinate grafted on at position `dead` when dead > 0
+        m, j = shape
+        dead = data.draw(st.integers(0, m + 1))
+        n = m + (dead > 0)
+        flat = _distinct_table(m, j, "monotone", random.Random(seed))
+        levels = [
+            flat[profile_index(x[: dead - 1] + x[dead:] if dead else x, j)]
+            for x in all_profiles(n, j)
+        ]
+        game = make_table_game(n, j, max(levels) + 1, levels)
+        assert _rank_lanes(n, j, levels)[1] == 2
+        literal = [
+            p + 1
+            for p in range(n)
+            if all(
+                levels[rank] == levels[rank - j ** (n - 1 - p)]
+                for rank, x in enumerate(all_profiles(n, j))
+                if x[p]
+            )
+        ]
+        assert _null_players(game) == literal == ([dead] if dead else [])
+
+
+class TestSubsetSums:
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_naive_sum_over_subsets(self, n):
+        rng = random.Random(n)
+        table = [rng.randrange(-50, 2 ** 70) for _ in range(1 << n)]
+        naive = [
+            sum(table[sub] for sub in range(1 << n) if sub & rank == sub) for rank in range(1 << n)
+        ]
+        assert _subset_sums(table, n) == naive
