@@ -28,7 +28,7 @@ from .games import (
     Profile,
     _Record,
     _check_players,
-    _rank_lanes,
+    _lane_view,
     _subgame_jk,
     _trusted,
     check_cap,
@@ -146,9 +146,9 @@ def is_null_player(v: JKGame, i: int) -> bool:
 
 
 def _null_players(v: JKGame) -> list[int]:
-    """The players along whose axis each lane of the table's one lane view
+    """The players along whose axis each lane of the game's lane view
     equals its predecessor, so that raising their level changes nothing."""
-    packed, _, _, lanes = _rank_lanes(v.n, v.j, v.levels)
+    packed, _, _, lanes = _lane_view(v)
     return [i for i, (s, mask) in enumerate(lanes, 1) if (packed << s) & mask == packed & mask]
 
 

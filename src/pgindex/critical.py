@@ -31,7 +31,7 @@ from .games import (
     _Record,
     _check_players,
     _flagged,
-    _rank_lanes,
+    _lane_view,
     all_coalitions,
     all_profiles,
     decrement,
@@ -165,10 +165,10 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     else:
         table, d = game.levels, 1
     if isinstance(game, JKGame):
-        found = _predecessor_scan(game.n, game.j, table)
+        found = _predecessor_scan(game.n, game.j, table, _lane_view(game))
         listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
     else:
-        ranks = _predecessor_ranks(game.n, 2, table, family == "rgc")
+        ranks = _predecessor_ranks(_lane_view(game), family == "rgc")
         listed = [*map(table.__getitem__, ranks)]
         worth = {v: Fraction(v, d) for v in set(listed)}  # one, shared, per numerator
         listing = CoalitionSet(_coalitions(game.n, ranks), tuple(map(worth.__getitem__, listed)))
@@ -194,28 +194,30 @@ def _real_gaining(n: int, worths) -> list[int]:
     return found
 
 
-def _predecessor_scan(n: int, j: int, table) -> list[tuple[int, Profile, int]]:
+def _predecessor_scan(n: int, j: int, table, view) -> list[tuple[int, Profile, int]]:
     """``(idx, x, entry)`` in table order for every profile but the origin
     whose entry exceeds each immediate predecessor's, on any integer table
-    (the ranks of :func:`_predecessor_ranks` with their profiles)."""
-    ranks = _predecessor_ranks(n, j, table)
+    and its lane view (the ranks of :func:`_predecessor_ranks` with their
+    profiles)."""
+    ranks = _predecessor_ranks(view)
     # each hit's profile joins the profiles of its rank's high and low digits
     high, low = list(all_profiles(n // 2, j)), list(all_profiles(n - n // 2, j))
     parts = map(divmod, ranks, itertools.repeat(len(low)))
     return [(r, high[h] + low[q], table[r]) for r, (h, q) in zip(ranks, parts)]
 
 
-def _predecessor_ranks(n: int, j: int, table, gaining: bool = False) -> list[int]:
+def _predecessor_ranks(view, gaining: bool = False) -> list[int]:
     """Ranks in table order of every profile but the origin whose entry
-    exceeds each immediate predecessor's, on any integer table; with
-    ``gaining`` (j = 2), each predecessor's down-max instead, which leaves
-    the real gaining coalitions.
+    exceeds each immediate predecessor's, on the lane view of any integer
+    table (:func:`games._rank_lanes`); with ``gaining`` (j = 2), each
+    predecessor's down-max instead, which leaves the real gaining
+    coalitions.
 
-    On the lane view (:func:`games._rank_lanes`), a b-bit lane biased to
-    key + 2^(b-1) - 1 takes a predecessor off without a borrow and keeps
-    its top bit exactly where the key is larger. Where x_p = 0 the
-    predecessor is 0, which only key 0, the minimum, fails to beat."""
-    packed, width, guard, lanes = _rank_lanes(n, j, table)
+    A b-bit lane biased to key + 2^(b-1) - 1 takes a predecessor off
+    without a borrow and keeps its top bit exactly where the key is
+    larger. Where x_p = 0 the predecessor is 0, which only key 0, the
+    minimum, fails to beat."""
+    packed, width, guard, lanes = view
     bits = 8 * width
     below = _down_max(packed, guard, bits, lanes) if gaining else packed
     biased = (packed | guard) - (guard >> (bits - 1))

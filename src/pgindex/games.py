@@ -176,12 +176,25 @@ def _flagged(flags: int, width: int) -> list[int]:
     return [m.start() // width for m in found]
 
 
-def _descents(n: int, j: int, table: Sequence) -> Iterator[tuple[int, int]]:
+def _lane_view(game) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """:func:`_rank_lanes` of a game's integer table (``levels``, or a TU
+    game's ``numerators``), packed once and kept on the game, as the
+    listings are; not a field, so ``==``, hash and repr never see it."""
+    view = game.__dict__.get("_lanes")
+    if view is None:
+        j = game.j if isinstance(game, JKGame) else 2
+        table = game.numerators if isinstance(game, TUGame) else game.levels
+        view = game.__dict__["_lanes"] = _rank_lanes(game.n, j, table)
+    return view
+
+
+def _descents(view) -> Iterator[tuple[int, int]]:
     """``(rank, stride)`` wherever raising one coordinate lowers the entry,
-    ``table[rank] > table[rank + stride]``, axis by axis: ``(packed | guard)
-    - pred`` takes each lane's predecessor (0 where there is none) off and
-    clears the lane's top bit exactly where the entry drops."""
-    packed, width, guard, lanes = _rank_lanes(n, j, table)
+    ``table[rank] > table[rank + stride]``, axis by axis, on the table's
+    lane view: ``(packed | guard) - pred`` takes each lane's predecessor
+    (0 where there is none) off and clears the lane's top bit exactly
+    where the entry drops."""
+    packed, width, guard, lanes = view
     for shift, mask in lanes:
         s = shift // (8 * width)
         for rank in _flagged(guard & ~((packed | guard) - ((packed << shift) & mask)), width):
@@ -268,7 +281,8 @@ class _Record:
     repr over them, read through ``getattr``, so that a field may be a
     ``cached_property``; assignment and deletion raise. Its own ``__init__``
     may keep further attributes out of the fields. Instances keep a
-    ``__dict__`` for ``cached_property``, the listings and their JSON text.
+    ``__dict__`` for ``cached_property``, the lane view, the listings and
+    their JSON text.
     Hand-written, so that startup generates no code (see the README,
     "Module map")."""
 
@@ -332,7 +346,7 @@ class JKGame(_Record):
 
     def __init__(self, n, j, k, levels, provenance=None, labels=None):
         self._fill(n, j, k, levels, provenance, labels)
-        _check_levels(n, j, k, self.levels)
+        _check_levels(self)
 
     def _fill(self, n, j, k, levels, provenance=None, labels=None):
         _check_shape(n, j, k)
@@ -368,7 +382,7 @@ class SimpleGame(_Record):
 
     def __init__(self, n, levels):
         self._fill(n, levels)
-        _check_holes(n, self.levels)
+        _check_holes(self)
 
     def _fill(self, n, levels):
         _check_shape(n, 2, 2)
@@ -444,7 +458,7 @@ class TUGame(_Record):
     @cached_property
     def monotone(self) -> bool:
         """Whether no added player ever lowers a worth."""
-        return next(_descents(self.n, 2, self.numerators), None) is None
+        return next(_descents(_lane_view(self)), None) is None
 
     def worth(self, coalition: Iterable[int]) -> Fraction:
         rank = coalition_index(_check_players(coalition, self.n), self.n)
@@ -508,12 +522,15 @@ def _check_entries(n: int, j: int, k: int, levels: Sequence) -> None:
     _check_origin(n, j, levels)
 
 
-def _check_levels(n: int, j: int, k: int, levels: Sequence) -> None:
-    """:func:`_check_entries`, and no one-step raise lowers the output,
-    which by transitivity makes the table monotone."""
+def _check_levels(game: JKGame | SimpleGame) -> None:
+    """:func:`_check_entries` on the game's table, and no one-step raise
+    lowers the output, which by transitivity makes the table monotone;
+    the lane view this packs stays on the game."""
+    n, levels = game.n, game.levels
+    j, k = (game.j, game.k) if isinstance(game, JKGame) else (2, 2)
     _check_entries(n, j, k, levels)
     # in table order, first axis first
-    violations = sorted(_descents(n, j, levels), key=lambda d: (d[0], -d[1]))
+    violations = sorted(_descents(_lane_view(game)), key=lambda d: (d[0], -d[1]))
     if violations:
         raise MonotonicityViolation(
             f"{len(violations)} profile pairs where raising a level lowers the output",
@@ -524,11 +541,12 @@ def _check_levels(n: int, j: int, k: int, levels: Sequence) -> None:
         )
 
 
-def _check_holes(n: int, levels: Sequence) -> None:
-    """:func:`_check_levels` on a 0/1 coalition table, so every superset of
-    a winning coalition wins; a descent is a hole, named by its coalitions."""
+def _check_holes(game: SimpleGame) -> None:
+    """:func:`_check_levels` on a simple game's 0/1 coalition table, so every
+    superset of a winning coalition wins; a descent is a hole, named by its
+    coalitions."""
     try:
-        _check_levels(n, 2, 2, levels)
+        _check_levels(game)
     except MonotonicityViolation as exc:
         holes = [tuple(map(coalition_of_profile, pair)) for pair in exc.witnesses]
         raise MonotonicityViolation(

@@ -64,6 +64,20 @@ GOLDEN_CASES = (
 )
 
 
+@pytest.fixture
+def bytecheck(monkeypatch):
+    """``tools/bytecheck.py`` as a module, with ``bench/workloads.py`` as its
+    ``workloads``, both read-only: the tool puts bench/ on sys.path and
+    turns off bytecode writing, which the fixture undoes."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    tool = Path(__file__).parent.parent / "tools" / "bytecheck.py"
+    spec = importlib.util.spec_from_file_location("bytecheck", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def invoke(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "pgindex", *argv],
@@ -522,6 +536,120 @@ def test_request_loads_no_argparse():
 
 
 # ---------------------------------------------------------------------------
+# the program's exit (pgindex.__main__.console_entry) against in-process main
+
+
+def _child(*args, cwd=None, stdout=subprocess.PIPE):
+    """``python <args>`` with block-buffered output, as the benchmark runs
+    it, so that only a flush writes it: (exit status, stdout bytes, stderr
+    bytes)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, cwd=cwd, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv):
+    """``main(argv)`` as the program would run it: (exit status, stdout
+    bytes, stderr bytes), with argparse's exits read as statuses."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue().encode(), err.getvalue().encode()
+
+
+class TestExitPath:
+    """``python -m pgindex`` ends by ``os._exit`` once its output is flushed;
+    what it writes and its status must be those of ``main`` in process."""
+
+    @pytest.fixture
+    def requests(self, bytecheck, tmp_path):
+        """One seed-1 request per (workload, command, format) of the
+        benchmark, and the cases the benchmark never sends; run in
+        ``tmp_path``, which holds every file they name."""
+        argvs = {}
+        for name in bytecheck.workloads.WORKLOADS:
+            built = bytecheck.workloads.build(name, 1)
+            for fname, text in built.files.items():
+                (tmp_path / fname).write_text(text, encoding="utf-8")
+            for request in built.requests:
+                argvs.setdefault((name, request.command, request.fmt), request.argv)
+        (tmp_path / "bad.json").write_text(
+            '{"kind": "jk", "n": 2, "j": 2, "k": 2, "table": [0, 1, 0, 0]}'
+        )
+        return [
+            *argvs.values(),
+            ["analyze", "bad.json"],  # not monotone: exit 1 with witnesses
+            ["mcv"],  # usage error: exit 2
+            ["--help"],
+        ]
+
+    def test_same_bytes_and_status_as_main(self, requests, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse's help fills the terminal width
+        statuses = set()
+        for argv in requests:
+            child = _child("-m", "pgindex", *argv, cwd=tmp_path)
+            assert child == _in_process(argv), argv
+            statuses.add(child[0])
+        assert statuses == {0, 1, 2}
+        assert len(requests) == 21
+
+    def test_output_file_is_complete(self, requests, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", "--format", "machine", "--family", "mcc", "u01_n12m.json"]
+        status, report, _ = _in_process(argv)
+        assert status == 0 and len(report) > 2 ** 16  # more than a pipe holds
+        child = _child("-m", "pgindex", *argv, "--output", "child.json", cwd=tmp_path)
+        assert child == _in_process([*argv, "--output", "main.json"]) == (0, b"", b"")
+        assert (tmp_path / "child.json").read_bytes() == report
+        assert (tmp_path / "main.json").read_bytes() == report
+
+    def test_atexit_handlers_run(self):
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'handler ran')\n"
+            "sys.argv[1:] = ['mcv', sys.argv[1]]\n"
+            "runpy.run_module('pgindex', run_name='__main__')\n"
+        )
+        status, out, err = _child("-c", code, str(EXAMPLE))
+        assert (status, err) == (0, b"")
+        assert out == _in_process(["mcv", str(EXAMPLE)])[1] + b"handler ran\n"
+
+    def test_profiler_still_reports(self):
+        status, out, err = _child("-m", "cProfile", "-m", "pgindex", "mcv", str(EXAMPLE))
+        assert (status, err) == (0, b"")
+        report = _in_process(["mcv", str(EXAMPLE)])[1]
+        assert out.startswith(report) and b" function calls " in out[len(report):]
+
+    def test_debugger_session_goes_on(self):
+        # pdb drops its trace function on "c" with no breakpoint set, so the
+        # program must still see the debugger and leave by sys.exit
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdb", "-m", "pgindex", "mcv", str(EXAMPLE)],
+            input=b"c\nq\n", capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert b"The program exited via sys.exit(). Exit status: 0" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["mcv", str(EXAMPLE)],  # fails in the flush
+        ["analyze", "--format", "machine", "--family", "mcc", "u01_n12m.json"],  # in the write
+    ])
+    def test_closed_pipe_exits_1_without_a_traceback(self, argv, requests, tmp_path):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first byte
+        try:
+            assert _child("-m", "pgindex", *argv, cwd=tmp_path, stdout=write) == (1, None, b"")
+        finally:
+            os.close(write)
+
+
+# ---------------------------------------------------------------------------
 # the canonical-argv acceptor against argparse
 
 COMMANDS = tuple(name for name, _, _, _ in cli._COMMANDS)
@@ -609,14 +737,7 @@ class TestAcceptor:
     def test_other_argv_goes_to_argparse(self, argv):
         assert _accept(argv) is None
 
-    def test_benchmark_and_bytecheck_requests_take_the_fast_path(self, monkeypatch):
-        # bytecheck puts bench/ on sys.path and turns off bytecode writing
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-        tool = Path(__file__).parent.parent / "tools" / "bytecheck.py"
-        spec = importlib.util.spec_from_file_location("bytecheck", tool)
-        bytecheck = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bytecheck)
+    def test_benchmark_and_bytecheck_requests_take_the_fast_path(self, bytecheck):
         workloads = bytecheck.workloads
         for name in workloads.WORKLOADS:
             built = workloads.build(name, 1)

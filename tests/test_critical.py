@@ -36,6 +36,7 @@ from pgindex.errors import (
     ZeroLevelPlayer,
 )
 from pgindex.games import (
+    _rank_lanes,
     all_coalitions,
     all_profiles,
     evaluate,
@@ -158,7 +159,7 @@ class TestAntichainCheck:
         raised = _raises(lambda: JKGame(n, j, k, levels))
         assert raised == _premise_fails(n, j, levels)
         # every table the pairwise check of the scan's output rejects is refused
-        found = _predecessor_scan(n, j, levels)
+        found = _predecessor_scan(n, j, levels, _rank_lanes(n, j, levels))
         if _raises(lambda: MCVSet.from_pairs((x, w) for _, x, w in found)):
             assert raised
         if not raised:
@@ -176,7 +177,8 @@ class TestAntichainCheck:
         # the scan alone would list (2,) with worth 1; the constructor refuses
         # the table as make_table_game does
         levels = (2, 0, 1)
-        assert [(x, w) for _, x, w in _predecessor_scan(1, 3, levels)] == [((2,), 1)]
+        found = _predecessor_scan(1, 3, levels, _rank_lanes(1, 3, levels))
+        assert [(x, w) for _, x, w in found] == [((2,), 1)]
         with pytest.raises(NonZeroAtOrigin) as built:
             make_table_game(1, 3, 3, levels)
         with pytest.raises(NonZeroAtOrigin) as direct:
@@ -249,9 +251,9 @@ class TestOneEnumerationPerGame:
     def test_analyze_scans_table_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(n, j, table):
+        def counting(n, j, table, view):
             calls.append(table)
-            return _predecessor_scan(n, j, table)
+            return _predecessor_scan(n, j, table, view)
 
         monkeypatch.setattr(critical, "_predecessor_scan", counting)
         assert main(["analyze", str(DATA / "example33.json")]) == 0

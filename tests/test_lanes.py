@@ -1,9 +1,10 @@
 """The lane kernels against the entry-by-entry routes they replace.
 
-``critical._predecessor_scan`` ranks the entries of any integer table and
-packs the ranks into one int with a lane of 1, 2 or 4 bytes per table
-rank; ``_entry_scan``, the loop it replaced, is kept here as the reference
-it must agree with on every table, monotone or not.
+``critical._predecessor_scan`` reads the lane view of any integer table
+(``games._rank_lanes``: its entries ranked and packed into one int with a
+lane of 1, 2 or 4 bytes per table rank); ``_entry_scan``, the loop it
+replaced, is kept here as the reference it must agree with on every
+table, monotone or not.
 ``games._up_closure`` must agree with the running maximum along each
 axis, also kept here as the reference, on every 0/1 table, and
 ``critical._coalitions`` with ``coalition_from_index`` on every rank.
@@ -23,7 +24,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pgindex import (
+    JKGame,
     SimpleGame,
+    cli,
+    dump_game,
+    games,
+    is_null_player,
     make_simple_game,
     make_table_game,
     make_tu_game,
@@ -57,6 +63,21 @@ from pgindex.games import (
 from pgindex.indices import _subset_sums
 
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
+
+
+def _lane_scan(n: int, j: int, table) -> list:
+    """``_predecessor_scan`` on the table's own lane view."""
+    return _predecessor_scan(n, j, table, _rank_lanes(n, j, table))
+
+
+def _gaining_ranks(n: int, table) -> list[int]:
+    """``_predecessor_ranks`` against the down-max on the table's lane view."""
+    return _predecessor_ranks(_rank_lanes(n, 2, table), gaining=True)
+
+
+def _lane_descents(n: int, j: int, table) -> list:
+    """``_descents`` on the table's own lane view."""
+    return list(_descents(_rank_lanes(n, j, table)))
 
 
 def _entry_scan(n: int, j: int, table) -> list:
@@ -157,7 +178,7 @@ class TestLaneScan:
     def test_matches_entry_scan(self, shape, kind, spread, seed):
         n, j, k = shape
         table = [SPREADS[spread](v) for v in _table(n, j, k, kind, random.Random(seed))]
-        assert _predecessor_scan(n, j, table) == _entry_scan(n, j, table)
+        assert _lane_scan(n, j, table) == _entry_scan(n, j, table)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -172,7 +193,7 @@ class TestLaneScan:
         table = _distinct_table(n, j, kind, random.Random(seed))
         table = [SPREADS[spread](v) for v in table]
         assert 128 < len(set(table)) <= 2 ** 15
-        assert _predecessor_scan(n, j, table) == _entry_scan(n, j, table)
+        assert _lane_scan(n, j, table) == _entry_scan(n, j, table)
 
     # no shrinking: each step would rerun the reference loop on 2^16 entries
     @settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -181,18 +202,18 @@ class TestLaneScan:
         # 2^16 distinct entries: more ranks than a 2-byte lane's 2^15 keys
         table = _distinct_table(16, 2, kind, random.Random(seed))
         assert len(set(table)) == 2 ** 16
-        assert _predecessor_scan(16, 2, table) == _entry_scan(16, 2, table)
+        assert _lane_scan(16, 2, table) == _entry_scan(16, 2, table)
 
     @pytest.mark.parametrize("distinct", (128, 129, 2 ** 15, 2 ** 15 + 1))
     def test_lane_width_boundaries(self, distinct):
         # the most distinct entries a lane holds, and one more
         table = list(range(distinct))
         random.Random(distinct).shuffle(table)
-        assert _predecessor_scan(1, distinct, table) == _entry_scan(1, distinct, table)
+        assert _lane_scan(1, distinct, table) == _entry_scan(1, distinct, table)
 
     @pytest.mark.parametrize("entry", (0, 5, -3, 2 ** 70))
     def test_no_players(self, entry):
-        assert _predecessor_scan(0, 3, [entry]) == _entry_scan(0, 3, [entry]) == []
+        assert _lane_scan(0, 3, [entry]) == _entry_scan(0, 3, [entry]) == []
 
     def test_origin_lane_is_masked(self):
         # the minimum is at rank 1 and the origin holds the top entry, which
@@ -201,13 +222,13 @@ class TestLaneScan:
             low, mid, top = map(spread, (0, 1, 2))
             table = (top, low, mid, top)
             assert _entry_scan(1, 4, table) == [(2, (2,), mid), (3, (3,), top)]
-            assert _predecessor_scan(1, 4, table) == _entry_scan(1, 4, table)
+            assert _lane_scan(1, 4, table) == _entry_scan(1, 4, table)
 
     def test_full_byte_range(self):
         # 256 distinct entries, beyond a 1-byte lane's 0..127
         table = list(range(256))
-        assert _predecessor_scan(1, 256, table) == _entry_scan(1, 256, table)
-        assert len(_predecessor_scan(1, 256, table)) == 255
+        assert _lane_scan(1, 256, table) == _entry_scan(1, 256, table)
+        assert len(_lane_scan(1, 256, table)) == 255
 
     def test_jk_and_simple_games_take_the_lanes(self):
         game = random_monotone_jk(4, 3, 4, random.Random(7))
@@ -294,7 +315,7 @@ def _additive(n: int, rng) -> list[int]:
 
 
 class TestGainingLanes:
-    """``_predecessor_ranks(n, 2, table, gaining=True)`` against the literal
+    """``_predecessor_ranks(view, gaining=True)`` against the literal
     scan, on any table: monotone or not, negative entries, every lane width."""
 
     @settings(max_examples=150, deadline=None)
@@ -307,7 +328,7 @@ class TestGainingLanes:
     )
     def test_matches_literal_scan(self, n, kind, k, spread, seed):
         table = [SPREADS[spread](v) for v in _table(n, 2, k, kind, random.Random(seed))]
-        assert _predecessor_ranks(n, 2, table, True) == _real_gaining(n, table)
+        assert _gaining_ranks(n, table) == _real_gaining(n, table)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 7), seed=st.integers(0, 10 ** 6), monotone=st.booleans())
@@ -315,7 +336,7 @@ class TestGainingLanes:
         # random_tu draws worths in -1..2, so most non-monotone games have negatives
         game = (random_monotone_tu if monotone else random_tu)(n, random.Random(seed))
         table = game.numerators
-        assert _predecessor_ranks(n, 2, table, True) == _real_gaining(n, table)
+        assert _gaining_ranks(n, table) == _real_gaining(n, table)
 
     @settings(max_examples=30, deadline=None)
     @given(kind=kinds, spread=st.sampled_from(sorted(SPREADS)), seed=st.integers(0, 10 ** 6))
@@ -323,7 +344,7 @@ class TestGainingLanes:
         # 256 distinct entries: ranks beyond 127 need 2-byte lanes
         table = [SPREADS[spread](v) for v in _distinct_table(8, 2, kind, random.Random(seed))]
         assert 128 < len(set(table)) <= 2 ** 15
-        assert _predecessor_ranks(8, 2, table, True) == _real_gaining(8, table)
+        assert _gaining_ranks(8, table) == _real_gaining(8, table)
 
     @pytest.mark.parametrize("kind", ("arbitrary", "monotone"))
     def test_four_byte_lanes(self, kind):
@@ -332,14 +353,14 @@ class TestGainingLanes:
         rng = random.Random(kind)
         table = _additive(16, rng) if kind == "monotone" else _distinct_table(16, 2, kind, rng)
         assert len(set(table)) == 2 ** 16
-        found = _predecessor_ranks(16, 2, table, True)
+        found = _gaining_ranks(16, table)
         assert found == _real_gaining(16, table)
         assert (len(found) == (1 << 16) - 1) == (kind == "monotone")
 
     @pytest.mark.parametrize("table", ([0], [5], [-3], [0, 1], [0, 0], [0, -1], [3, -1], [-2, 7]))
     def test_no_players_and_one(self, table):
         n = len(table).bit_length() - 1
-        assert _predecessor_ranks(n, 2, table, True) == _real_gaining(n, table)
+        assert _gaining_ranks(n, table) == _real_gaining(n, table)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -374,7 +395,7 @@ class TestDescents:
     def test_matches_entry_descents(self, shape, kind, spread, seed):
         n, j, k = shape
         table = [SPREADS[spread](v) for v in _table(n, j, k, kind, random.Random(seed))]
-        found = list(_descents(n, j, table))
+        found = _lane_descents(n, j, table)
         assert found == _entry_descents(n, j, table)
         if kind == "monotone":
             assert found == []
@@ -390,13 +411,13 @@ class TestDescents:
         n, j = shape
         table = [SPREADS[spread](v) for v in _distinct_table(n, j, kind, random.Random(seed))]
         assert _rank_lanes(n, j, table)[1] == 2
-        assert list(_descents(n, j, table)) == _entry_descents(n, j, table)
+        assert _lane_descents(n, j, table) == _entry_descents(n, j, table)
 
     @pytest.mark.parametrize("kind", ("arbitrary", "monotone"))
     def test_four_byte_lanes(self, kind):
         table = _distinct_table(16, 2, kind, random.Random(kind))
         assert _rank_lanes(16, 2, table)[1] == 4
-        found = list(_descents(16, 2, table))
+        found = _lane_descents(16, 2, table)
         assert found == _entry_descents(16, 2, table)
         assert (found == []) == (kind == "monotone")
 
@@ -406,14 +427,14 @@ class TestDescents:
     )
     def test_no_players_and_one(self, table):
         n = len(table).bit_length() - 1
-        assert list(_descents(n, 2, table)) == _entry_descents(n, 2, table)
+        assert _lane_descents(n, 2, table) == _entry_descents(n, 2, table)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 7), seed=st.integers(0, 10 ** 6), monotone=st.booleans())
     def test_tu_numerators(self, n, seed, monotone):
         game = (random_monotone_tu if monotone else random_tu)(n, random.Random(seed))
         table = game.numerators
-        assert list(_descents(n, 2, table)) == _entry_descents(n, 2, table)
+        assert _lane_descents(n, 2, table) == _entry_descents(n, 2, table)
         assert game.monotone == (not _entry_descents(n, 2, table))
 
     def test_hole_witnesses_by_rank_then_larger_stride(self):
@@ -421,7 +442,7 @@ class TestDescents:
         # {1, 3} is on the second axis and the one at {2} on the third, but
         # {2} has the lower rank and comes first
         levels = (0, 0, 1, 0, 0, 1, 1, 0)
-        assert list(_descents(3, 2, levels)) == [(5, 2), (2, 1), (6, 1)]
+        assert _lane_descents(3, 2, levels) == [(5, 2), (2, 1), (6, 1)]
         with pytest.raises(MonotonicityViolation) as info:
             SimpleGame(3, levels)
         assert str(info.value) == "winning set is not closed under supersets (3 holes)"
@@ -462,6 +483,48 @@ class TestNullPlayers:
             )
         ]
         assert _null_players(game) == literal == ([dead] if dead else [])
+
+
+class TestOnePackPerGame:
+    """The lane view is packed once per game and kept on it: the
+    constructor check, the listings, ``TUGame.monotone`` and the null
+    players all read that one view."""
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        tables, pack = [], games._rank_lanes
+
+        def counting(n, j, table):
+            tables.append(table)
+            return pack(n, j, table)
+
+        monkeypatch.setattr(games, "_rank_lanes", counting)
+        return tables
+
+    def test_null_player_of_each_player(self, packs):
+        game = random_monotone_jk(7, 3, 3, random.Random(2))  # 2,187 entries
+        flags = [is_null_player(game, i) for i in game.players()]
+        minimal_critical_vectors(game)
+        assert flags == [i in _null_players(game) for i in game.players()]
+        assert packs == [game.levels]
+        bare = games._trusted(JKGame, game.n, game.j, game.k, game.levels)  # no view
+        assert "_lanes" in game.__dict__ and "_lanes" not in bare.__dict__
+        assert (game, hash(game), repr(game)) == (bare, hash(bare), repr(bare))
+
+    @pytest.mark.parametrize("fmt", ("table", "machine"))
+    @pytest.mark.parametrize("kind", ("tu", "jk", "simple"))
+    def test_one_request(self, packs, kind, fmt, tmp_path, capsys):
+        game = {
+            "tu": random_monotone_tu(5, random.Random(3)),
+            "jk": random_monotone_jk(4, 3, 3, random.Random(3)),
+            "simple": simple_game_from_generators(4, [{1, 2}, {3, 4}]),
+        }[kind]
+        path = tmp_path / "g.json"
+        dump_game(game, path)
+        packs.clear()
+        assert cli.main(["analyze", "--format", fmt, "--oracle", str(path)]) == 0
+        capsys.readouterr()
+        assert len(packs) == 1
 
 
 class TestSubsetSums:
