@@ -16,8 +16,9 @@ def console_entry() -> None:
     The normal ``sys.exit`` path runs instead when ``main`` raises
     (argparse's ``SystemExit`` included), when a flush fails, under a
     trace or profile function (coverage, ``cProfile``), under a debugger
-    and under ``python -i``. A reader that closes the pipe early ends the
-    run with status 1 and no traceback."""
+    and under ``python -i``. A failed write of the output ends the run with
+    status 1 and no traceback: one ``error:`` line, as for ``--output``,
+    or none when the reader closed the pipe early."""
     try:
         status = main()
         sys.stdout.flush()
@@ -27,7 +28,9 @@ def console_entry() -> None:
         atexit._run_exitfuncs()
         sys.stdout.flush()  # what the handlers wrote
         sys.stderr.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         # the rest goes nowhere, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)

@@ -102,15 +102,15 @@ def average_worth_oracle(game: JKGame, coalition: Iterable[int]) -> Fraction:
     return Fraction(total * multiplicity, game.j ** game.n * (game.k - 1))
 
 
-def compare_pgv_vs_jk(
-    game: JKGame, *, family: str = "mcc", cap: int = DEFAULT_CAP
-) -> ValueComparison:
+def compare_pgv_vs_jk(game: JKGame, *, cap: int = DEFAULT_CAP) -> ValueComparison:
     """Compare the TU Public Good value of the average game against the
     direct potential-based and surplus values of the source game. Equality
     is judged after normalizing the PGV and the potential-based value to
-    sum 1; the constant-0 game is flagged degenerate instead."""
+    sum 1; the constant-0 game is flagged degenerate instead. The average
+    game is monotone, so its minimal critical and real gaining coalitions
+    coincide and the PGV is that of either family."""
     average = average_game(game, cap=cap)
-    pgv = pgv_tu(average.tu, family)
+    pgv = pgv_tu(average.tu)
     jk = public_good_value_jk(game)
     variant = variant_value(game)
     degenerate = game.trivial

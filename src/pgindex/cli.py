@@ -22,7 +22,6 @@ from .average import ValueComparison, average_worth_oracle, compare_pgv_vs_jk
 from .critical import (
     CoalitionSet,
     MCVSet,
-    _coalitions,
     _listing,
     _real_gaining,
     minimal_critical_vectors_oracle,
@@ -33,13 +32,14 @@ from .errors import (
     TrivialGame,
     ValidationError,
 )
-from .gamefile import _dumps, dumps_game, game_to_dict, load_game
+from .gamefile import _coalition_keys, _dumps, dumps_game, game_to_dict, load_game
 from .games import (
     DEFAULT_CAP,
     JKGame,
     SimpleGame,
     TUGame,
     _Record,
+    _coalitions,
     all_coalitions,
     check_cap,
     coalition_of_profile,
@@ -385,7 +385,7 @@ def _cmd_average(games, request: AnalysisRequest):
     (game,) = _require_jk(games, "average")
     if request.oracle:
         check_cap(game.n, game.j + 1, request.cap, "the oracle would take {} evaluations")
-    comparison = compare_pgv_vs_jk(game, family=request.family, cap=request.cap)
+    comparison = compare_pgv_vs_jk(game, cap=request.cap)
     result = comparison.average
     doc = {
         "command": "average",
@@ -394,11 +394,8 @@ def _cmd_average(games, request: AnalysisRequest):
         "average_game": game_to_dict(result.tu),
         "comparison": comparison,
     }
-    worths = [("coalition", "worth")]
-    worths += [
-        (_coalition_str(S), _frac_table(w))
-        for S, w in zip(all_coalitions(result.tu.n), result.tu.worths)
-    ]
+    keys = ["{" + key + "}" for key in _coalition_keys(result.tu.n)]
+    worths = [("coalition", "worth"), *zip(keys, map(_frac_table, result.tu.worths))]
     reports = [comparison.pgv_of_average, comparison.jk_value, comparison.variant]
     verdict = _values_table(reports)
     verdict.append(

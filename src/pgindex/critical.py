@@ -30,10 +30,10 @@ from .games import (
     TUGame,
     _Record,
     _check_players,
+    _coalitions,
     _flagged,
+    _halves,
     _lane_view,
-    all_coalitions,
-    all_profiles,
     decrement,
     evaluate,
 )
@@ -164,12 +164,13 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
         table, d = game.numerators, game.denominator
     else:
         table, d = game.levels, 1
+    ranks = _predecessor_ranks(_lane_view(game), family == "rgc")
+    listed = [*map(table.__getitem__, ranks)]
     if isinstance(game, JKGame):
-        found = _predecessor_scan(game.n, game.j, table, _lane_view(game))
-        listing = MCVSet(tuple(x for _, x, _ in found), tuple(w for _, _, w in found))
+        high, low = _halves(game.n, game.j, lambda x, first: x)
+        parts = map(divmod, ranks, itertools.repeat(len(low)))
+        listing = MCVSet(tuple(high[h] + low[q] for h, q in parts), tuple(listed))
     else:
-        ranks = _predecessor_ranks(_lane_view(game), family == "rgc")
-        listed = [*map(table.__getitem__, ranks)]
         worth = {v: Fraction(v, d) for v in set(listed)}  # one, shared, per numerator
         listing = CoalitionSet(_coalitions(game.n, ranks), tuple(map(worth.__getitem__, listed)))
     # every record keeps an instance __dict__ (see games._Record)
@@ -192,18 +193,6 @@ def _real_gaining(n: int, worths) -> list[int]:
         else:
             found.append(mask)
     return found
-
-
-def _predecessor_scan(n: int, j: int, table, view) -> list[tuple[int, Profile, int]]:
-    """``(idx, x, entry)`` in table order for every profile but the origin
-    whose entry exceeds each immediate predecessor's, on any integer table
-    and its lane view (the ranks of :func:`_predecessor_ranks` with their
-    profiles)."""
-    ranks = _predecessor_ranks(view)
-    # each hit's profile joins the profiles of its rank's high and low digits
-    high, low = list(all_profiles(n // 2, j)), list(all_profiles(n - n // 2, j))
-    parts = map(divmod, ranks, itertools.repeat(len(low)))
-    return [(r, high[h] + low[q], table[r]) for r, (h, q) in zip(ranks, parts)]
 
 
 def _predecessor_ranks(view, gaining: bool = False) -> list[int]:
@@ -235,15 +224,6 @@ def _down_max(packed: int, guard: int, bits: int, lanes) -> int:
         sel = ((((packed | guard) - pred) & guard) >> (bits - 1)) * ((1 << bits) - 1)
         packed = (packed & sel) | (pred & ~sel)
     return packed
-
-
-def _coalitions(n: int, ranks) -> tuple[Coalition, ...]:
-    """The coalition of each rank, joined from the coalitions of its high
-    and low bits (players 1..n//2 and the rest)."""
-    half, rest = n // 2, n - n // 2
-    high = list(all_coalitions(half))
-    low = [frozenset(i + half for i in S) for S in all_coalitions(rest)]
-    return tuple(high[r >> rest] | low[r & ((1 << rest) - 1)] for r in ranks)
 
 
 def minimal_critical_vectors_oracle(game: JKGame) -> MCVSet:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import compress, count
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -26,9 +27,9 @@ from .games import (
     TUGame,
     _check_players,
     _check_shape,
+    _halves,
     _rank_filled,
     _rational_pair,
-    all_coalitions,
     check_cap,
     make_table_game,
     make_weighted_game,
@@ -165,12 +166,9 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
     # the ranks of the canonical keys ("1,3"), once the keys could fill the table;
     # until then every key takes the general route, in memory proportional to them
     fill = len(worth) + 1  # coalitions named at most, the empty one included
-    canon, half = {}, n // 2
+    canon = {}
     if n >= 0 and fill >> n:
-        high = [coalition_key(S) for S in all_coalitions(half)]
-        low = [coalition_key(i + half for i in S) for S in all_coalitions(n - half)]
-        tails = ["", *("," + q for q in low[1:])]
-        canon = dict(zip(low + [h + t for h in high[1:] for t in tails], range(1 << n)))
+        canon = dict(zip(_coalition_keys(n), range(1 << n)))
     nums, dens = {0: 0}, {0: 1}  # "": 0 implied; an explicit "" overrides it
     bulk = canon and _read_canonical(canon, worth, path, nums, dens)
     names, general = {}, []
@@ -231,8 +229,12 @@ def _key_rank(key: str, path, canon: dict[str, int]) -> int | frozenset[int]:
 # writing
 
 
-def coalition_key(coalition) -> str:
-    return ",".join(str(i) for i in sorted(coalition))
+def _coalition_keys(n: int) -> list[str]:
+    """The canonical worth key ("1,3") of every coalition, in rank order,
+    joined from the keys of the halves."""
+    high, low = _halves(n, 2, lambda x, first: ",".join(map(str, compress(count(first), x))))
+    tails = ["", *("," + q for q in low[1:])]
+    return low + [h + t for h in high[1:] for t in tails]
 
 
 def game_to_dict(game: Game) -> dict:
@@ -254,10 +256,7 @@ def game_to_dict(game: Game) -> dict:
         )
         return {"kind": "simple", "n": game.n, "winning": generators}
     if isinstance(game, TUGame):
-        worth = {
-            coalition_key(S): rational_str(w)
-            for S, w in zip(all_coalitions(game.n), game.worths)
-        }
+        worth = dict(zip(_coalition_keys(game.n), map(rational_str, game.worths)))
         return {"kind": "tu", "n": game.n, "worth": worth}
     raise TypeError(f"cannot serialize {type(game).__name__}")
 

@@ -10,6 +10,8 @@ worths with the empty coalition worth 0.
 Profiles are plain int tuples with player 1 first; tables are flat tuples
 ordered by the profile rank with the first coordinate most significant, so
 ``itertools.product(range(j), repeat=n)`` walks them in storage order.
+A rank is split in one place, :func:`_halves`, into players 1..n//2 and the
+rest; listings, winning sets and worth keys are joined from the two halves.
 Coalitions are frozensets of 1-based player ids. Worths are exact: every
 rational is read by one checked reader, :func:`_rational_pair`, and a TU
 game keeps its worths as integers over one common denominator.
@@ -28,6 +30,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import compress, count
 from operator import floordiv, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -105,13 +108,27 @@ def coalition_index(coalition: Iterable[int], n: int) -> int:
     return sum(1 << (n - i) for i in coalition)
 
 
-def coalition_from_index(idx: int, n: int) -> Coalition:
-    return frozenset(i for i in range(1, n + 1) if idx >> (n - i) & 1)
-
-
 def coalition_of_profile(x: Profile) -> Coalition:
     """Support of a profile: the players at a positive level."""
     return frozenset(i for i, level in enumerate(x, start=1) if level)
+
+
+def _halves(n: int, j: int, part) -> tuple[list, list]:
+    """``part(x, first)`` of every profile x of players 1..n//2 and of
+    players n//2 + 1..n, each list in table order, ``first`` the id of x's
+    first player. The profile of rank r joins the parts at ``divmod(r,
+    len(low))``; for n < 2 the high half is the one empty profile."""
+    half = n // 2
+    return (
+        [part(x, 1) for x in all_profiles(half, j)],
+        [part(x, half + 1) for x in all_profiles(n - half, j)],
+    )
+
+
+def _coalitions(n: int, ranks: Iterable[int]) -> tuple[Coalition, ...]:
+    """The coalition of each rank, joined from the coalitions of the halves."""
+    high, low = _halves(n, 2, lambda x, first: frozenset(compress(count(first), x)))
+    return tuple(high[h] | low[q] for h, q in map(divmod, ranks, itertools.repeat(len(low))))
 
 
 def check_cap(n: int, base: int, cap: int, message: str) -> int:
@@ -392,9 +409,7 @@ class SimpleGame(_Record):
 
     @cached_property
     def winning(self) -> frozenset[Coalition]:
-        return frozenset(
-            coalition_from_index(idx, self.n) for idx, level in enumerate(self.levels) if level
-        )
+        return frozenset(_coalitions(self.n, compress(count(), self.levels)))
 
     def wins(self, coalition: Iterable[int]) -> bool:
         return self.levels[coalition_index(_check_players(coalition, self.n), self.n)] == 1

@@ -35,6 +35,17 @@ def quota_simple():
     return make_simple_game(3, winning)
 
 
+@pytest.fixture
+def digit_limit_640():
+    """The smallest integer digit limit Python allows, restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 AVERAGE33_WORTHS = {
     frozenset(): Fraction(0),
     frozenset({1}): Fraction(1, 2),

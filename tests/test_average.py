@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgindex import (
     CapExceeded,
@@ -12,7 +14,7 @@ from pgindex import (
     pgv_tu,
     zero_game,
 )
-from pgindex.errors import InvariantViolation, UnknownPlayer
+from pgindex.errors import DigitLimitExceeded, InvariantViolation, UnknownPlayer
 from pgindex.games import all_coalitions
 
 from conftest import AVERAGE33_WORTHS
@@ -97,6 +99,12 @@ class TestAverageProperties:
         with pytest.raises(InvariantViolation, match=message):
             average_game(example33)
 
+    def test_scale_beyond_the_digit_limit(self, digit_limit_640):
+        # the worths are 0, so only the scale's denominator 2·(10^641 - 1) is too long
+        with pytest.raises(DigitLimitExceeded) as info:
+            average_game(zero_game(1, 2, 10 ** 641))
+        assert str(info.value) == "the scale's denominator j^n (k-1) exceeds 640 digits"
+
     def test_labels_carried(self, example33):
         tu = average_game(example33).tu
         assert tu.labels == (1, 2, 3)
@@ -123,6 +131,13 @@ class TestComparison:
         assert comp.degenerate
         assert not comp.equal_after_normalization
 
-    def test_family_passthrough(self, example33):
-        comp = compare_pgv_vs_jk(example33, family="rgc")
-        assert comp.pgv_of_average.variant == "tu_pgv"
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(((1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 3), (4, 2, 3))),
+        seed=st.integers(0, 10 ** 6),
+    )
+    def test_average_pgv_is_that_of_either_family(self, shape, seed):
+        # the average game is monotone, so its minimal critical and real gaining
+        # coalitions coincide: the comparison needs no family
+        tu = average_game(random_monotone_jk(*shape, random.Random(seed))).tu
+        assert pgv_tu(tu, "mcc") == pgv_tu(tu, "rgc")

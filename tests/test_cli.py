@@ -648,6 +648,20 @@ class TestExitPath:
         finally:
             os.close(write)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["mcv", str(EXAMPLE)],  # fails in the flush
+        ["analyze", "--format", "machine", "--family", "mcc", "u01_n12m.json"],  # in the write
+    ])
+    def test_full_device_exits_1_with_one_error_line(self, argv, requests, tmp_path):
+        # every write to /dev/full fails with ENOSPC
+        full = os.open("/dev/full", os.O_WRONLY)
+        try:
+            status, _, err = _child("-m", "pgindex", *argv, cwd=tmp_path, stdout=full)
+        finally:
+            os.close(full)
+        assert (status, err) == (1, b"error: [Errno 28] No space left on device\n")
+
 
 # ---------------------------------------------------------------------------
 # the canonical-argv acceptor against argparse

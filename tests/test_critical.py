@@ -23,7 +23,7 @@ from pgindex import (
 )
 from pgindex import critical
 from pgindex.cli import main
-from pgindex.critical import _predecessor_scan
+from pgindex.critical import _predecessor_ranks
 from pgindex.errors import (
     LevelOutOfRange,
     MonotonicityViolation,
@@ -40,6 +40,7 @@ from pgindex.games import (
     all_coalitions,
     all_profiles,
     evaluate,
+    index_profile,
     profile_index,
     subgame,
 )
@@ -159,8 +160,8 @@ class TestAntichainCheck:
         raised = _raises(lambda: JKGame(n, j, k, levels))
         assert raised == _premise_fails(n, j, levels)
         # every table the pairwise check of the scan's output rejects is refused
-        found = _predecessor_scan(n, j, levels, _rank_lanes(n, j, levels))
-        if _raises(lambda: MCVSet.from_pairs((x, w) for _, x, w in found)):
+        found = _predecessor_ranks(_rank_lanes(n, j, levels))
+        if _raises(lambda: MCVSet.from_pairs((index_profile(r, n, j), levels[r]) for r in found)):
             assert raised
         if not raised:
             game = JKGame(n, j, k, levels)
@@ -177,8 +178,8 @@ class TestAntichainCheck:
         # the scan alone would list (2,) with worth 1; the constructor refuses
         # the table as make_table_game does
         levels = (2, 0, 1)
-        found = _predecessor_scan(1, 3, levels, _rank_lanes(1, 3, levels))
-        assert [(x, w) for _, x, w in found] == [((2,), 1)]
+        found = _predecessor_ranks(_rank_lanes(1, 3, levels))
+        assert [(index_profile(r, 1, 3), levels[r]) for r in found] == [((2,), 1)]
         with pytest.raises(NonZeroAtOrigin) as built:
             make_table_game(1, 3, 3, levels)
         with pytest.raises(NonZeroAtOrigin) as direct:
@@ -251,11 +252,11 @@ class TestOneEnumerationPerGame:
     def test_analyze_scans_table_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(n, j, table, view):
-            calls.append(table)
-            return _predecessor_scan(n, j, table, view)
+        def counting(view, gaining=False):
+            calls.append(view)
+            return _predecessor_ranks(view, gaining)
 
-        monkeypatch.setattr(critical, "_predecessor_scan", counting)
+        monkeypatch.setattr(critical, "_predecessor_ranks", counting)
         assert main(["analyze", str(DATA / "example33.json")]) == 0
         capsys.readouterr()
         assert len(calls) == 1

@@ -71,7 +71,7 @@ from pgindex import games
 from pgindex.cli import main
 from pgindex.critical import ORACLE_CAP
 from pgindex.errors import IncompleteWorthTable, NotMergeable
-from pgindex.gamefile import _get_int, coalition_key
+from pgindex.gamefile import _get_int
 from pgindex.games import (
     DEFAULT_CAP,
     _check_exponent,
@@ -369,7 +369,7 @@ class TestIntegerTUKernels:
             for forms in ([0] * 7, picks):
                 values = [row[pick] for row, pick in zip(rows, forms)]
                 worth = {
-                    coalition_key(S): str(q) if isinstance(q, Fraction) else q
+                    ",".join(map(str, sorted(S))): str(q) if isinstance(q, Fraction) else q
                     for S, q in zip(coalitions, values)
                 }
                 path = Path(tmp) / "game.json"

@@ -30,7 +30,7 @@ from pgindex import (
     variant_value,
     zero_game,
 )
-from pgindex.errors import CapExceeded, RecursionCapExceeded, UnknownPlayer
+from pgindex.errors import CapExceeded, DigitLimitExceeded, RecursionCapExceeded, UnknownPlayer
 from pgindex.games import decrement
 
 from gamegen import random_monotone_jk, random_monotone_tu
@@ -111,6 +111,16 @@ class TestPGV:
             game = random_monotone_tu(3, rng)
             report = pgv_tu(game)
             assert report.potential == tu_potential(game)
+
+
+class TestDigitLimit:
+    def test_summed_worths_beyond_the_limit(self, digit_limit_640):
+        # each worth has 640 digits; player 1's value, 5·10^639 + (10^640 - 1), has 641
+        half, top = 5 * 10 ** 639, 10 ** 640 - 1
+        game = make_tu_game(2, {(): 0, (1,): half, (2,): half, (1, 2): top})
+        with pytest.raises(DigitLimitExceeded) as info:
+            pgv_tu(game)
+        assert str(info.value) == "a sum of the game's worths exceeds 640 digits"
 
 
 class TestPotentialIdentity:

@@ -1,13 +1,16 @@
 """The lane kernels against the entry-by-entry routes they replace.
 
-``critical._predecessor_scan`` reads the lane view of any integer table
+``critical._predecessor_ranks`` reads the lane view of any integer table
 (``games._rank_lanes``: its entries ranked and packed into one int with a
 lane of 1, 2 or 4 bytes per table rank); ``_entry_scan``, the loop it
 replaced, is kept here as the reference it must agree with on every
 table, monotone or not.
 ``games._up_closure`` must agree with the running maximum along each
-axis, also kept here as the reference, on every 0/1 table, and
-``critical._coalitions`` with ``coalition_from_index`` on every rank.
+axis, also kept here as the reference, on every 0/1 table. The rank codec
+(``games._halves`` and what is joined from it: ``games._coalitions``,
+``gamefile._coalition_keys`` and the profiles of a listing) must agree
+with ``coalition_from_index``, ``coalition_key`` and ``index_profile``,
+which read one rank at a time.
 The real gaining route of ``_predecessor_ranks`` (its down-max on lanes)
 must agree with ``critical._real_gaining``, the literal all-subsets scan
 that stays in the package as the TU oracle. ``games._descents``, the
@@ -42,21 +45,22 @@ from pgindex import (
 )
 from pgindex.algebra import _null_players
 from pgindex.critical import (
-    _coalitions,
     _down_max,
+    _listing,
     _predecessor_ranks,
-    _predecessor_scan,
     _real_gaining,
 )
 from pgindex.errors import MonotonicityViolation
+from pgindex.gamefile import _coalition_keys
 from pgindex.games import (
     _axis_lanes,
+    _coalitions,
     _descents,
+    _halves,
     _rank_lanes,
     _up_closure,
     all_coalitions,
     all_profiles,
-    coalition_from_index,
     index_profile,
     profile_index,
 )
@@ -66,8 +70,20 @@ from gamegen import random_monotone_jk, random_monotone_tu, random_tu
 
 
 def _lane_scan(n: int, j: int, table) -> list:
-    """``_predecessor_scan`` on the table's own lane view."""
-    return _predecessor_scan(n, j, table, _rank_lanes(n, j, table))
+    """``_predecessor_ranks`` on the table's own lane view, each rank with
+    its profile and entry, as ``_entry_scan`` lists them."""
+    ranks = _predecessor_ranks(_rank_lanes(n, j, table))
+    return [(r, index_profile(r, n, j), table[r]) for r in ranks]
+
+
+def coalition_from_index(idx: int, n: int) -> frozenset:
+    """The coalition of one rank, bit by bit: the codec's reference."""
+    return frozenset(i for i in range(1, n + 1) if idx >> (n - i) & 1)
+
+
+def coalition_key(coalition) -> str:
+    """The canonical worth key of one coalition: the codec's reference."""
+    return ",".join(str(i) for i in sorted(coalition))
 
 
 def _gaining_ranks(n: int, table) -> list[int]:
@@ -237,11 +253,53 @@ class TestLaneScan:
         assert minimal_winning_coalitions(game) == {frozenset({1}), frozenset({2, 3})}
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(13))
 def test_coalitions_join_the_halves_of_each_rank(n):
     # every rank, and a sparse selection out of order with repeats
     ranks = [*range(1 << n), *range((1 << n) - 1, -1, -3)]
     assert _coalitions(n, ranks) == tuple(coalition_from_index(r, n) for r in ranks)
+
+
+#: n = 0..12 for j = 2, 3, 4, up to 3^12 profiles: the references take a step per profile
+CODEC_SHAPES = [(n, j) for j in (2, 3, 4) for n in range(13) if j ** n <= 3 ** 12]
+
+
+class TestRankCodec:
+    """Every rank's profile and worth key joined from the halves, and each
+    winning coalition, against the one-rank references (the coalitions of
+    any ranks are checked above); at n = 0 and n = 1 the high half is the
+    one empty profile."""
+
+    @pytest.mark.parametrize("n, j", CODEC_SHAPES)
+    def test_halves_split_each_rank(self, n, j):
+        high, low = _halves(n, j, lambda x, first: (x, first))
+        assert [x for x, _ in high] == list(all_profiles(n // 2, j))
+        assert [x for x, _ in low] == list(all_profiles(n - n // 2, j))
+        assert {first for _, first in high} == {1}
+        assert {first for _, first in low} == {n // 2 + 1}
+        joined = [high[h][0] + low[q][0] for h, q in (divmod(r, len(low)) for r in range(j ** n))]
+        assert joined == [index_profile(r, n, j) for r in range(j ** n)]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_worth_keys(self, n):
+        coalitions = [coalition_from_index(r, n) for r in range(1 << n)]
+        assert _coalition_keys(n) == [*map(coalition_key, coalitions)]
+
+    @pytest.mark.parametrize("n, j", CODEC_SHAPES)
+    def test_listing_profiles(self, n, j):
+        # every rank but the origin is listed: the entry is the coordinate sum
+        levels = [*map(sum, all_profiles(n, j))]
+        game = JKGame(n, j, max(levels) + 2, levels)  # k >= 2 at n = 0 too
+        listing = _listing(game)
+        assert listing.vectors == tuple(index_profile(r, n, j) for r in range(1, j ** n))
+        assert listing.worths == tuple(levels[1:])
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_winning_coalitions(self, n):
+        # a coalition wins when it holds player n; at n = 0 none wins
+        levels = [r & 1 for r in range(1 << n)]
+        game = SimpleGame(n, levels)
+        assert game.winning == {coalition_from_index(r, n) for r in range(1 << n) if levels[r]}
 
 
 class TestLoopRoutes:
