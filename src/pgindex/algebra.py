@@ -33,7 +33,7 @@ from .games import (
     _trusted,
     check_cap,
 )
-from .indices import normalized_variant, variant_value
+from .indices import normalized_variant, total_criticality, variant_value
 
 CLAUSE_SHARED = "C1_shared_mcv"
 CLAUSE_LE = "C2_le_not_less"
@@ -238,27 +238,31 @@ def _axiom_shares(v: JKGame, norm_v) -> AxiomResult:
 
 
 def _axiom_merge(v: JKGame, w: JKGame) -> AxiomResult:
+    """A4: the normalized surplus value of v⊕w against the average of v's
+    and w's weighted by total criticality, for each player the surplus
+    credits s over the credits' totals c: (s_v + s_w)/(c_v + c_w).
+
+    By the union lemma MCV(v⊕w) = MCV(v) ⊎ MCV(w), worths kept. So the
+    potential-based value adds up under ⊕: each vector credits its worth to
+    each supporter, in v⊕w as in its own game. The surplus variant adds up
+    iff no minimal critical vector of either game has an immediate
+    predecessor that the other game lifts: at x in MCV(v) with x_p > 0, p's
+    credit in v⊕w is v(x) - max(v(x - e_p), w(x - e_p)), at most the credit
+    v(x) - v(x - e_p) in v, and equal iff w(x - e_p) <= v(x - e_p); likewise
+    with v and w swapped. Credits only fall, so the sums add up iff none
+    falls; then the totals add up too, and A4 holds.
+    """
     report = is_mergeable(v, w)
     if not report.mergeable:
         raise NotMergeable(
             f"A4 requested on a non-mergeable pair ({len(report.violations)} violations)"
         )
-    variant_v, variant_w = variant_value(v), variant_value(w)
-    norm_sum = normalized_variant(oplus(v, w))
-    # total criticality is the sum of the surplus credits (criticality_count),
-    # so (cv * s_v / cv + cw * s_w / cw) / (cv + cw) is (s_v + s_w) / (cv + cw)
-    cv = int(sum(variant_v.player_values))
-    cw = int(sum(variant_w.player_values))
-    bad = []
-    for i in v.players():
-        expected = (variant_v.player_values[i - 1] + variant_w.player_values[i - 1]) / (cv + cw)
-        got = norm_sum.player_values[i - 1]
-        if got != expected:
-            bad.append((i, got, expected))
+    cv, cw = total_criticality(v), total_criticality(w)
+    merged = normalized_variant(oplus(v, w)).player_values
+    credits = zip(variant_value(v).player_values, variant_value(w).player_values)
+    expected = [(a + b) / (cv + cw) for a, b in credits]
+    bad = tuple((i, q, e) for i, q, e in zip(v.players(), merged, expected) if q != e)
     if bad:
-        return AxiomResult(
-            "A4", "fail", "merged value is not the criticality-weighted average", tuple(bad)
-        )
-    return AxiomResult(
-        "A4", "pass", f"weighted average holds with weights {cv} and {cw}"
-    )
+        detail = "merged value is not the criticality-weighted average"
+        return AxiomResult("A4", "fail", detail, bad)
+    return AxiomResult("A4", "pass", f"weighted average holds with weights {cv} and {cw}")

@@ -117,9 +117,7 @@ def compare_pgv_vs_jk(game: JKGame, *, cap: int = DEFAULT_CAP) -> ValueCompariso
     if degenerate:
         equal = False
     else:
-        pgv_total = sum(pgv.player_values)
-        jk_total = sum(jk.player_values)
-        equal = tuple(q / pgv_total for q in pgv.player_values) == tuple(
-            q / jk_total for q in jk.player_values
-        )
+        # each value report's credits sum to its distributed total
+        shares = [[q / r.lambda_total for q in r.player_values] for r in (pgv, jk)]
+        equal = shares[0] == shares[1]
     return ValueComparison(average, pgv, jk, variant, equal, degenerate)

@@ -228,13 +228,10 @@ def _reports(game, family: str):
     normalized one out (the constant-0 game has none)."""
     if isinstance(game, TUGame):
         return [pgv_tu(game, family)], None
-    if isinstance(game, JKGame):
-        reports = [public_good_value_jk(game), variant_value(game)]
-        normalized = normalized_variant
-    else:
-        reports, normalized = [pgi_raw(game)], pgi_normalized
+    jk = isinstance(game, JKGame)
+    reports = [public_good_value_jk(game), variant_value(game)] if jk else [pgi_raw(game)]
     try:
-        reports.append(normalized(game))
+        reports.append(normalized_variant(game) if jk else pgi_normalized(game))
     except TrivialGame as exc:
         return reports, str(exc)
     return reports, None
@@ -297,18 +294,13 @@ def _structure_doc(game, request: AnalysisRequest, listing, reports=None, error=
 
 
 def _cmd_potential(games, request: AnalysisRequest):
-    game = games[0]
-    note = None
+    game, note = games[0], None
     if isinstance(game, SimpleGame):
-        game = embed_simple(game)
-        note = "via the (2,2) embedding"
-    if isinstance(game, JKGame):
-        direct = jk_potential(game)
-        recursive = jk_potential_recursive(game, cap=request.cap)
-        match = direct == recursive
-    else:
-        direct = tu_potential(game)
-        recursive = match = None
+        game, note = embed_simple(game), "via the (2,2) embedding"
+    jk = isinstance(game, JKGame)
+    direct = jk_potential(game) if jk else tu_potential(game)
+    recursive = jk_potential_recursive(game, cap=request.cap) if jk else None
+    match = direct == recursive if jk else None
     doc = {
         "command": "potential",
         "game": games[0],

@@ -173,7 +173,7 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     else:
         worth = {v: Fraction(v, d) for v in set(listed)}  # one, shared, per numerator
         listing = CoalitionSet(_coalitions(game.n, ranks), tuple(map(worth.__getitem__, listed)))
-    # every record keeps an instance __dict__ (see games._Record)
+    listing.__dict__["_ranks"] = ranks  # for indices._tally; records keep a __dict__
     game.__dict__[key] = listing
     return listing
 

@@ -298,8 +298,8 @@ class _Record:
     repr over them, read through ``getattr``, so that a field may be a
     ``cached_property``; assignment and deletion raise. Its own ``__init__``
     may keep further attributes out of the fields. Instances keep a
-    ``__dict__`` for ``cached_property``, the lane view, the listings and
-    their JSON text.
+    ``__dict__`` for ``cached_property``, the lane view, the listings and,
+    on a listing, its ranks, its JSON text and its value reports.
     Hand-written, so that startup generates no code (see the README,
     "Module map")."""
 

@@ -5,9 +5,11 @@ coalitions containing them. The TU value sums the worths of the minimal
 critical (or real gaining) coalitions containing a player. The (j,k)
 value credits each player with the summed worths of the minimal critical
 vectors they support; the surplus variant credits only the margin the
-player's own level secures. Every potential-based value is reproduced by
-differences of a potential P, computable directly from the minimal
-critical structure or by the averaging recursion over subgames.
+player's own level secures. One pass per game and family over the ranks
+of its listing gives these reports, kept on the listing; the potentials,
+distributed totals and criticality counts read them. Every potential-based
+value is reproduced by differences of a potential P, computable directly
+from the minimal critical structure or by the averaging recursion.
 
 Values are exact Fractions; raw counts are widened to Fraction in reports.
 """
@@ -33,6 +35,7 @@ from .games import (
     TUGame,
     _Record,
     _check_players,
+    _halves,
     _over_digit_limit,
     check_cap,
     profile_index,
@@ -66,40 +69,45 @@ def _normalized(report: IndexReport, variant: str) -> IndexReport:
     )
 
 
-def _tally(variant: str, players: tuple, listing, support, surplus_of=None, d=1) -> IndexReport:
-    """One pass over a listing of (x, w): potential, distributed total (w times
-    ``len(support(x))``) and per supporter p the credit w, or, given the game
-    ``surplus_of``, the surplus w - v(x - e_p) read from its table by rank.
-    Worths are summed as the integers w·d, for d the TU game's denominator
-    (1 otherwise), and each sum is divided by d once at the end."""
-    values = [0] * len(players)
-    potential = lam = 0
-    if surplus_of is not None:
-        levels, j = surplus_of.levels, surplus_of.j
-        strides = [j ** (surplus_of.n - 1 - p) for p in range(surplus_of.n)]
-    for x, w in listing.pairs():
-        w = w.numerator * (d // w.denominator)
-        positions = support(x)
+def _tally(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> tuple[IndexReport, ...]:
+    """The one value pass of a game and family, kept on its listing: the value
+    report, and for a (j,k) game the surplus report. Each rank of the listing
+    joins its supporters from :func:`games._halves` and reads its worth w from
+    the integer table, a TU game's numerators over d; each supporter p gets w,
+    and in the surplus report w - v(x - e_p), read one stride of p below."""
+    listing = minimal_critical_vectors(game) if isinstance(game, JKGame) else _listing(game, family)
+    if "_reports" in listing.__dict__:
+        return listing.__dict__["_reports"]
+    n, j, jk = game.n, getattr(game, "j", 2), isinstance(game, JKGame)
+    if isinstance(game, TUGame):
+        table, d, variants = game.numerators, game.denominator, ("tu_pgv",)
+    else:
+        table, d = game.levels, 1
+        variants = ("potential_value", "surplus_variant") if jk else ("raw_pgi",)
+    high, low = _halves(n, j, lambda x, first: [p for p, level in enumerate(x, first - 1) if level])
+    strides = [j ** (n - 1 - p) for p in range(n)]
+    values, surplus, potential, lam = [0] * n, [0] * n, 0, 0
+    for rank in listing.__dict__["_ranks"]:
+        h, q = divmod(rank, len(low))
+        w, positions = table[rank], high[h] + low[q]
         potential += w
         lam += w * len(positions)
-        rank = None if surplus_of is None else profile_index(x, j)
         for p in positions:
-            values[p] += w if rank is None else w - levels[rank - strides[p]]
-    widened = tuple(Fraction(v, d) for v in values)
+            values[p] += w
+        if jk:
+            for p in positions:
+                surplus[p] += w - table[rank - strides[p]]
     totals = Fraction(potential, d), Fraction(lam, d)
+    widened = tuple(Fraction(v, d) for v in values)
     limit = sys.get_int_max_str_digits()
-    # in-limit worths can sum beyond the limit; denominators divide d, which is within it
+    # in-limit worths can sum beyond it; no surplus sum exceeds its value sum
     if any(_over_digit_limit(q.numerator, limit) for q in (*totals, *widened)):
         raise DigitLimitExceeded(f"a sum of the game's worths exceeds {limit} digits")
-    return IndexReport(variant, players, widened, *totals, listing)
-
-
-def _members(coalition) -> list[int]:
-    return [i - 1 for i in coalition]
-
-
-def _support(x) -> list[int]:
-    return [p for p, level in enumerate(x) if level]
+    columns = (widened, tuple(map(Fraction, surplus)))
+    players = getattr(game, "labels", tuple(game.players()))
+    reports = tuple(IndexReport(v, players, q, *totals, listing) for v, q in zip(variants, columns))
+    listing.__dict__["_reports"] = reports
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +117,7 @@ def _support(x) -> list[int]:
 def pgi_raw(game: SimpleGame) -> IndexReport:
     """Raw Public Good index: memberships in minimal winning coalitions,
     each of worth 1."""
-    return _tally("raw_pgi", tuple(game.players()), _listing(game), _members)
+    return _tally(game)[0]
 
 
 def pgi_normalized(game: SimpleGame) -> IndexReport:
@@ -128,8 +136,7 @@ def pgv_tu(game: TUGame, family: str = "mcc") -> IndexReport:
     """Public Good value: per player, the summed worths of the coalitions
     in the chosen family (minimal critical by default, real gaining on
     request) that contain them."""
-    listing = _listing(game, family)
-    return _tally("tu_pgv", tuple(game.labels), listing, _members, d=game.denominator)
+    return _tally(game, family)[0]
 
 
 def tu_potential(game: TUGame) -> Fraction:
@@ -154,7 +161,7 @@ def lambda_total(game: JKGame) -> Fraction:
 
 def public_good_value_jk(game: JKGame) -> IndexReport:
     """Potential-based value: summed worths of the supported vectors."""
-    return _tally("potential_value", tuple(game.labels), minimal_critical_vectors(game), _support)
+    return _tally(game)[0]
 
 
 def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
@@ -195,9 +202,7 @@ def _subset_sums(table: list[int], n: int) -> list[int]:
 def variant_value(game: JKGame) -> IndexReport:
     """Marginal-surplus variant: each supporter i of a minimal critical
     vector x is credited w - v(x - e_i), the drop their level prevents."""
-    return _tally(
-        "surplus_variant", tuple(game.labels), minimal_critical_vectors(game), _support, game
-    )
+    return _tally(game)[1]
 
 
 def criticality_count(game: JKGame, i: int) -> int:

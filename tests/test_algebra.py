@@ -1,8 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgindex import (
     TrivialGame,
@@ -31,7 +34,7 @@ from pgindex.errors import (
     NotMergeable,
     ValidationError,
 )
-from pgindex.games import evaluate
+from pgindex.games import decrement, evaluate
 
 from gamegen import random_monotone_jk
 
@@ -242,3 +245,67 @@ class TestAxioms:
         b = single_mcv_game((1, 1), 1, 2, 2)
         with pytest.raises(NotMergeable):
             axiom_report(a, b)
+
+
+def _sparse_or_random(n: int, j: int, k: int, rng: random.Random):
+    """A random monotone game, or the pointwise maximum of a few
+    single-vector games, which is far more often mergeable with another."""
+    if rng.random() < 0.5:
+        return random_monotone_jk(n, j, k, rng)
+    parts = []
+    while not parts or rng.random() < 0.5:
+        x = [rng.randrange(j) for _ in range(n)]
+        if any(x):
+            parts.append(single_mcv_game(x, rng.randrange(1, k), j, k))
+    return functools.reduce(oplus, parts)
+
+
+def _mergeable_pair(seed: int):
+    """The first mergeable pair of non-constant games drawn from ``seed``,
+    on n in {2, 3}, j in {2, 3} and k in {3, 4}."""
+    rng = random.Random(seed)
+    n, j, k = rng.choice((2, 3)), rng.choice((2, 3)), rng.choice((3, 4))
+    while True:
+        v, w = (_sparse_or_random(n, j, k, rng) for _ in range(2))
+        if not (v.trivial or w.trivial) and is_mergeable(v, w).mergeable:
+            return v, w
+
+
+def _added(report, v, w) -> bool:
+    """Whether ``report`` of v⊕w gives each player their report in v plus w."""
+    pairs = zip(report(v).player_values, report(w).player_values)
+    return report(oplus(v, w)).player_values == tuple(a + b for a, b in pairs)
+
+
+class TestMergeAdditivity:
+    """The two statements proved from the union lemma in the docstring of
+    ``algebra._axiom_merge``, on random mergeable pairs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_potential_value_adds_up(self, seed):
+        v, w = _mergeable_pair(seed)
+        assert _added(public_good_value_jk, v, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_variant_adds_up_iff_no_predecessor_is_lifted(self, seed):
+        v, w = _mergeable_pair(seed)
+        lifted = [
+            (x, p)
+            for own, other in ((v, w), (w, v))
+            for x in minimal_critical_vectors(own).vectors
+            for p in own.players()
+            if x[p - 1] and evaluate(other, decrement(x, p)) > evaluate(own, decrement(x, p))
+        ]
+        assert _added(variant_value, v, w) == (not lifted)
+        if not lifted:
+            a4 = axiom_report(v, w).results[-1]
+            assert (a4.axiom, a4.status) == ("A4", "pass")
+
+    def test_a_lifted_predecessor(self):
+        # v's vector (1,1) has predecessor (1,0), which w lifts to 1
+        v = make_table_game(2, 2, 3, [0, 0, 0, 2])
+        w = make_table_game(2, 2, 3, [0, 0, 1, 1])
+        assert is_mergeable(v, w).mergeable
+        assert _added(public_good_value_jk, v, w) and not _added(variant_value, v, w)

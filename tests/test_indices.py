@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgindex.cli as cli
+import pgindex.indices as indices
 from pgindex import (
     TrivialGame,
+    axiom_report,
+    compare_pgv_vs_jk,
     criticality_count,
+    dump_game,
     embed_2k_as_tu,
     embed_simple,
     evaluate,
@@ -24,16 +29,19 @@ from pgindex import (
     public_good_value_jk,
     remove_player,
     simple_game_from_generators,
+    single_mcv_game,
     subgame,
     total_criticality,
     tu_potential,
     variant_value,
     zero_game,
 )
+from pgindex.critical import _listing
 from pgindex.errors import CapExceeded, DigitLimitExceeded, RecursionCapExceeded, UnknownPlayer
-from pgindex.games import decrement
+from pgindex.games import JKGame, SimpleGame, decrement, profile_index
+from pgindex.indices import IndexReport, _tally
 
-from gamegen import random_monotone_jk, random_monotone_tu
+from gamegen import random_monotone_jk, random_monotone_tu, random_tu
 
 
 class TestExampleValues:
@@ -223,3 +231,161 @@ class TestCriticalityCounts:
     def test_trivial_variant_normalization_refused(self):
         with pytest.raises(TrivialGame):
             normalized_variant(zero_game(2, 3, 3))
+
+
+# ---------------------------------------------------------------------------
+# the value pass against the per-listing loop it replaced
+
+
+def _members(coalition) -> list[int]:
+    return [i - 1 for i in coalition]
+
+
+def _support(x) -> list[int]:
+    return [p for p, level in enumerate(x) if level]
+
+
+def _reference_tally(variant, players, listing, support, surplus_of=None, d=1) -> IndexReport:
+    """One report from a loop over a listing of (x, w): potential, distributed
+    total (w times ``len(support(x))``) and per supporter p the credit w, or,
+    given the game ``surplus_of``, the surplus w - v(x - e_p) read from its
+    table at x's rank; worths summed as the integers w·d, then divided by d."""
+    values = [0] * len(players)
+    potential = lam = 0
+    if surplus_of is not None:
+        levels, j = surplus_of.levels, surplus_of.j
+        strides = [j ** (surplus_of.n - 1 - p) for p in range(surplus_of.n)]
+    for x, w in listing.pairs():
+        w = w.numerator * (d // w.denominator)
+        positions = support(x)
+        potential += w
+        lam += w * len(positions)
+        rank = None if surplus_of is None else profile_index(x, j)
+        for p in positions:
+            values[p] += w if rank is None else w - levels[rank - strides[p]]
+    widened = tuple(Fraction(v, d) for v in values)
+    return IndexReport(variant, players, widened, Fraction(potential, d), Fraction(lam, d), listing)
+
+
+def _reference_reports(game, family: str = "mcc") -> tuple[IndexReport, ...]:
+    """The reports of a game and family, each from its own loop."""
+    listing = _listing(game, family)
+    if isinstance(game, JKGame):
+        labels = game.labels
+        return (
+            _reference_tally("potential_value", labels, listing, _support),
+            _reference_tally("surplus_variant", labels, listing, _support, game),
+        )
+    if isinstance(game, SimpleGame):
+        return (_reference_tally("raw_pgi", tuple(game.players()), listing, _members),)
+    return (_reference_tally("tu_pgv", game.labels, listing, _members, d=game.denominator),)
+
+
+def _draw(kind: str, n: int, rng: random.Random):
+    if kind == "simple":
+        count = rng.randrange(4) if n else 0
+        generators = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(count)]
+        return simple_game_from_generators(n, generators)
+    if kind == "jk":
+        j, k = rng.randint(2, 4), rng.randint(2, 4)
+        game = random_monotone_jk(n, j, k, rng)
+    else:
+        draw = random_monotone_tu if kind == "tu_monotone" else random_tu
+        game = draw(n, rng, denominator=rng.choice((1, 2, 6, 35)))
+    # a removed player leaves labels other than 1..n
+    return remove_player(game, rng.randint(1, n)) if n > 1 and rng.random() < 0.3 else game
+
+
+class TestValuePass:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(("simple", "tu_monotone", "tu", "jk")),
+        n=st.integers(0, 5),
+        family=st.sampled_from(("mcc", "rgc")),
+        seed=st.integers(0, 10**6),
+    )
+    def test_reports_match_the_reference_loop(self, kind, n, family, seed):
+        game = _draw(kind, n, random.Random(seed))
+        reference = _reference_reports(game, family)
+        reports = _tally(game, family)
+        # every field, Fraction type included
+        assert reports == reference and repr(reports) == repr(reference)
+        values = reports[0]
+        if isinstance(game, JKGame):
+            assert (public_good_value_jk(game), variant_value(game)) == reports
+            assert (jk_potential(game), lambda_total(game)) == (values.potential, values.lambda_total)
+            counts = [criticality_count(game, i) for i in game.players()]
+            assert counts == list(reports[1].player_values)
+            assert total_criticality(game) == sum(counts)
+        elif isinstance(game, SimpleGame):
+            assert pgi_raw(game) is values
+        else:
+            assert pgv_tu(game, family) is values
+            assert tu_potential(game) == _reference_reports(game)[0].potential
+
+    def test_listing_keeps_fields_and_ranks_apart(self, example33):
+        reports = _tally(example33)
+        listing = reports[0].listing
+        fresh = type(listing)(*listing._values())
+        assert (listing, hash(listing), repr(listing)) == (fresh, hash(fresh), repr(fresh))
+        assert listing.__dict__["_reports"] is reports
+        assert [profile_index(x, 3) for x in listing.vectors] == listing.__dict__["_ranks"]
+
+
+class TestOnePassPerGame:
+    """The value pass runs once per game and family; every later report,
+    potential and criticality count reads the reports kept on the listing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(game, family, reports) per call of the pass; kept, so that the
+        games stay alive and their ids apart."""
+        calls, tally = [], indices._tally
+
+        def counting(game, family="mcc"):
+            reports = tally(game, family)
+            calls.append((game, family, reports))
+            return reports
+
+        monkeypatch.setattr(indices, "_tally", counting)
+        return calls
+
+    @staticmethod
+    def passes(calls) -> int:
+        """The games and families behind ``calls``, once each is checked to
+        have been given one report tuple, the same object every time."""
+        given = {}
+        for game, family, reports in calls:
+            given.setdefault((id(game), family), set()).add(id(reports))
+        assert all(len(ids) == 1 for ids in given.values()), "a game's pass ran twice"
+        return len(given)
+
+    @pytest.mark.parametrize("fmt", ("table", "machine"))
+    @pytest.mark.parametrize("kind", ("tu", "jk", "simple"))
+    def test_analyze(self, calls, kind, fmt, tmp_path, capsys):
+        game = {
+            "tu": random_monotone_tu(4, random.Random(3)),
+            "jk": random_monotone_jk(3, 3, 3, random.Random(3)),
+            "simple": simple_game_from_generators(4, [{1, 2}, {3, 4}]),
+        }[kind]
+        path = tmp_path / "g.json"
+        dump_game(game, path)
+        assert cli.main(["analyze", "--format", fmt, "--oracle", str(path)]) == 0
+        capsys.readouterr()
+        assert calls and self.passes(calls) == 1
+
+    def test_criticality_counts(self, calls, example33):
+        counts = [criticality_count(example33, i) for i in example33.players()]
+        assert total_criticality(example33) == sum(counts) == 12
+        assert len(calls) == 4 and self.passes(calls) == 1
+
+    def test_two_game_axioms(self, calls):
+        v = single_mcv_game((2, 0), 1, 3, 3)
+        w = single_mcv_game((0, 2), 2, 3, 3)
+        axiom_report(v, w)
+        assert self.passes(calls) == 3  # v, w and v⊕w
+        assert {id(game) for game, _, _ in calls} >= {id(v), id(w)}
+
+    def test_compare_pgv_vs_jk(self, calls, example33):
+        compare_pgv_vs_jk(example33)
+        assert self.passes(calls) == 2  # the source game and its average TU game
