@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import io
 import sys
+from decimal import Context, Decimal  # loaded by fractions anyway
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, TextIO
 
-from .algebra import AxiomResult, _union_holds, axiom_report, is_mergeable
-from .average import ValueComparison, average_worth_oracle, compare_pgv_vs_jk
 from .critical import (
     CoalitionSet,
     MCVSet,
@@ -86,8 +85,6 @@ def _frac_table(q: Fraction) -> str:
     try:
         approx = f"{float(q):.6f}"
     except OverflowError:  # beyond the float range: seven significant digits
-        from decimal import Context, Decimal  # here, so that startup skips it
-
         approx = f"{Context(prec=7).divide(Decimal(q.numerator), Decimal(q.denominator)):.6e}"
     return f"{q} (~{approx})"
 
@@ -186,9 +183,9 @@ def _json_default(obj):
         return _game_json(obj)
     if isinstance(obj, (MCVSet, CoalitionSet)):  # JSON text, by the pad
         return lambda pad: _listing_json(obj, pad)
-    if isinstance(obj, (IndexReport, ValueComparison, AxiomResult)):
+    if isinstance(obj, _Record):  # an index report, a comparison or an axiom result
         fields = {f: v for f, v in zip(obj._fields, obj._values()) if f != "average"}
-        if isinstance(obj, AxiomResult):
+        if "witnesses" in fields:
             fields["witnesses"] = [str(w) for w in obj.witnesses]
         return fields
     raise TypeError(f"cannot render {type(obj).__name__}")
@@ -329,6 +326,8 @@ def _require_jk(games, command: str) -> list[JKGame]:
 
 
 def _cmd_merge(games, request: AnalysisRequest):
+    from .algebra import _union_holds, is_mergeable  # here, as the other commands skip algebra
+
     v, w = _require_jk(games, "merge")
     report = is_mergeable(v, w)
     union = _union_holds(v, w) if report.mergeable else None
@@ -357,6 +356,8 @@ def _cmd_merge(games, request: AnalysisRequest):
 
 
 def _cmd_axioms(games, request: AnalysisRequest):
+    from .algebra import axiom_report
+
     games = _require_jk(games, "axioms")
     v = games[0]
     w = games[1] if len(games) > 1 else None
@@ -374,6 +375,8 @@ def _cmd_axioms(games, request: AnalysisRequest):
 
 
 def _cmd_average(games, request: AnalysisRequest):
+    from .average import average_worth_oracle, compare_pgv_vs_jk  # here, as for algebra
+
     (game,) = _require_jk(games, "average")
     if request.oracle:
         check_cap(game.n, game.j + 1, request.cap, "the oracle would take {} evaluations")

@@ -11,11 +11,10 @@ floats are rejected to keep everything exact.
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii, make_scanner
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, count
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .critical import minimal_winning_coalitions
@@ -88,11 +87,14 @@ def loads_game(text: str, *, path="<input>", cap: int = DEFAULT_CAP) -> Game:
         return obj
 
     try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
-    except (ValueError, RecursionError) as exc:
-        # an integer beyond the digit limit, or nesting beyond the recursion limit
+        doc = _read_json(text, unique_keys)
+    except ValueError as exc:  # json's decode error, or an integer beyond the digit limit
+        from json import JSONDecodeError  # loaded by then if exc is one
+
+        if isinstance(exc, JSONDecodeError):
+            raise ParseError(path, exc.msg, line=exc.lineno, col=exc.colno) from None
+        raise ParseError(path, str(exc)) from None
+    except RecursionError as exc:  # nesting beyond the recursion limit
         raise ParseError(path, str(exc)) from None
     if not isinstance(doc, dict):
         raise ParseError(path, "top-level value must be an object")
@@ -104,6 +106,57 @@ def loads_game(text: str, *, path="<input>", cap: int = DEFAULT_CAP) -> Game:
     if kind == "tu":
         return _load_tu(doc, path, cap)
     raise ParseError(path, f'unknown kind {kind!r}; expected "jk", "simple", or "tu"')
+
+
+class _Decoding:
+    """What ``_json.make_scanner`` reads of a ``json.JSONDecoder``: its
+    defaults, with ``object_pairs_hook``."""
+
+    strict = True
+    object_hook = None
+    parse_float = float
+    parse_int = int
+    parse_constant = {
+        "-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")
+    }.__getitem__
+
+    def __init__(self, object_pairs_hook):
+        self.object_pairs_hook = object_pairs_hook
+
+
+_SPACE = " \t\n\r"  # JSON's whitespace
+
+
+def _read_json(text: str, object_pairs_hook):
+    """``json.loads(text, object_pairs_hook=...)``: the C scanner that it
+    runs, and its steps around the scan (a leading BOM, whitespace, "Expecting
+    value" where the scanner stops, "Extra data" after the value). ``json`` is
+    loaded only to raise its ``JSONDecodeError``."""
+    if text.startswith("\ufeff"):
+        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    scan = make_scanner(_Decoding(object_pairs_hook))
+    start = len(text) - len(text.lstrip(_SPACE))
+    try:
+        doc, end = scan(text, start)
+    except StopIteration as exc:
+        raise _decode_error("Expecting value", text, exc.value) from None
+    except SystemError:
+        # on Python 3.11 the scanner raises this in place of a JSONDecodeError
+        # while json.decoder is not loaded; once it is, the same scan raises that
+        import json.decoder  # noqa: F401
+
+        scan(text, start)
+        raise
+    extra = text[end:].lstrip(_SPACE)
+    if extra:
+        raise _decode_error("Extra data", text, len(text) - len(extra))
+    return doc
+
+
+def _decode_error(message: str, text: str, pos: int) -> ValueError:
+    from json import JSONDecodeError  # here, as only a malformed file needs json
+
+    return JSONDecodeError(message, text, pos)
 
 
 def _load_jk(doc: dict, path, cap: int) -> JKGame:

@@ -622,7 +622,8 @@ def make_weighted_game(
     sums = [0]
     for wi in w:
         step = wi.numerator * (scale // wi.denominator)
-        sums = [s + step * level for s in sums for level in range(j)]
+        offsets = [step * level for level in range(j)]
+        sums = [s + o for s in sums for o in offsets]
     scaled = [ti.numerator * (scale // ti.denominator) for ti in t]
     levels = tuple(map(partial(bisect_right, scaled), sums))
     rule = WeightedRule(w, t)

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgindex import algebra, cli, critical, dump_game, make_simple_game, single_mcv_game, zero_game
+from pgindex import (
+    algebra,
+    average,
+    cli,
+    critical,
+    dump_game,
+    make_simple_game,
+    single_mcv_game,
+    zero_game,
+)
 from pgindex.algebra import is_mergeable
 from pgindex.cli import (
     AnalysisRequest,
@@ -265,8 +274,7 @@ class TestMergeAxioms:
             calls.append((v, w))
             return is_mergeable(v, w)
 
-        monkeypatch.setattr(algebra, "is_mergeable", counting)
-        monkeypatch.setattr(cli, "is_mergeable", counting)
+        monkeypatch.setattr(algebra, "is_mergeable", counting)  # the handler imports it from here
         assert main(["merge", *(str(DATA / name) for name in pair)]) == 0
         capsys.readouterr()
         assert len(calls) == 1
@@ -335,7 +343,7 @@ class TestAverage:
 
     def test_oracle_cap_refuses_before_the_reduction(self, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli, "compare_pgv_vs_jk", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(average, "compare_pgv_vs_jk", lambda *a, **kw: calls.append(a))
         status, stdout, stderr = main_captured(
             capsys, "average", str(EXAMPLE), "--oracle", "--cap", "50"
         )
@@ -533,6 +541,70 @@ def test_request_loads_no_argparse():
     assert (code, stdout) == (2, "")
     lines = stderr.splitlines()
     assert lines[0].startswith("usage: pgindex") and lines[-1].startswith("pgindex: error: ")
+
+
+#: the modules that only some requests need
+_OPTIONAL_MODULES = (
+    "pgindex.algebra", "pgindex.average", "json", "json.decoder", "json.encoder", "json.scanner",
+    "argparse", "gettext", "locale",
+)
+
+
+def _request_modules(argv, cwd) -> tuple[str, str]:
+    """``main(argv)`` in a fresh process: its stdout, and its stderr followed
+    by a line with the exit status and the ``_OPTIONAL_MODULES`` it loaded.
+    Compared with the child's own modules before the import, so that a site
+    hook loading any of them cannot fail a test."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from pgindex.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        f"loaded = set({_OPTIONAL_MODULES!r}) & (set(sys.modules) - before)\n"
+        "print(status, sorted(loaded), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, check=True,
+    )
+    return proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["analyze", "example33.json"], []),
+        (["analyze", "example33.json", "--format", "machine"], []),
+        (["analyze", "simple_quota.json"], []),
+        (["analyze", "tu3.json", "--format", "machine"], []),
+        (["mcv", "example33.json"], []),
+        (["mcv", "tu3.json", "--family", "rgc"], []),
+        (["potential", "example33.json", "--oracle"], []),
+        (["embed", "simple_quota.json"], []),
+        (["embed", "unit_110.json"], []),
+        (["merge", "unit_110.json", "unit_011.json"], ["pgindex.algebra"]),
+        (["axioms", "example33.json"], ["pgindex.algebra"]),
+        (["average", "example33.json", "--format", "machine"], ["pgindex.average"]),
+    ],
+    ids=" ".join,
+)
+def test_request_loads_only_its_modules(argv, loaded):
+    # algebra only for merge and axioms, average only for average, and json
+    # for no file that parses
+    stdout, stderr = _request_modules(argv, DATA)
+    assert stdout
+    assert stderr == f"0 {loaded}\n"
+
+
+def test_malformed_file_loads_json_for_its_error(tmp_path):
+    # one error line, with json's message and position: json is loaded for it
+    # (the scanner builds this message, unlike "Expecting value")
+    (tmp_path / "bad.json").write_text('{"kind": "jk",\n "n" [1]}')
+    stdout, stderr = _request_modules(["analyze", "bad.json"], tmp_path)
+    assert stdout == ""
+    json_modules = ["json", "json.decoder", "json.encoder", "json.scanner"]
+    assert stderr == f"error: bad.json:2:6: Expecting ':' delimiter\n1 {json_modules}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from pgindex.errors import NonZeroEmptyCoalition
 from pgindex.gamefile import _dumps, parse_rational
 from pgindex.games import _check_exponent
 
+from conftest import DATA
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
 import random
 
@@ -402,3 +403,115 @@ class TestEncoder:
         with pytest.raises(TypeError) as theirs:
             json.dumps(doc, indent=2)
         assert str(ours.value) == str(theirs.value)
+
+
+#: texts that json.loads refuses, or reads in a way easy to get wrong
+_JSON_CORPUS = {
+    "empty": "",
+    "blank": " \t\r\n ",
+    "bom": '\ufeff{"kind": "jk"}',
+    "bom after space": ' \ufeff{}',
+    "trailing value": '{"a": 1} {}',
+    "trailing text after lines": '{"a": 1}\n\n  x',
+    "trailing vertical tab": '{"a": 1}\x0b',
+    "no-break space first": "\xa0{}",
+    "unclosed list": "[1, 2",
+    "unclosed object": '{"a": [1, 2}',
+    "list closed by brace": "[1}",
+    "object closed by bracket": '{"a": 1]',
+    "missing colon": '{"a" 1}',
+    "trailing comma": "[1, 2,]",
+    "leading comma": "{,}",
+    "unquoted key": "{a: 1}",
+    "bad escape": '{"a": "\\x"}',
+    "control character in string": '{"a": "x\x01y"}',
+    "raw newline in string": '["a\nb"]',
+    "raw tab in key": '{"a\tb": 1}',
+    "NaN": "NaN",
+    "infinities": '{"w": [Infinity, -Infinity, NaN]}',
+    "duplicate keys": '{"a": 1, "b": 2, "a": 3}',
+    "nested duplicate keys": '{"x": {"k": [], "k": {}}}',
+    "deep lists": "[" * 100_000 + "]" * 100_000,
+    "deep objects": '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    "int beyond the digit limit": '{"n": ' + "9" * 5000 + "}",
+    "negative int beyond the digit limit": "[-" + "1" * 4301 + "]",
+    "numbers": "[0, -0, 1.5, -2e3, 1E+2, 10000000000000000000000]",
+    "bad numbers": "[01]",
+    "lone surrogate": '["\\ud800", "\\u00e9", "\u00e9"]',
+    "literals": "[true, false, null]",
+    "bad literal": "[tru]",
+}
+
+
+#: the characters of JSON's tokens and whitespace, and a few it refuses
+_JSON_ALPHABET = ' \t\n\r\x0b{}[]:,"\\0123456789.eE+-truefalsnNaIiy\ufeff\x01'
+
+
+def _json_outcome(read, text, hook):
+    """What ``read(text, hook)`` returns or raises, comparably."""
+    try:
+        return "value", repr(read(text, hook))
+    except json.JSONDecodeError as exc:
+        return type(exc), exc.msg, exc.lineno, exc.colno
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _json_loads(text, hook):
+    return json.loads(text, object_pairs_hook=hook)
+
+
+class TestReader:
+    """``gamefile._read_json`` against ``json.loads`` with the same
+    ``object_pairs_hook``, its oracle twin: the same object (a list of
+    pairs keeps repeated keys; ``repr`` tells 1 from 1.0 and keeps NaN), or
+    the same error with the same message, line and column."""
+
+    @pytest.mark.parametrize("hook", [list, dict])
+    @pytest.mark.parametrize(
+        "path", sorted(DATA.glob("*.json")), ids=lambda path: path.name
+    )
+    def test_data_files(self, path, hook):
+        text = path.read_text(encoding="utf-8")
+        ours = _json_outcome(gamefile._read_json, text, hook)
+        assert ours[0] == "value"
+        assert ours == _json_outcome(_json_loads, text, hook)
+
+    @pytest.mark.parametrize("hook", [list, dict])
+    @pytest.mark.parametrize("text", _JSON_CORPUS.values(), ids=_JSON_CORPUS.keys())
+    def test_corpus(self, text, hook):
+        assert _json_outcome(gamefile._read_json, text, hook) == _json_outcome(
+            _json_loads, text, hook
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet=_JSON_ALPHABET, max_size=24))
+    def test_random_texts(self, text):
+        assert _json_outcome(gamefile._read_json, text, list) == _json_outcome(
+            _json_loads, text, list
+        )
+
+    def test_hook_error_passes_through(self):
+        def refuse(pairs):
+            raise ParseError("g.json", f"refused {pairs!r}")
+
+        with pytest.raises(ParseError, match=r"refused \[\('a', 1\)\]"):
+            gamefile._read_json('[{"a": 1}]', refuse)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "g.json:1:1: Expecting value"),
+            ('\ufeff{"kind": "jk"}', "g.json:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ('{"kind": "jk"}\n x', "g.json:2:2: Extra data"),
+            ('{"kind": \n[1,]}', "g.json:2:4: Expecting value"),
+            ('{"kind": "a\x01"}', "g.json:1:12: Invalid control character at"),
+            ('{"n": ' + "9" * 5000 + "}", "g.json: Exceeds the limit (4300 digits) for integer "
+             "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+             "increase the limit"),
+        ],
+    )
+    def test_parse_error_keeps_message_and_position(self, text, message):
+        with pytest.raises(ParseError) as info:
+            loads_game(text, path="g.json")
+        assert str(info.value) == message
