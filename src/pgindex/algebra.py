@@ -11,7 +11,8 @@ exactly the disjoint union of both sets, and criticality counts add up.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -25,7 +26,6 @@ from .critical import minimal_critical_vectors
 from .games import (
     DEFAULT_CAP,
     JKGame,
-    Profile,
     _Record,
     _check_players,
     _lane_view,
@@ -40,10 +40,7 @@ CLAUSE_LE = "C2_le_not_less"
 CLAUSE_GE = "C3_ge_not_greater"
 
 
-class MergeViolation(NamedTuple):
-    x: Profile
-    y: Profile
-    clause: str
+MergeViolation = namedtuple("MergeViolation", "x y clause")  # two profiles and a clause
 
 
 class MergeReport(_Record):

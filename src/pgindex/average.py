@@ -16,9 +16,9 @@ the explicit sum over the outside profiles and the multiplicity j^|S|.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import sub
-from typing import Iterable
 
 from .errors import DigitLimitExceeded, InvariantViolation
 from .games import (

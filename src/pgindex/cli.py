@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import io
 import sys
+from collections.abc import Iterator
 from decimal import Context, Decimal  # loaded by fractions anyway
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .critical import (
     CoalitionSet,
@@ -57,9 +57,6 @@ from .indices import (
     tu_potential,
     variant_value,
 )
-
-if TYPE_CHECKING:
-    import argparse
 
 MAX_WITNESSES = 10
 
@@ -439,7 +436,7 @@ _HANDLERS = {name: handler for name, _, _, handler in _COMMANDS}
 
 
 def run(
-    request: AnalysisRequest, out: TextIO | None = None, err: TextIO | None = None
+    request: AnalysisRequest, out: io.TextIOBase | None = None, err: io.TextIOBase | None = None
 ) -> int:
     """Execute one request, writing the report to ``out`` (default stdout)."""
     out = sys.stdout if out is None else out

@@ -11,9 +11,9 @@ lowered; the full down-set scan survives as a brute-force oracle.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import (
     LevelOutOfRange,

@@ -11,11 +11,11 @@ floats are rejected to keep everything exact.
 
 from __future__ import annotations
 
+import os
 from _json import encode_basestring_ascii, make_scanner
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, count
-from pathlib import Path
 
 from .critical import minimal_winning_coalitions
 from .errors import ParseError, ValidationError
@@ -69,7 +69,8 @@ def load_game(path, *, cap: int = DEFAULT_CAP) -> Game:
     """Load a game file; raises ParseError on malformed input and the
     usual validation errors on well-formed but invalid games."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as file:  # fspath refuses an int
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, str(exc)) from None
     return loads_game(text, path=path, cap=cap)
@@ -208,10 +209,10 @@ def _load_simple(doc: dict, path, cap: int) -> SimpleGame:
 
 
 def _load_tu(doc: dict, path, cap: int) -> TUGame:
-    """One pass from the keys to reduced integer pairs by rank. The first
-    failure wins: key by key a malformed key, a coalition named twice or a bad
-    worth; then n < 0, the cap, an unknown player, a missing coalition, and
-    the checks of TUGame."""
+    """One pass from the keys to reduced integer pairs by rank, reading each
+    distinct worth once. The first failure wins: key by key a malformed key, a
+    coalition named twice or a bad worth; then n < 0, the cap, an unknown
+    player, a missing coalition, and the checks of TUGame."""
     n = _get_int(doc, "n", path)
     worth = doc.get("worth")
     if not isinstance(worth, dict):
@@ -223,39 +224,28 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
     if n >= 0 and fill >> n:
         canon = dict(zip(_coalition_keys(n), range(1 << n)))
     nums, dens = {0: 0}, {0: 1}  # "": 0 implied; an explicit "" overrides it
-    bulk = canon and _read_canonical(canon, worth, path, nums, dens)
-    names, general = {}, []
-    for key, value in () if bulk else worth.items():
-        rank = canon[key] if key in canon else _key_rank(key, path, canon)
+    names, general, read = {}, [], {}  # read: each distinct worth's pair, once it reads
+    for key, value in worth.items():
+        rank = canon.get(key)
+        if rank is None:
+            rank = _key_rank(key, path, canon)
+            if type(rank) is frozenset:
+                general.append(rank)
         if rank in names:
             raise ParseError(
                 path, f"worth keys {names[rank]!r} and {key!r} name the same coalition"
             )
         names[rank] = key
-        if type(rank) is frozenset:
-            general.append(rank)
-        nums[rank], dens[rank] = _read_pair(value, path, f"worth of {key!r}")
+        # only an exact int or str is looked up, so true never reads as the 1 in read
+        pair = read.get(value) if type(value) is int or type(value) is str else None
+        if pair is None:
+            pair = read[value] = _read_pair(value, path, f"worth of {key!r}")
+        nums[rank], dens[rank] = pair
     _check_shape(n, 2, 2)
     check_cap(n, 2, cap, "worth table would need {} entries")
     for members in general:
         _check_players(members, n)
     return _rank_filled(n, nums, dens)
-
-
-def _read_canonical(canon: dict, worth: dict, path, nums: dict, dens: dict) -> bool:
-    """Whether every key is in ``canon`` and every worth a JSON int or string
-    that reads; if so ``nums`` and ``dens`` take each rank's pair, by one
-    lookup per key and one read per distinct worth (``true`` is no int)."""
-    ranks, values = [*map(canon.get, worth)], [*worth.values()]
-    if None in ranks or not set(map(type, values)) <= {int, str}:
-        return False
-    try:
-        read = {v: _read_pair(v, path, "worth") for v in set(values)}
-    except ParseError:
-        return False
-    nums.update(zip(ranks, [read[v][0] for v in values]))
-    dens.update(zip(ranks, [read[v][1] for v in values]))
-    return True
 
 
 def _key_rank(key: str, path, canon: dict[str, int]) -> int | frozenset[int]:
@@ -319,7 +309,8 @@ def dumps_game(game: Game) -> str:
 
 
 def dump_game(game: Game, path) -> None:
-    Path(path).write_text(dumps_game(game), encoding="utf-8")
+    with open(os.fspath(path), "w", encoding="utf-8") as file:
+        file.write(dumps_game(game))
 
 
 def _dumps(obj, default=None, pad: str = "\n") -> str:

@@ -28,11 +28,11 @@ import math
 import re
 import sys
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import compress, count
 from operator import floordiv, mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     CapExceeded,
@@ -55,7 +55,7 @@ from .errors import (
 
 Profile = tuple[int, ...]
 Coalition = frozenset[int]
-RationalLike = Union[int, Fraction, str]
+RationalLike = int | Fraction | str
 
 #: Hard default on table sizes (j ** n) accepted at construction.
 DEFAULT_CAP = 2 ** 24
@@ -683,14 +683,20 @@ def simple_game_from_generators(
 
 def make_tu_game(n: int, worth: Mapping, *, cap: int = DEFAULT_CAP) -> TUGame:
     """Build a TU game from a coalition -> worth mapping (exact rationals).
-    The first failure wins: n < 0, the cap, pair by pair an unknown player
-    or a bad worth, a missing coalition, then the checks of :class:`TUGame`."""
+    The first failure wins: n < 0, the cap, pair by pair an unknown player,
+    a coalition named twice or a bad worth, a missing coalition, then the
+    checks of :class:`TUGame`."""
     _check_shape(n, 2, 2)
     check_cap(n, 2, cap, "worth table would need {} entries")
-    nums, dens = {}, {}
+    nums, dens, names = {}, {}, {}
     for key, value in worth.items():
         S = _check_players(key, n)
         rank = coalition_index(S, n)
+        if rank in names:
+            raise ValidationError(
+                f"worth keys {names[rank]!r} and {key!r} name the same coalition"
+            )
+        names[rank] = key
         nums[rank], dens[rank] = _rational_pair(value, f"worth of {sorted(S)}")
     return _rank_filled(n, nums, dens)
 

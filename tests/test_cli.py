@@ -546,15 +546,17 @@ def test_request_loads_no_argparse():
 #: the modules that only some requests need
 _OPTIONAL_MODULES = (
     "pgindex.algebra", "pgindex.average", "json", "json.decoder", "json.encoder", "json.scanner",
-    "argparse", "gettext", "locale",
+    "argparse", "gettext", "locale", "typing", "pathlib",
 )
 
 
 def _request_modules(argv, cwd) -> tuple[str, str]:
-    """``main(argv)`` in a fresh process: its stdout, and its stderr followed
-    by a line with the exit status and the ``_OPTIONAL_MODULES`` it loaded.
-    Compared with the child's own modules before the import, so that a site
-    hook loading any of them cannot fail a test."""
+    """``main(argv)`` in a fresh process without ``site`` (``-S``): its
+    stdout, and its stderr followed by a line with the exit status and the
+    ``_OPTIONAL_MODULES`` it loaded. Without ``site``, no start-up hook
+    (a ``.pth`` file, say) loads any of them first and so hides the
+    request's own imports; compared with the child's modules before the
+    import all the same."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -565,7 +567,7 @@ def _request_modules(argv, cwd) -> tuple[str, str]:
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, "-S", "-c", code, *argv],
         capture_output=True, text=True, env=env, cwd=cwd, check=True,
     )
     return proc.stdout, proc.stderr

@@ -1,4 +1,3 @@
-import contextlib
 import json
 from fractions import Fraction
 from typing import NamedTuple
@@ -25,7 +24,7 @@ from pgindex import gamefile
 from pgindex.cli import _json_default
 from pgindex.errors import NonZeroEmptyCoalition
 from pgindex.gamefile import _dumps, parse_rational
-from pgindex.games import _check_exponent
+from pgindex.games import _check_exponent, all_coalitions
 
 from conftest import DATA
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
@@ -183,19 +182,6 @@ class TestTUFiles:
         assert str(info.value) == f"t.json: {message}"
 
 
-@contextlib.contextmanager
-def _bulk_taken():
-    """Record whether each TU load took the canonical-key route."""
-    taken, read = [], gamefile._read_canonical
-
-    def spy(*args):
-        taken.append(read(*args))
-        return taken[-1]
-
-    with mock.patch.object(gamefile, "_read_canonical", spy):
-        yield taken
-
-
 def _outcome(text):
     try:
         game = loads_game(text, path="t.json")
@@ -204,17 +190,9 @@ def _outcome(text):
     return game, game.numerators, game.denominator
 
 
-def _both_routes(text):
-    """The outcome of loading ``text`` as it is, and with the canonical-key
-    route switched off, so that every key goes through the ordered route."""
-    bulk = _outcome(text)
-    with mock.patch.object(gamefile, "_read_canonical", lambda *args: False):
-        return bulk, _outcome(text)
-
-
 def _awkward_key(key: str, rng) -> str:
-    """The same coalition in a form only the ordered route reads: members
-    out of order, blanks around them, or leading zeros."""
+    """The same coalition, mostly in a form no canonical key has: members
+    shuffled, blanks around them, or leading zeros."""
     members = key.split(",")
     rng.shuffle(members)
     form = rng.choice(("plain", "pad", "zero"))
@@ -235,8 +213,9 @@ def _bad_worth(key: str, value) -> str:
 
 
 class TestCanonicalKeyRoute:
-    """``gamefile._read_canonical`` reads a full table of canonical keys in
-    bulk; every other file takes the ordered route, and both must agree."""
+    """Canonical keys ("1,3") are ranked by one lookup, any other form of a
+    member list by its members; both load the same game, key by key, with
+    each distinct worth read once."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 6), seed=st.integers(0, 10 ** 6), monotone=st.booleans())
@@ -244,16 +223,39 @@ class TestCanonicalKeyRoute:
         rng = random.Random(seed)
         game = (random_monotone_tu if monotone else random_tu)(n, rng)
         doc = json.loads(dumps_game(game))
+        assert loads_game(json.dumps(doc)) == game
         awkward = [(_awkward_key(k, rng) if k else k, v) for k, v in doc["worth"].items()]
         rng.shuffle(awkward)
-        with _bulk_taken() as taken:
-            assert loads_game(json.dumps(doc)) == game
-            doc["worth"] = dict(awkward)
-            loaded = loads_game(json.dumps(doc))
+        doc["worth"] = dict(awkward)
+        loaded = loads_game(json.dumps(doc))
         assert loaded == game
         assert (loaded.numerators, loaded.denominator) == (game.numerators, game.denominator)
-        canonical = all(k == _key(map(int, k.split(","))) for k, _ in awkward if k)
-        assert taken == [True, canonical]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 5), seed=st.integers(0, 10 ** 6))
+    def test_each_distinct_worth_read_once(self, n, seed):
+        # canonical and awkward keys mixed; worths drawn from a few values
+        # written as ints and strings, so 1 and "1" are two worths to read
+        rng = random.Random(seed)
+        pool = [0, 1, -2, "1", "0", "1/2", "2/4", "-3/7"]
+        worth = {
+            _awkward_key(key, rng) if key and rng.random() < 0.5 else key: rng.choice(pool)
+            for key in map(_key, all_coalitions(n))
+        }
+        worth[""] = rng.choice((0, "0", "0/5"))
+        calls, read = [], gamefile._read_pair
+
+        def spy(value, *args):
+            calls.append(value)
+            return read(value, *args)
+
+        with mock.patch.object(gamefile, "_read_pair", spy):
+            game = loads_game(json.dumps({"kind": "tu", "n": n, "worth": worth}))
+        distinct = list({(type(v), v): v for v in worth.values()}.values())
+        assert [(type(v), v) for v in calls] == [(type(v), v) for v in distinct]
+        for key, value in worth.items():
+            members = [int(m) for m in key.split(",")] if key else []
+            assert game.worth(members) == Fraction(value)
 
     @pytest.mark.parametrize(
         "worth, want",
@@ -265,14 +267,11 @@ class TestCanonicalKeyRoute:
         ],
     )
     def test_explicit_empty_key_overrides_the_implied_zero(self, worth, want):
-        text = json.dumps({"kind": "tu", "n": 1, "worth": worth})
-        with _bulk_taken() as taken:
-            bulk, ordered = _both_routes(text)
-        assert taken == [True] and bulk == ordered
+        outcome = _outcome(json.dumps({"kind": "tu", "n": 1, "worth": worth}))
         if isinstance(want, str):
-            assert bulk == (NonZeroEmptyCoalition, want)
+            assert outcome == (NonZeroEmptyCoalition, want)
         else:
-            assert bulk[0].worth({1}) == want
+            assert outcome[0].worth({1}) == want
 
     @pytest.mark.parametrize(
         "worth",
@@ -286,11 +285,8 @@ class TestCanonicalKeyRoute:
     def test_true_is_not_one(self, worth):
         # a memo keyed by value alone would read true as the 1 beside it
         text = json.dumps({"kind": "tu", "n": 2, "worth": worth})
-        with _bulk_taken() as taken:
-            bulk, ordered = _both_routes(text)
-        assert taken == [False] and bulk == ordered
         key, value = next((k, v) for k, v in worth.items() if type(v) is bool)
-        assert bulk == (ParseError, _bad_worth(key, value))
+        assert _outcome(text) == (ParseError, _bad_worth(key, value))
         ones = json.dumps({"kind": "tu", "n": 2, "worth": {k: 1 for k in worth if k}})
         assert loads_game(ones).worth({1, 2}) == 1
 
@@ -309,8 +305,7 @@ class TestCanonicalKeyRoute:
     )
     def test_first_failure_wins(self, worth, message):
         text = json.dumps({"kind": "tu", "n": 2, "worth": worth})
-        bulk, ordered = _both_routes(text)
-        assert bulk == ordered == (ParseError, message)
+        assert _outcome(text) == (ParseError, message)
 
 
 class TestErrors:

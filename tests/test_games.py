@@ -388,6 +388,23 @@ class TestTUGames:
         with pytest.raises(UnknownPlayer):
             make_tu_game(2, {frozenset({3}): 1})
 
+    @pytest.mark.parametrize(
+        "worth, message",
+        [
+            ({(): 0, (1,): 1, (2,): 1, (1, 2): 3, (2, 1): 5},
+             "worth keys (1, 2) and (2, 1) name the same coalition"),
+            # the repeat is refused before its worth is read
+            ({(1,): 1, (1, 1): "x"}, "worth keys (1,) and (1, 1) name the same coalition"),
+            ({frozenset(): 0, (): 0}, "worth keys frozenset() and () name the same coalition"),
+        ],
+        ids=["reordered", "before-the-worth", "empty"],
+    )
+    def test_repeated_coalition_rejected(self, worth, message):
+        # as the file loader refuses it: no worth silently replaces another
+        with pytest.raises(ValidationError) as info:
+            make_tu_game(2, worth)
+        assert type(info.value) is ValidationError and str(info.value) == message
+
     def test_worth_collapses_repeated_members(self):
         worths = {S: Fraction(len(S) * 10 + min(S, default=0)) for S in all_coalitions(3)}
         tu = make_tu_game(3, worths)
