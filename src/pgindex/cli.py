@@ -90,10 +90,6 @@ def _profile_str(x) -> str:
     return "(" + ",".join(map(str, x)) + ")"
 
 
-def _coalition_str(S) -> str:
-    return "{" + ",".join(map(str, sorted(S))) + "}"
-
-
 def _aligned(rows) -> list[str]:
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     return [
@@ -109,7 +105,8 @@ def _listing_rows(listing, title: str) -> list[str]:
         head, cells = "vector", [*map(_profile_str, listing.vectors)]
         worths = map(str, listing.worths)
     else:
-        head, cells = "coalition", [*map(_coalition_str, listing.coalitions)]
+        keys = _coalition_keys(listing.__dict__["_n"], listing.__dict__["_ranks"])
+        head, cells = "coalition", [*map("{%s}".__mod__, keys)]
         worths = _each_worth(listing.worths, _frac_table)
     row = f"  %-{max(len(head), *map(len, cells))}s  %s"  # _aligned's, as no worth is blank
     return [f"{title} ({len(listing)})", *map(row.__mod__, [(head, "worth"), *zip(cells, worths)])]
@@ -135,7 +132,7 @@ def _listing_json(listing, pad: str) -> str:
         flat = chain.from_iterable(map(tuple.__add__, listing.vectors, zip(listing.worths)))
     else:
         row = f'{{{i2}"coalition": [{i3}%s{i2}],{i2}"worth": %s{i1}}}'
-        members = [("," + i3).join(map(str, sorted(S))) for S in listing.coalitions]
+        members = _coalition_keys(listing.__dict__["_n"], listing.__dict__["_ranks"], "," + i3)
         worths = _each_worth(listing.worths, lambda w: _dumps(str(w)))
         flat = chain.from_iterable(zip(members, worths))
     text = cache[pad] = "[" + i1 + ("," + i1).join([row] * len(listing)) % tuple(flat) + pad + "]"
@@ -386,7 +383,7 @@ def _cmd_average(games, request: AnalysisRequest):
         "average_game": game_to_dict(result.tu),
         "comparison": comparison,
     }
-    keys = ["{" + key + "}" for key in _coalition_keys(result.tu.n)]
+    keys = map("{%s}".__mod__, _coalition_keys(result.tu.n, range(1 << result.tu.n)))
     worths = [("coalition", "worth"), *zip(keys, map(_frac_table, result.tu.worths))]
     reports = [comparison.pgv_of_average, comparison.jk_value, comparison.variant]
     verdict = _values_table(reports)

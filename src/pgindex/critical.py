@@ -173,7 +173,8 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     else:
         worth = {v: Fraction(v, d) for v in set(listed)}  # one, shared, per numerator
         listing = CoalitionSet(_coalitions(game.n, ranks), tuple(map(worth.__getitem__, listed)))
-    listing.__dict__["_ranks"] = ranks  # for indices._tally; records keep a __dict__
+    # for indices._tally and the coalition texts of the CLI; records keep a __dict__
+    listing.__dict__.update(_ranks=ranks, _n=game.n)
     game.__dict__[key] = listing
     return listing
 

@@ -100,10 +100,6 @@ class TrivialGame(GameError):
     """The constant-0 game admits no normalized index."""
 
 
-class RecursionCapExceeded(GameError):
-    """The recursive potential is capped at 20 players."""
-
-
 class DimensionMismatch(GameError):
     """Two games do not share the same (n, j, k) shape."""
 

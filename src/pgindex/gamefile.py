@@ -15,7 +15,7 @@ import os
 from _json import encode_basestring_ascii, make_scanner
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, repeat
 
 from .critical import minimal_winning_coalitions
 from .errors import ParseError, ValidationError
@@ -171,9 +171,9 @@ def _load_jk(doc: dict, path, cap: int) -> JKGame:
     if table is not None:
         if not isinstance(table, list):
             raise ParseError(path, '"table" must be a list of output levels')
-        for entry in table:
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ParseError(path, f"table entries must be integers, got {entry!r}")
+        if set(map(type, table)) - {int}:  # the scanner reads a JSON integer as an exact int
+            bad = next(entry for entry in table if type(entry) is not int)
+            raise ParseError(path, f"table entries must be integers, got {bad!r}")
         return make_table_game(n, j, k, table, cap=cap)
     if not isinstance(weighted, dict):
         raise ParseError(path, '"weighted" must be an object with weights and thresholds')
@@ -222,7 +222,7 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
     fill = len(worth) + 1  # coalitions named at most, the empty one included
     canon = {}
     if n >= 0 and fill >> n:
-        canon = dict(zip(_coalition_keys(n), range(1 << n)))
+        canon = dict(zip(_coalition_keys(n, range(1 << n)), range(1 << n)))
     nums, dens = {0: 0}, {0: 1}  # "": 0 implied; an explicit "" overrides it
     names, general, read = {}, [], {}  # read: each distinct worth's pair, once it reads
     for key, value in worth.items():
@@ -272,12 +272,12 @@ def _key_rank(key: str, path, canon: dict[str, int]) -> int | frozenset[int]:
 # writing
 
 
-def _coalition_keys(n: int) -> list[str]:
-    """The canonical worth key ("1,3") of every coalition, in rank order,
-    joined from the keys of the halves."""
-    high, low = _halves(n, 2, lambda x, first: ",".join(map(str, compress(count(first), x))))
-    tails = ["", *("," + q for q in low[1:])]
-    return low + [h + t for h in high[1:] for t in tails]
+def _coalition_keys(n: int, ranks: range | list[int], sep: str = ",") -> list[str]:
+    """The members of each rank's coalition, ascending and joined by ``sep``
+    ("1,3", the canonical worth key, by default), from its halves' texts."""
+    high, low = _halves(n, 2, lambda x, first: sep.join(map(str, compress(count(first), x))))
+    tails = ["", *(sep + q for q in low[1:])]
+    return [high[h] + tails[q] if h else low[q] for h, q in map(divmod, ranks, repeat(len(low)))]
 
 
 def game_to_dict(game: Game) -> dict:
@@ -299,8 +299,8 @@ def game_to_dict(game: Game) -> dict:
         )
         return {"kind": "simple", "n": game.n, "winning": generators}
     if isinstance(game, TUGame):
-        worth = dict(zip(_coalition_keys(game.n), map(rational_str, game.worths)))
-        return {"kind": "tu", "n": game.n, "worth": worth}
+        keys = _coalition_keys(game.n, range(1 << game.n))
+        return {"kind": "tu", "n": game.n, "worth": dict(zip(keys, map(rational_str, game.worths)))}
     raise TypeError(f"cannot serialize {type(game).__name__}")
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
-from .errors import DigitLimitExceeded, RecursionCapExceeded, TrivialGame
+from .errors import DigitLimitExceeded, TrivialGame
 from .critical import (
     CoalitionSet,
     MCVSet,
@@ -40,8 +40,6 @@ from .games import (
     check_cap,
     profile_index,
 )
-
-RECURSION_CAP = 20
 
 
 class IndexReport(_Record):
@@ -167,28 +165,25 @@ def public_good_value_jk(game: JKGame) -> IndexReport:
 def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
     """The potential by the averaging recursion over all subgames:
     P(v_S) = (Lambda(v_S) + sum over i in S of P(v_{S without i})) / |S|,
-    with P = 0 at the empty coalition; capped at 20 players, and at ``cap``
-    coalition totals, 2^n. The subgame on S keeps the minimal critical
-    vectors supported inside S (the scan decides x from x's entry and its
-    predecessors along x's positive coordinates), so one subset-sum pass
-    over the cached listing, w·|supp x| at its support's rank, gives every
-    Lambda(v_S). The memo holds the integers Q(S) = |S|!·P(v_S).
+    with P = 0 at the empty coalition; capped at ``cap`` coalition totals,
+    2^n. The subgame on S keeps the minimal critical vectors supported
+    inside S (the scan decides x from x's entry and its predecessors along
+    x's positive coordinates), so one subset-sum pass over the cached
+    listing, w·|supp x| at its support's rank, gives every Lambda(v_S).
+    In the integers Q(S) = |S|!·P(v_S) the recursion reads
+    Q(S) = (|S|-1)!·Lambda(v_S) + sum over i in S of Q(S without i), which
+    counts each chain from T up to N once: Q(N) is the sum over T of
+    (|T|-1)!·(n-|T|)!·Lambda(v_T), a coefficient per coalition size.
     """
-    if game.n > RECURSION_CAP:
-        raise RecursionCapExceeded(
-            f"recursive potential capped at {RECURSION_CAP} players, game has {game.n}"
-        )
-    size = check_cap(game.n, 2, cap, "recursion would hold {} coalition totals")
+    n = game.n
+    size = check_cap(n, 2, cap, "recursion would hold {} coalition totals")
     lam = [0] * size
     for x, w in minimal_critical_vectors(game).pairs():
         support = [level > 0 for level in x]
         lam[profile_index(support, 2)] += w * sum(support)
-    lam = _subset_sums(lam, game.n)
-    memo = [0] * size
-    for rank in range(1, size):
-        below = sum(memo[rank ^ 1 << p] for p in range(game.n) if rank >> p & 1)
-        memo[rank] = math.factorial(rank.bit_count() - 1) * lam[rank] + below
-    return Fraction(memo[-1], math.factorial(game.n))
+    row = [0, *(math.factorial(t - 1) * math.factorial(n - t) for t in range(1, n + 1))]
+    coefficients = map(row.__getitem__, map(int.bit_count, range(size)))
+    return Fraction(sum(map(mul, coefficients, _subset_sums(lam, n))), math.factorial(n))
 
 
 def _subset_sums(table: list[int], n: int) -> list[int]:

@@ -38,6 +38,7 @@ from pgindex.cli import (
 )
 from pgindex.critical import CoalitionSet, MCVSet
 from pgindex.gamefile import _dumps
+from pgindex.games import all_coalitions
 
 from conftest import DATA, GOLDEN, SRC
 from gamegen import random_monotone_jk, random_tu
@@ -247,6 +248,16 @@ class TestPotential:
         assert doc["recursive"] == "6"
         assert doc["match"] is True
 
+    def test_recursion_beyond_twenty_players(self, capsys, tmp_path):
+        # 2^21 coalition totals are within the default cap, so the recursive
+        # line is printed for a 21-player unanimity game
+        path = tmp_path / "w21.json"
+        rule = {"weights": [1] * 21, "thresholds": [21]}
+        path.write_text(json.dumps({"kind": "jk", "n": 21, "j": 2, "k": 2, "weighted": rule}))
+        status, stdout, stderr = main_captured(capsys, "potential", str(path))
+        assert (status, stderr) == (0, "")
+        assert stdout.endswith("potential (recursive) = 1\nroutes agree: yes\n")
+
 
 class TestMergeAxioms:
     @pytest.fixture
@@ -327,6 +338,16 @@ class TestAverage:
         assert values == ["17/6", "22/9", "7/3"]
         assert doc["comparison"]["equal_after_normalization"] is False
         assert doc["oracle_agrees"] is True
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_coalition_column(self, n):
+        # joined from the ranks; the constant-0 game's average game is worth 0 everywhere
+        request = AnalysisRequest("average", ("g.json",))
+        text, error = cli._cmd_average([zero_game(n, 2, 2)], request)
+        rows = [("coalition", "worth")]
+        rows += [("{%s}" % _coalition_text(S), "0") for S in all_coalitions(n)]
+        assert error is None
+        assert "\n".join(cli._aligned(rows)) + "\n" in text
 
     def test_oracle_capped_by_its_own_evaluations(self, capsys):
         # the table has 27 entries; the oracle's sums take (j+1)^n = 64 evaluations
@@ -851,6 +872,20 @@ def _nested(value, depth: int):
     return value
 
 
+def _coalition_text(S, sep: str = ",") -> str:
+    """A coalition's members as the CLI joined them before the rank codec."""
+    return sep.join(map(str, sorted(S)))
+
+
+def _ranked(n: int, ranks, worths) -> CoalitionSet:
+    """The coalitions of ``ranks`` among n players with their worths, keeping
+    the ranks and n as ``critical._listing`` keeps them for the codec."""
+    coalitions = [frozenset(i for i in range(1, n + 1) if r >> (n - i) & 1) for r in ranks]
+    listing = CoalitionSet(tuple(coalitions), tuple(worths))
+    listing.__dict__.update(_ranks=list(ranks), _n=n)
+    return listing
+
+
 def _listings():
     rng = random.Random(3)
     yield MCVSet((), ())
@@ -860,10 +895,9 @@ def _listings():
     yield critical._listing(random_monotone_jk(3, 3, 4, rng))
     for family in ("mcc", "rgc"):
         yield critical._listing(random_tu(4, rng), family)  # Fraction and negative worths
-    yield CoalitionSet(
-        (frozenset({1}), frozenset({2, 10}), frozenset({3, 11, 12})),
-        (Fraction(-1, 3), Fraction(5), Fraction(-1, 3)),  # equal worths, distinct objects
-    )
+    # {1}, {2,10} and {3,11,12} of 12 players; equal worths, distinct objects
+    ranks = (1 << 11, 1 << 10 | 1 << 2, 1 << 9 | 3)
+    yield _ranked(12, ranks, (Fraction(-1, 3), Fraction(5), Fraction(-1, 3)))
 
 
 class TestListingEncoders:
@@ -879,24 +913,19 @@ class TestListingEncoders:
         if depth == 0:
             assert _listing_json(listing, "\n") == old
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.frozensets(st.integers(1, 12), min_size=1),
-                st.fractions(min_value=-(10 ** 6), max_value=10 ** 6),
-            ),
-            max_size=8,
-        ),
-        depth=st.integers(0, 3),
-    )
-    def test_any_coalition_listing(self, rows, depth):
-        listing = CoalitionSet(tuple(S for S, _ in rows), tuple(w for _, w in rows))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12), depth=st.integers(0, 3))
+    def test_any_coalition_listing(self, data, n, depth):
+        # nonempty coalitions of n players, as listed, in any order and with repeats
+        ranks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8) if n else st.just([]))
+        fractions = st.fractions(min_value=-(10 ** 6), max_value=10 ** 6)
+        worths = data.draw(st.lists(fractions, min_size=len(ranks), max_size=len(ranks)))
+        listing = _ranked(n, ranks, worths)
         old = json.dumps(_nested(_old_rows(listing), depth), indent=2)
         assert _dumps(_nested(listing, depth), _json_default) == old
         reference = [("coalition", "worth")]
-        reference += [(cli._coalition_str(S), cli._frac_table(w)) for S, w in listing.pairs()]
-        want = [f"t ({len(rows)})", *cli._aligned(reference)] if rows else ["no t"]
+        reference += [("{%s}" % _coalition_text(S), cli._frac_table(w)) for S, w in listing.pairs()]
+        want = [f"t ({len(ranks)})", *cli._aligned(reference)] if ranks else ["no t"]
         assert _listing_rows(listing, "t") == want
 
     @pytest.mark.parametrize("listing", list(_listings()), ids=lambda L: f"{type(L).__name__}-{len(L)}")
@@ -908,7 +937,7 @@ class TestListingEncoders:
             rows = [("vector", "worth")] + [(cli._profile_str(x), str(w)) for x, w in listing.pairs()]
         else:
             rows = [("coalition", "worth")]
-            rows += [(cli._coalition_str(S), cli._frac_table(w)) for S, w in listing.pairs()]
+            rows += [("{%s}" % _coalition_text(S), cli._frac_table(w)) for S, w in listing.pairs()]
         assert _listing_rows(listing, "t") == [f"t ({len(listing)})", *cli._aligned(rows)]
 
     def test_analyze_reports_share_one_encoding(self, monkeypatch):
@@ -929,3 +958,4 @@ class TestListingEncoders:
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=2) + "\n"
         assert [r["listing"] for r in doc["reports"]] == [_old_rows(listing)] * 3
+

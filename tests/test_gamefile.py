@@ -21,8 +21,8 @@ from pgindex import (
     rational_str,
 )
 from pgindex import gamefile
-from pgindex.cli import _json_default
-from pgindex.errors import NonZeroEmptyCoalition
+from pgindex.cli import _json_default, main
+from pgindex.errors import IncompleteTable, NonZeroEmptyCoalition
 from pgindex.gamefile import _dumps, parse_rational
 from pgindex.games import _check_exponent, all_coalitions
 
@@ -124,6 +124,28 @@ class TestJKFiles:
     def test_bool_entry_rejected(self):
         with pytest.raises(ParseError):
             loads_game('{"kind": "jk", "n": 1, "j": 2, "k": 2, "table": [0, true]}')
+
+    @pytest.mark.parametrize("position", [0, 13, 26], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("entry", ["true", "1.0", '"1"', "null"])
+    def test_first_bad_entry_named(self, tmp_path, capsys, entry, position):
+        # a later bad entry of another type is not the one named
+        entries = ["0"] * 27
+        entries[position] = entry
+        if position < 26:
+            entries[-1] = '"later"'
+        text = '{"kind": "jk", "n": 3, "j": 3, "k": 2, "table": [' + ", ".join(entries) + "]}"
+        message = f"table entries must be integers, got {json.loads(entry)!r}"
+        with pytest.raises(ParseError) as info:
+            loads_game(text, path="t.json")
+        assert str(info.value) == f"t.json: {message}"
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    def test_empty_table_reaches_the_length_check(self):
+        with pytest.raises(IncompleteTable, match="got 0 entries, expected 2"):
+            loads_game('{"kind": "jk", "n": 1, "j": 2, "k": 2, "table": []}')
 
     def test_weighted_n_mismatch(self):
         text = '{"kind": "jk", "n": 3, "j": 2, "k": 2, "weighted": {"weights": ["1"], "thresholds": ["1"]}}'

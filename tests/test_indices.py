@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from pgindex import (
     jk_potential_recursive,
     lambda_total,
     make_tu_game,
+    minimal_critical_vectors,
     minimal_critical_vectors_oracle,
     normalized_variant,
     pgi_normalized,
@@ -37,7 +39,7 @@ from pgindex import (
     zero_game,
 )
 from pgindex.critical import _listing
-from pgindex.errors import CapExceeded, DigitLimitExceeded, RecursionCapExceeded, UnknownPlayer
+from pgindex.errors import CapExceeded, DigitLimitExceeded, UnknownPlayer
 from pgindex.games import JKGame, SimpleGame, decrement, profile_index
 from pgindex.indices import IndexReport, _tally
 
@@ -149,8 +151,8 @@ class TestPotentialIdentity:
             assert jk_potential_recursive(game) == jk_potential(game)
 
     def test_recursion_cap(self):
-        with pytest.raises(RecursionCapExceeded):
-            jk_potential_recursive(zero_game(21, 2, 2))
+        # no player count is refused as such: 2^21 totals are within the default cap
+        assert jk_potential_recursive(zero_game(21, 2, 2)) == 0
 
     def test_recursion_respects_table_cap(self, example33):
         # the recursion holds 2^n = 8 coalition totals; for base 2, check_cap's
@@ -158,13 +160,32 @@ class TestPotentialIdentity:
         assert jk_potential_recursive(example33, cap=8) == 6
         with pytest.raises(CapExceeded, match="3 players are beyond the cap 7"):
             jk_potential_recursive(example33, cap=7)
-        with pytest.raises(RecursionCapExceeded):
+        with pytest.raises(CapExceeded) as info:
             jk_potential_recursive(zero_game(21, 2, 2), cap=1)
+        assert str(info.value) == "21 players are beyond the cap 1"
 
     def test_lambda_decomposes_over_supports(self, example33):
         # Lambda counts each MCV worth once per supporter
         assert lambda_total(example33) == 15
         assert sum(public_good_value_jk(example33).player_values) == 15
+
+
+def _memo_potential(game):
+    """The averaging recursion step by step over the ranks in increasing
+    order, the loop the closed form replaced: the memo holds the integers
+    Q(S) = |S|!·P(v_S), each the sum of Q over S's predecessors plus
+    (|S|-1)!·Lambda(v_S), with Lambda from the same subset sums."""
+    size = 1 << game.n
+    lam = [0] * size
+    for x, w in minimal_critical_vectors(game).pairs():
+        support = [level > 0 for level in x]
+        lam[profile_index(support, 2)] += w * sum(support)
+    lam = indices._subset_sums(lam, game.n)
+    memo = [0] * size
+    for rank in range(1, size):
+        below = sum(memo[rank ^ 1 << p] for p in range(game.n) if rank >> p & 1)
+        memo[rank] = math.factorial(rank.bit_count() - 1) * lam[rank] + below
+    return Fraction(memo[-1], math.factorial(game.n))
 
 
 def _per_subgame_potential(game):
@@ -196,7 +217,8 @@ class TestRecursionRoutes:
             game = embed_simple(simple_game_from_generators(simple_n, gens))
         else:
             game = random_monotone_jk(*shape, rng)
-        assert jk_potential_recursive(game) == _per_subgame_potential(game) == jk_potential(game)
+        closed = jk_potential_recursive(game)
+        assert closed == _memo_potential(game) == _per_subgame_potential(game) == jk_potential(game)
 
 
 class TestCriticalityCounts:

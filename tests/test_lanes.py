@@ -283,7 +283,11 @@ class TestRankCodec:
     @pytest.mark.parametrize("n", range(13))
     def test_worth_keys(self, n):
         coalitions = [coalition_from_index(r, n) for r in range(1 << n)]
-        assert _coalition_keys(n) == [*map(coalition_key, coalitions)]
+        assert _coalition_keys(n, range(1 << n)) == [*map(coalition_key, coalitions)]
+        # any separator, as the CLI's JSON member lists take the pad's; any ranks
+        ranks = [*range((1 << n) - 1, -1, -3), 0, 0]
+        want = [coalition_key(coalition_from_index(r, n)).replace(",", ",\n  ") for r in ranks]
+        assert _coalition_keys(n, ranks, ",\n  ") == want
 
     @pytest.mark.parametrize("n, j", CODEC_SHAPES)
     def test_listing_profiles(self, n, j):
