@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import io
 import sys
-from collections.abc import Iterator
-from decimal import Context, Decimal  # loaded by fractions anyway
-from fractions import Fraction
 from itertools import chain
 
 from .critical import (
@@ -31,14 +28,16 @@ from .errors import (
     TrivialGame,
     ValidationError,
 )
-from .gamefile import _coalition_keys, _dumps, dumps_game, game_to_dict, load_game
+from .gamefile import _coalition_keys, _dumps, _rational_texts, dumps_game, game_to_dict, load_game
 from .games import (
     DEFAULT_CAP,
     JKGame,
     SimpleGame,
     TUGame,
+    _kept,
     _Record,
     _coalitions,
+    _rational_str,
     all_coalitions,
     check_cap,
     coalition_of_profile,
@@ -47,14 +46,12 @@ from .games import (
 )
 from .indices import (
     IndexReport,
-    jk_potential,
-    jk_potential_recursive,
+    _recursive_potential,
     normalized_variant,
     pgi_normalized,
     pgi_raw,
     pgv_tu,
     public_good_value_jk,
-    tu_potential,
     variant_value,
 )
 
@@ -76,14 +73,20 @@ class AnalysisRequest(_Record):
 # rendering
 
 
-def _frac_table(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q)
+def _frac_table(p: int, d: int) -> str:
+    """The table cell of the rational p/d, d > 0: its text and, unless it is
+    an integer, ``p / d`` to six decimals, as ``float(Fraction(p, d))``
+    computes it."""
+    text = _rational_str(p, d)
+    if p % d == 0:
+        return text
     try:
-        approx = f"{float(q):.6f}"
+        approx = f"{p / d:.6f}"
     except OverflowError:  # beyond the float range: seven significant digits
-        approx = f"{Context(prec=7).divide(Decimal(q.numerator), Decimal(q.denominator)):.6e}"
-    return f"{q} (~{approx})"
+        from decimal import Context, Decimal
+
+        approx = f"{Context(prec=7).divide(Decimal(p), Decimal(d)):.6e}"
+    return f"{text} (~{approx})"
 
 
 def _profile_str(x) -> str:
@@ -107,15 +110,9 @@ def _listing_rows(listing, title: str) -> list[str]:
     else:
         keys = _coalition_keys(listing.__dict__["_n"], listing.__dict__["_ranks"])
         head, cells = "coalition", [*map("{%s}".__mod__, keys)]
-        worths = _each_worth(listing.worths, _frac_table)
+        worths = _rational_texts(listing, "worths", _frac_table)
     row = f"  %-{max(len(head), *map(len, cells))}s  %s"  # _aligned's, as no worth is blank
     return [f"{title} ({len(listing)})", *map(row.__mod__, [(head, "worth"), *zip(cells, worths)])]
-
-
-def _each_worth(worths, render) -> Iterator[str]:
-    """``map(render, worths)``, by object: a ``Fraction`` hashes slowly."""
-    text = {key: render(w) for key, w in dict(zip(map(id, worths), worths)).items()}
-    return map(text.__getitem__, map(id, worths))
 
 
 def _listing_json(listing, pad: str) -> str:
@@ -133,7 +130,7 @@ def _listing_json(listing, pad: str) -> str:
     else:
         row = f'{{{i2}"coalition": [{i3}%s{i2}],{i2}"worth": %s{i1}}}'
         members = _coalition_keys(listing.__dict__["_n"], listing.__dict__["_ranks"], "," + i3)
-        worths = _each_worth(listing.worths, lambda w: _dumps(str(w)))
+        worths = _rational_texts(listing, "worths", lambda p, d: _dumps(_rational_str(p, d)))
         flat = chain.from_iterable(zip(members, worths))
     text = cache[pad] = "[" + i1 + ("," + i1).join([row] * len(listing)) % tuple(flat) + pad + "]"
     return text
@@ -143,8 +140,8 @@ def _game_heading(game) -> str:
     if isinstance(game, JKGame):
         head = f"({game.j},{game.k}) game on {game.n} players"
         if game.provenance is not None:
-            weights = ", ".join(str(w) for w in game.provenance.weights)
-            thresholds = ", ".join(str(t) for t in game.provenance.thresholds)
+            weights = ", ".join(_rational_texts(game.provenance, "weights"))
+            thresholds = ", ".join(_rational_texts(game.provenance, "thresholds"))
             head += f"\nrule: weights {weights}; thresholds {thresholds}"
         return head
     if isinstance(game, SimpleGame):
@@ -154,11 +151,9 @@ def _game_heading(game) -> str:
 
 
 def _values_table(reports: list[IndexReport]) -> list[str]:
+    columns = [_rational_texts(r, "player_values", _frac_table) for r in reports]
     rows = [("player",) + tuple(r.variant for r in reports)]
-    for pos, label in enumerate(reports[0].players):
-        rows.append(
-            (str(label),) + tuple(_frac_table(r.player_values[pos]) for r in reports)
-        )
+    rows += zip(map(str, reports[0].players), *columns)
     return _aligned(rows)
 
 
@@ -170,18 +165,25 @@ def _oracle_line(agrees: bool | None, note: str | None = None) -> str:
 
 def _json_default(obj):
     """The JSON form of every result object a machine document holds (a
-    comparison's average game is the document's "average_game")."""
-    if isinstance(obj, Fraction):
-        return str(obj)
+    comparison's average game is the document's "average_game"); a rational
+    is its text, a record's rational field read from its kept integers."""
     if isinstance(obj, (JKGame, SimpleGame, TUGame)):
         return _game_json(obj)
     if isinstance(obj, (MCVSet, CoalitionSet)):  # JSON text, by the pad
         return lambda pad: _listing_json(obj, pad)
     if isinstance(obj, _Record):  # an index report, a comparison or an axiom result
-        fields = {f: v for f, v in zip(obj._fields, obj._values()) if f != "average"}
+        fields = {}
+        for f in obj._fields:
+            if f in obj._rational:
+                nums, d = _kept(obj, f)
+                fields[f] = _rational_str(nums, d) if type(nums) is int else _rational_texts(obj, f)
+            elif f != "average":
+                fields[f] = getattr(obj, f)
         if "witnesses" in fields:
             fields["witnesses"] = [str(w) for w in obj.witnesses]
         return fields
+    if hasattr(obj, "denominator"):  # a Fraction
+        return _rational_str(obj.numerator, obj.denominator)
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -275,8 +277,8 @@ def _structure_doc(game, request: AnalysisRequest, listing, reports=None, error=
     if reports is not None:
         if not isinstance(game, SimpleGame):
             blocks.append([
-                f"potential = {_frac_table(reports[0].potential)}",
-                f"distributed total = {_frac_table(reports[0].lambda_total)}",
+                f"potential = {_frac_table(*_kept(reports[0], 'potential'))}",
+                f"distributed total = {_frac_table(*_kept(reports[0], 'lambda_total'))}",
             ])
         blocks.append(_values_table(reports))
     if request.oracle:
@@ -289,21 +291,21 @@ def _cmd_potential(games, request: AnalysisRequest):
     if isinstance(game, SimpleGame):
         game, note = embed_simple(game), "via the (2,2) embedding"
     jk = isinstance(game, JKGame)
-    direct = jk_potential(game) if jk else tu_potential(game)
-    recursive = jk_potential_recursive(game, cap=request.cap) if jk else None
-    match = direct == recursive if jk else None
+    direct = _kept(public_good_value_jk(game) if jk else pgv_tu(game), "potential")
+    recursive = _recursive_potential(game, request.cap) if jk else None
+    match = direct[0] * recursive[1] == recursive[0] * direct[1] if jk else None
     doc = {
         "command": "potential",
         "game": games[0],
-        "potential": direct,
-        "recursive": recursive,
+        "potential": _rational_str(*direct),
+        "recursive": _rational_str(*recursive) if jk else None,
         "match": match,
         "note": note,
     }
     lines = [f"({note})"] if note else []
-    lines.append(f"potential (direct)    = {_frac_table(direct)}")
-    if recursive is not None:
-        lines.append(f"potential (recursive) = {_frac_table(recursive)}")
+    lines.append(f"potential (direct)    = {_frac_table(*direct)}")
+    if jk:
+        lines.append(f"potential (recursive) = {_frac_table(*recursive)}")
         lines.append(f"routes agree: {'yes' if match else 'NO'}")
     blocks = [[_game_heading(games[0])], lines]
     if request.oracle:  # on the listing the potential sums
@@ -384,7 +386,7 @@ def _cmd_average(games, request: AnalysisRequest):
         "comparison": comparison,
     }
     keys = map("{%s}".__mod__, _coalition_keys(result.tu.n, range(1 << result.tu.n)))
-    worths = [("coalition", "worth"), *zip(keys, map(_frac_table, result.tu.worths))]
+    worths = [("coalition", "worth"), *zip(keys, _rational_texts(result.tu, "worths", _frac_table))]
     reports = [comparison.pgv_of_average, comparison.jk_value, comparison.variant]
     verdict = _values_table(reports)
     verdict.append(
@@ -393,7 +395,8 @@ def _cmd_average(games, request: AnalysisRequest):
     )
     if comparison.degenerate:
         verdict.append("comparison degenerate: constant-0 game")
-    scale = [f"scale = {result.scale}"] + _aligned(worths)
+    scale = [f"scale = {_rational_str(result.scale.numerator, result.scale.denominator)}"]
+    scale += _aligned(worths)
     blocks = [[_game_heading(game)], scale, verdict]
     if request.oracle:
         doc["oracle_agrees"] = all(

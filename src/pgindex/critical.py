@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -28,6 +27,7 @@ from .games import (
     Profile,
     SimpleGame,
     TUGame,
+    _Rational,
     _Record,
     _check_players,
     _coalitions,
@@ -96,10 +96,11 @@ class MCVSet(_Record):
 
 
 class CoalitionSet(_Record):
-    """Coalitions with their worths, ordered by coalition rank."""
+    """Coalitions with their worths, ordered by coalition rank; a listing
+    keeps the worths as its game's numerators over its denominator."""
 
     coalitions: tuple[Coalition, ...]
-    worths: tuple[Fraction, ...]
+    worths: tuple[Fraction, ...] = _Rational()
 
     def pairs(self) -> Iterator[tuple[Coalition, Fraction]]:
         return zip(self.coalitions, self.worths)
@@ -165,14 +166,13 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     else:
         table, d = game.levels, 1
     ranks = _predecessor_ranks(_lane_view(game), family == "rgc")
-    listed = [*map(table.__getitem__, ranks)]
+    listed = tuple(map(table.__getitem__, ranks))
     if isinstance(game, JKGame):
         high, low = _halves(game.n, game.j, lambda x, first: x)
         parts = map(divmod, ranks, itertools.repeat(len(low)))
-        listing = MCVSet(tuple(high[h] + low[q] for h, q in parts), tuple(listed))
+        listing = MCVSet(tuple(high[h] + low[q] for h, q in parts), listed)
     else:
-        worth = {v: Fraction(v, d) for v in set(listed)}  # one, shared, per numerator
-        listing = CoalitionSet(_coalitions(game.n, ranks), tuple(map(worth.__getitem__, listed)))
+        listing = CoalitionSet._from_ints(_coalitions(game.n, ranks), (listed, d))
     # for indices._tally and the coalition texts of the CLI; records keep a __dict__
     listing.__dict__.update(_ranks=ranks, _n=game.n)
     game.__dict__[key] = listing

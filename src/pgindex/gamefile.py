@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from _json import encode_basestring_ascii, make_scanner
 from collections import Counter
-from fractions import Fraction
 from itertools import compress, count, repeat
 
 from .critical import minimal_winning_coalitions
@@ -27,8 +26,10 @@ from .games import (
     _check_players,
     _check_shape,
     _halves,
+    _kept,
     _rank_filled,
     _rational_pair,
+    _rational_str,
     check_cap,
     make_table_game,
     make_weighted_game,
@@ -40,10 +41,12 @@ Game = JKGame | SimpleGame | TUGame
 
 def rational_str(q: Fraction) -> str:
     """Canonical "p/q" (or "p" for integers) rendering."""
-    return str(q)
+    return _rational_str(q.numerator, q.denominator)
 
 
 def parse_rational(obj, path, what: str) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(*_read_pair(obj, path, what))
 
 
@@ -181,13 +184,11 @@ def _load_jk(doc: dict, path, cap: int) -> JKGame:
     thresholds = weighted.get("thresholds")
     if not isinstance(weights, list) or not isinstance(thresholds, list):
         raise ParseError(path, '"weighted" needs "weights" and "thresholds" lists')
-    game = make_weighted_game(
-        [parse_rational(w, path, "weight") for w in weights],
-        [parse_rational(t, path, "threshold") for t in thresholds],
-        j,
-        k,
-        cap=cap,
-    )
+    for value in weights:
+        _read_pair(value, path, "weight")  # refused with the file's name
+    for value in thresholds:
+        _read_pair(value, path, "threshold")
+    game = make_weighted_game(weights, thresholds, j, k, cap=cap)
     if game.n != n:
         raise ParseError(path, f'"n" is {n} but there are {game.n} weights')
     return game
@@ -286,8 +287,8 @@ def game_to_dict(game: Game) -> dict:
         doc = {"kind": "jk", "n": game.n, "j": game.j, "k": game.k}
         if game.provenance is not None:
             doc["weighted"] = {
-                "weights": [rational_str(w) for w in game.provenance.weights],
-                "thresholds": [rational_str(t) for t in game.provenance.thresholds],
+                "weights": _rational_texts(game.provenance, "weights"),
+                "thresholds": _rational_texts(game.provenance, "thresholds"),
             }
         else:
             doc["table"] = list(game.levels)
@@ -299,9 +300,17 @@ def game_to_dict(game: Game) -> dict:
         )
         return {"kind": "simple", "n": game.n, "winning": generators}
     if isinstance(game, TUGame):
-        keys = _coalition_keys(game.n, range(1 << game.n))
-        return {"kind": "tu", "n": game.n, "worth": dict(zip(keys, map(rational_str, game.worths)))}
+        worths = zip(_coalition_keys(game.n, range(1 << game.n)), _rational_texts(game, "worths"))
+        return {"kind": "tu", "n": game.n, "worth": dict(worths)}
     raise TypeError(f"cannot serialize {type(game).__name__}")
+
+
+def _rational_texts(record, name: str, render=_rational_str) -> list[str]:
+    """``render(p, d)`` of each rational p/d of a record's tuple field, from
+    its kept integers (:func:`games._kept`), once per distinct numerator."""
+    nums, d = _kept(record, name)
+    text = {p: render(p, d) for p in set(nums)}
+    return [*map(text.__getitem__, nums)]
 
 
 def dumps_game(game: Game) -> str:

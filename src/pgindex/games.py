@@ -13,8 +13,11 @@ ordered by the profile rank with the first coordinate most significant, so
 A rank is split in one place, :func:`_halves`, into players 1..n//2 and the
 rest; listings, winning sets and worth keys are joined from the two halves.
 Coalitions are frozensets of 1-based player ids. Worths are exact: every
-rational is read by one checked reader, :func:`_rational_pair`, and a TU
-game keeps its worths as integers over one common denominator.
+rational is read by one checked reader, :func:`_rational_pair`, kept as
+integers over one common denominator (a TU game's worths, a weighted rule,
+and in the other modules the listings and value reports), read as a
+``Fraction`` only by a caller that asks for one (:class:`_Rational`), and
+written by one writer, :func:`_rational_str`.
 
 Games are immutable once built, and a ``JKGame`` or ``SimpleGame`` is valid
 by type: its constructor checks the table, and games derived from valid
@@ -29,7 +32,6 @@ import re
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import compress, count
 from operator import floordiv, mul
@@ -55,7 +57,9 @@ from .errors import (
 
 Profile = tuple[int, ...]
 Coalition = frozenset[int]
-RationalLike = int | Fraction | str
+#: an exact rational as the readers take it: an int, a Fraction or a "p/q"
+#: string; a string, so that no import of fractions evaluates it
+RationalLike = "int | Fraction | str"
 
 #: Hard default on table sizes (j ** n) accepted at construction.
 DEFAULT_CAP = 2 ** 24
@@ -276,7 +280,12 @@ def _rational_pair(value: RationalLike, what: str) -> tuple[int, int]:
                 g = math.gcd(p, q) if q else 0  # q = 0 divides by zero below
                 return p // g, q // g
             _check_exponent(value, what)
-        q = value if isinstance(value, int) else Fraction(value)
+        if isinstance(value, int):
+            q = value
+        else:
+            from fractions import Fraction  # here, for what only Fraction reads
+
+            q = Fraction(value)
         limit = sys.get_int_max_str_digits()
         # a report could not render it: "1e4300" and "10e4299" pass the exponent check
         if _over_digit_limit(q.numerator, limit) or _over_digit_limit(q.denominator, limit):
@@ -287,8 +296,35 @@ def _rational_pair(value: RationalLike, what: str) -> tuple[int, int]:
         raise ValidationError(f"{what} is not a rational: {value!r}") from None
 
 
+def _rational_str(p: int, d: int) -> str:
+    """``str(Fraction(p, d))`` for d > 0: "p" or "p/q" in lowest terms, the
+    text of every rational the package writes."""
+    g = math.gcd(p, d)
+    return str(p // g) if g == d else f"{p // g}/{d // g}"
+
+
 # ---------------------------------------------------------------------------
 # game types
+
+
+class _Rational(cached_property):
+    """A record field that the kernels keep as integers over one
+    denominator, ``(numerator, d)`` or ``(numerators, d)`` in the record's
+    ``_ints`` (see :meth:`_Record._from_ints`): read, it is the ``Fraction``
+    or the tuple of them, derived on first use. A record built from its
+    values holds them from the start."""
+
+    def __init__(self):
+        super().__init__(self._fractions)
+
+    def _fractions(self, record):
+        from fractions import Fraction  # here, as only a reader of the field needs it
+
+        nums, d = record.__dict__["_ints"][self.attrname]
+        if type(nums) is int:
+            return Fraction(nums, d)
+        fraction = {p: Fraction(p, d) for p in set(nums)}  # one, shared, per numerator
+        return tuple(map(fraction.__getitem__, nums))
 
 
 class _Record:
@@ -296,26 +332,41 @@ class _Record:
     fields as annotations, in order, with class attributes as defaults, and
     gets ``__init__`` by field order, ``==``, ``hash`` and a ``Name(a=...)``
     repr over them, read through ``getattr``, so that a field may be a
-    ``cached_property``; assignment and deletion raise. Its own ``__init__``
-    may keep further attributes out of the fields. Instances keep a
-    ``__dict__`` for ``cached_property``, the lane view, the listings and,
-    on a listing, its ranks, its JSON text and its value reports.
-    Hand-written, so that startup generates no code (see the README,
-    "Module map")."""
+    ``cached_property``: a :class:`_Rational` field is required, and
+    :meth:`_from_ints` takes it as integers. Assignment and deletion raise.
+    Its own ``__init__`` may keep further attributes out of the fields.
+    Instances keep a ``__dict__`` for ``cached_property``, the kept
+    integers, the lane view, the listings and, on a listing, its ranks, its
+    JSON text and its value reports. Hand-written, so that startup
+    generates no code (see the README, "Module map")."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._rational = tuple(f for f in cls._fields if isinstance(cls.__dict__.get(f), _Rational))
+        defaults = cls.__dict__.keys() - set(cls._rational)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in defaults}
 
     def __init__(self, *args, **kwargs):
-        cls, fields = type(self), self._fields
+        cls, fields, defaults = type(self), self._fields, self._defaults
         given = dict(zip(fields, args), **kwargs)
-        missing = [f for f in fields if f not in given and f not in cls.__dict__]
+        missing = [f for f in fields if f not in given and f not in defaults]
         if len(given) < len(args) + len(kwargs) or missing or given.keys() - set(fields):
             raise TypeError(f"{cls.__name__}{fields} got {args} and {kwargs}, missing {missing}")
-        self.__dict__.update({f: given[f] if f in given else cls.__dict__[f] for f in fields})
+        self.__dict__.update({f: given[f] if f in given else defaults[f] for f in fields})
+
+    @classmethod
+    def _from_ints(cls, *args):
+        """The record of ``args`` in field order, each :class:`_Rational`
+        field given as its integers over one denominator, as the kernels
+        compute it; no ``Fraction`` is built until the field is read."""
+        record = object.__new__(cls)
+        values = dict(zip(cls._fields, args))
+        ints = {f: values.pop(f) for f in cls._rational}
+        record.__dict__.update(values, _ints=ints)
+        return record
 
     def _values(self) -> tuple:
         return tuple(map(getattr, itertools.repeat(self), self._fields))
@@ -338,12 +389,29 @@ class _Record:
     __delattr__ = __setattr__
 
 
+def _kept(record: _Record, name: str) -> tuple:
+    """The integers of a :class:`_Rational` field over one denominator,
+    ``(numerator, d)`` or ``(numerators, d)``, what the package reads and
+    renders: as the kernels keep them, or for a record built from its
+    ``Fraction`` values, theirs over the lcm of their denominators."""
+    ints = record.__dict__.setdefault("_ints", {})
+    if name not in ints:
+        value = getattr(record, name)
+        if isinstance(value, tuple):
+            d = math.lcm(*(q.denominator for q in value))
+            ints[name] = tuple(q.numerator * (d // q.denominator) for q in value), d
+        else:
+            ints[name] = value.numerator, value.denominator
+    return ints[name]
+
+
 class WeightedRule(_Record):
     """Weighted description: the output of x counts the thresholds reached
-    by the weighted sum of its input levels."""
+    by the weighted sum of its input levels. ``make_weighted_game`` keeps
+    both over the lcm of their denominators."""
 
-    weights: tuple[Fraction, ...]
-    thresholds: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...] = _Rational()
+    thresholds: tuple[Fraction, ...] = _Rational()
 
 
 class JKGame(_Record):
@@ -428,14 +496,15 @@ class TUGame(_Record):
     The game is its integer table ``numerators``, worth·D in coalition-rank
     order, for D the ``denominator``, the lcm of the worths' reduced
     denominators; every kernel reads it, and ``worths``, the ``Fraction``
-    table, is derived on first use. The constructor takes one worth per
-    coalition, the empty one worth 0, and refuses D beyond the integer
-    digit limit or when D's bit length times the table's length exceeds
-    ``TABLE_BITS``. ``labels`` are the external player names.
+    table, is derived from it on first use (a :class:`_Rational` field).
+    The constructor takes one worth per coalition, the empty one worth 0,
+    and refuses D beyond the integer digit limit or when D's bit length
+    times the table's length exceeds ``TABLE_BITS``. ``labels`` are the
+    external player names.
     """
 
     n: int
-    worths: tuple[Fraction, ...]
+    worths: tuple[Fraction, ...] = _Rational()
 
     def __init__(self, n, worths, *, labels=None):
         worths = tuple(worths)
@@ -448,7 +517,7 @@ class TUGame(_Record):
         bounds are checked."""
         if nums[0]:
             raise NonZeroEmptyCoalition(
-                f"empty coalition has worth {Fraction(nums[0], dens[0])}, must be 0"
+                f"empty coalition has worth {_rational_str(nums[0], dens[0])}, must be 0"
             )
         d, limit, most_bits = 1, sys.get_int_max_str_digits(), TABLE_BITS // len(nums)
         distinct = set(dens)
@@ -462,13 +531,9 @@ class TUGame(_Record):
                     f" for {len(nums)} coalitions"
                 )
         scale = {b: d // b for b in distinct}.__getitem__
-        self.__dict__.update(n=n, labels=_labels(labels, n), denominator=d)
-        self.__dict__["numerators"] = tuple(map(mul, nums, map(scale, dens)))
-
-    @cached_property
-    def worths(self) -> tuple[Fraction, ...]:
-        d = self.denominator
-        return tuple(Fraction(p, d) for p in self.numerators)
+        numerators = tuple(map(mul, nums, map(scale, dens)))
+        self.__dict__.update(n=n, labels=_labels(labels, n), numerators=numerators, denominator=d)
+        self.__dict__["_ints"] = {"worths": (numerators, d)}
 
     @cached_property
     def monotone(self) -> bool:
@@ -476,6 +541,8 @@ class TUGame(_Record):
         return next(_descents(_lane_view(self)), None) is None
 
     def worth(self, coalition: Iterable[int]) -> Fraction:
+        from fractions import Fraction
+
         rank = coalition_index(_check_players(coalition, self.n), self.n)
         return Fraction(self.numerators[rank], self.denominator)
 
@@ -607,27 +674,32 @@ def make_weighted_game(
     cap: int = DEFAULT_CAP,
 ) -> JKGame:
     """Build the game whose output at x counts how many of the k-1
-    thresholds the weighted sum of input levels reaches."""
-    w = tuple(Fraction(*_rational_pair(v, "weight")) for v in weights)
-    t = tuple(Fraction(*_rational_pair(v, "threshold")) for v in thresholds)
+    thresholds the weighted sum of input levels reaches. Weights and
+    thresholds are compared, summed and kept on the rule as integers over
+    the lcm of their denominators."""
+    w = [_rational_pair(v, "weight") for v in weights]
+    t = [_rational_pair(v, "threshold") for v in thresholds]
     if len(t) != k - 1:
         raise ValidationError(f"need k-1 = {k - 1} thresholds, got {len(t)}")
-    if any(a >= b for a, b in zip(t, t[1:])):
-        raise NonIncreasingThresholds(f"thresholds {t} are not strictly increasing")
+    if any(p * s >= r * q for (p, q), (r, s) in zip(t, t[1:])):
+        from fractions import Fraction  # for the message
+
+        shown = tuple(Fraction(*pair) for pair in t)
+        raise NonIncreasingThresholds(f"thresholds {shown} are not strictly increasing")
     n = len(w)
     _check_shape(n, j, k)
     check_cap(n, j, cap, "table would need {} entries")
+    scale = math.lcm(*(q for _, q in w + t))
+    steps = tuple(p * (scale // q) for p, q in w)
+    scaled = tuple(p * (scale // q) for p, q in t)
     # integer weighted sums, built one player at a time in table order
-    scale = math.lcm(*(q.denominator for q in w + t))
     sums = [0]
-    for wi in w:
-        step = wi.numerator * (scale // wi.denominator)
+    for step in steps:
         offsets = [step * level for level in range(j)]
         sums = [s + o for s in sums for o in offsets]
-    scaled = [ti.numerator * (scale // ti.denominator) for ti in t]
     levels = tuple(map(partial(bisect_right, scaled), sums))
-    rule = WeightedRule(w, t)
-    if all(wi >= 0 for wi in w):
+    rule = WeightedRule._from_ints((steps, scale), (scaled, scale))
+    if all(step >= 0 for step in steps):
         # threshold counts lie in 0..k-1 and grow with the levels; only the origin can fail
         _check_origin(n, j, levels)
         return _trusted(JKGame, n, j, k, levels, rule)

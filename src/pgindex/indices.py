@@ -11,14 +11,15 @@ distributed totals and criticality counts read them. Every potential-based
 value is reproduced by differences of a potential P, computable directly
 from the minimal critical structure or by the averaging recursion.
 
-Values are exact Fractions; raw counts are widened to Fraction in reports.
+Values are exact: every sum is taken in integers, a TU game's worths as
+numerators over its denominator, and a report keeps them so; its fields
+read as Fractions (raw counts widened to Fraction), built on first read.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from operator import add, mul
 
 from .errors import DigitLimitExceeded, TrivialGame
@@ -33,6 +34,8 @@ from .games import (
     JKGame,
     SimpleGame,
     TUGame,
+    _kept,
+    _Rational,
     _Record,
     _check_players,
     _halves,
@@ -48,23 +51,24 @@ class IndexReport(_Record):
     ``players`` holds external labels; ``player_values`` is aligned with
     them positionally. ``potential`` and ``lambda_total`` always describe
     the game itself (sum of listing worths, and that sum weighted by
-    support sizes), whatever the variant.
+    support sizes), whatever the variant. The value pass keeps the three
+    rational fields as integers, the values over one denominator.
     """
 
     variant: str
     players: tuple[int, ...]
-    player_values: tuple[Fraction, ...]
-    potential: Fraction
-    lambda_total: Fraction
+    player_values: tuple[Fraction, ...] = _Rational()
+    potential: Fraction = _Rational()
+    lambda_total: Fraction = _Rational()
     listing: MCVSet | CoalitionSet
 
 
 def _normalized(report: IndexReport, variant: str) -> IndexReport:
-    total = sum(report.player_values)
-    shares = tuple(q / total for q in report.player_values)
-    return IndexReport(
-        variant, report.players, shares, report.potential, report.lambda_total, report.listing
-    )
+    """The report's values over their sum: the same numerators over it."""
+    values, _ = _kept(report, "player_values")
+    totals = _kept(report, "potential"), _kept(report, "lambda_total")
+    shares = values, sum(values)
+    return IndexReport._from_ints(variant, report.players, shares, *totals, report.listing)
 
 
 def _tally(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> tuple[IndexReport, ...]:
@@ -95,15 +99,17 @@ def _tally(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> tuple[Ind
         if jk:
             for p in positions:
                 surplus[p] += w - table[rank - strides[p]]
-    totals = Fraction(potential, d), Fraction(lam, d)
-    widened = tuple(Fraction(v, d) for v in values)
     limit = sys.get_int_max_str_digits()
-    # in-limit worths can sum beyond it; no surplus sum exceeds its value sum
-    if any(_over_digit_limit(q.numerator, limit) for q in (*totals, *widened)):
-        raise DigitLimitExceeded(f"a sum of the game's worths exceeds {limit} digits")
-    columns = (widened, tuple(map(Fraction, surplus)))
+    # in-limit worths can sum beyond it, in lowest terms; no surplus sum exceeds its value sum
+    for v in (potential, lam, *values):
+        if _over_digit_limit(v, limit) and _over_digit_limit(v // math.gcd(v, d), limit):
+            raise DigitLimitExceeded(f"a sum of the game's worths exceeds {limit} digits")
+    columns = ((tuple(values), d), (tuple(surplus), 1))
     players = getattr(game, "labels", tuple(game.players()))
-    reports = tuple(IndexReport(v, players, q, *totals, listing) for v, q in zip(variants, columns))
+    reports = tuple(
+        IndexReport._from_ints(v, players, c, (potential, d), (lam, d), listing)
+        for v, c in zip(variants, columns)
+    )
     listing.__dict__["_reports"] = reports
     return reports
 
@@ -175,6 +181,14 @@ def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
     counts each chain from T up to N once: Q(N) is the sum over T of
     (|T|-1)!·(n-|T|)!·Lambda(v_T), a coefficient per coalition size.
     """
+    from fractions import Fraction
+
+    return Fraction(*_recursive_potential(game, cap))
+
+
+def _recursive_potential(game: JKGame, cap: int) -> tuple[int, int]:
+    """:func:`jk_potential_recursive` as the numerator and denominator of
+    Q(N) / n! in lowest terms."""
     n = game.n
     size = check_cap(n, 2, cap, "recursion would hold {} coalition totals")
     lam = [0] * size
@@ -183,7 +197,9 @@ def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
         lam[profile_index(support, 2)] += w * sum(support)
     row = [0, *(math.factorial(t - 1) * math.factorial(n - t) for t in range(1, n + 1))]
     coefficients = map(row.__getitem__, map(int.bit_count, range(size)))
-    return Fraction(sum(map(mul, coefficients, _subset_sums(lam, n))), math.factorial(n))
+    total, whole = sum(map(mul, coefficients, _subset_sums(lam, n))), math.factorial(n)
+    g = math.gcd(total, whole)
+    return total // g, whole // g
 
 
 def _subset_sums(table: list[int], n: int) -> list[int]:
@@ -211,13 +227,13 @@ def criticality_count(game: JKGame, i: int) -> int:
     thresholds. If x_i = 0, i is critical for none and gets no credit.
     """
     _check_players((i,), game.n)
-    return int(variant_value(game).player_values[i - 1])
+    return _kept(variant_value(game), "player_values")[0][i - 1]
 
 
 def total_criticality(game: JKGame) -> int:
     """Criticality count summed over all players: the surplus credits'
     total (see :func:`criticality_count`)."""
-    return int(sum(variant_value(game).player_values))
+    return sum(_kept(variant_value(game), "player_values")[0])
 
 
 def normalized_variant(game: JKGame) -> IndexReport:

@@ -568,7 +568,10 @@ def test_request_loads_no_argparse():
 _OPTIONAL_MODULES = (
     "pgindex.algebra", "pgindex.average", "json", "json.decoder", "json.encoder", "json.scanner",
     "argparse", "gettext", "locale", "typing", "pathlib",
+    "fractions", "decimal", "_decimal", "numbers",
 )
+#: fractions and what it imports, loaded by a request that builds a Fraction
+_RATIONAL_MODULES = ["_decimal", "decimal", "fractions", "numbers"]
 
 
 def _request_modules(argv, cwd) -> tuple[str, str]:
@@ -600,10 +603,15 @@ def _request_modules(argv, cwd) -> tuple[str, str]:
         (["analyze", "example33.json"], []),
         (["analyze", "example33.json", "--format", "machine"], []),
         (["analyze", "simple_quota.json"], []),
+        (["analyze", "tu3.json"], []),
         (["analyze", "tu3.json", "--format", "machine"], []),
         (["mcv", "example33.json"], []),
+        (["mcv", "simple_quota.json"], []),
+        (["mcv", "tu3.json"], []),
         (["mcv", "tu3.json", "--family", "rgc"], []),
         (["potential", "example33.json", "--oracle"], []),
+        (["potential", "simple_quota.json"], []),
+        (["potential", "tu3.json", "--format", "machine"], []),
         (["embed", "simple_quota.json"], []),
         (["embed", "unit_110.json"], []),
         (["merge", "unit_110.json", "unit_011.json"], ["pgindex.algebra"]),
@@ -613,11 +621,34 @@ def _request_modules(argv, cwd) -> tuple[str, str]:
     ids=" ".join,
 )
 def test_request_loads_only_its_modules(argv, loaded):
-    # algebra only for merge and axioms, average only for average, and json
-    # for no file that parses
+    # algebra only for merge and axioms, average only for average, json for
+    # no file that parses, and fractions only for axioms and average, which
+    # build Fractions
+    if argv[0] in ("axioms", "average"):
+        loaded = sorted(loaded + _RATIONAL_MODULES)
     stdout, stderr = _request_modules(argv, DATA)
     assert stdout
     assert stderr == f"0 {loaded}\n"
+
+
+@pytest.mark.parametrize("command", ("analyze", "mcv", "potential", "embed"))
+@pytest.mark.parametrize("fmt", ("table", "machine"))
+def test_weighted_file_loads_no_rational_modules(tmp_path, command, fmt):
+    # "p/q" weights and thresholds are read, summed and written as integers
+    doc = {"kind": "jk", "n": 3, "j": 2, "k": 3,
+           "weighted": {"weights": ["3/2", "-1/3", "5"], "thresholds": ["1/6", "13/4"]}}
+    (tmp_path / "pq.json").write_text(json.dumps(doc))
+    stdout, stderr = _request_modules([command, "pq.json", "--format", fmt], tmp_path)
+    assert stdout
+    assert stderr == "0 []\n"
+
+
+@pytest.mark.parametrize("name", ("example33.json", "tu3.json"))
+def test_refused_embedding_loads_no_rational_modules(name):
+    # a (3,3) game and a TU game have no embedding here: one error line
+    stdout, stderr = _request_modules(["embed", name], DATA)
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.endswith("\n1 []\n")
 
 
 def test_malformed_file_loads_json_for_its_error(tmp_path):
@@ -877,6 +908,11 @@ def _coalition_text(S, sep: str = ",") -> str:
     return sep.join(map(str, sorted(S)))
 
 
+def _cell(q: Fraction) -> str:
+    """A rational's table cell, by the renderer of its numerator and denominator."""
+    return cli._frac_table(q.numerator, q.denominator)
+
+
 def _ranked(n: int, ranks, worths) -> CoalitionSet:
     """The coalitions of ``ranks`` among n players with their worths, keeping
     the ranks and n as ``critical._listing`` keeps them for the codec."""
@@ -924,7 +960,7 @@ class TestListingEncoders:
         old = json.dumps(_nested(_old_rows(listing), depth), indent=2)
         assert _dumps(_nested(listing, depth), _json_default) == old
         reference = [("coalition", "worth")]
-        reference += [("{%s}" % _coalition_text(S), cli._frac_table(w)) for S, w in listing.pairs()]
+        reference += [("{%s}" % _coalition_text(S), _cell(w)) for S, w in listing.pairs()]
         want = [f"t ({len(ranks)})", *cli._aligned(reference)] if ranks else ["no t"]
         assert _listing_rows(listing, "t") == want
 
@@ -937,7 +973,7 @@ class TestListingEncoders:
             rows = [("vector", "worth")] + [(cli._profile_str(x), str(w)) for x, w in listing.pairs()]
         else:
             rows = [("coalition", "worth")]
-            rows += [("{%s}" % _coalition_text(S), cli._frac_table(w)) for S, w in listing.pairs()]
+            rows += [("{%s}" % _coalition_text(S), _cell(w)) for S, w in listing.pairs()]
         assert _listing_rows(listing, "t") == [f"t ({len(listing)})", *cli._aligned(rows)]
 
     def test_analyze_reports_share_one_encoding(self, monkeypatch):

@@ -219,6 +219,22 @@ class TestMalformedFiles:
             assert err == "error: a sum of the game's worths exceeds 4300 digits\n"
         assert _run(["mcv", str(path)])[0] == 0  # the worths themselves print
 
+    @pytest.mark.parametrize("command", ("analyze", "potential"))
+    def test_sum_within_digit_limit_in_lowest_terms_renders(self, tmp_path, command):
+        # the digit limit holds for each sum in lowest terms: player 1's value
+        # N = 2·10^4299 has 4,300 digits, though 7N, its numerator over the
+        # worths' common denominator 7, has 4,301; the listing is {1} of worth
+        # N and {2,3} of worth 1/7 - N/2, so the totals stay small too
+        big = 2 * 10 ** 4299
+        worth = {"1": str(big), "2": str(-big), "3": str(-big), "2,3": f"{1 - 7 * big // 2}/7"}
+        worth.update({"1,2": 0, "1,3": 0, "1,2,3": 0})
+        path = tmp_path / "lowest.json"
+        path.write_text(json.dumps({"kind": "tu", "n": 3, "worth": worth}), encoding="utf-8")
+        for fmt in ("table", "machine"):
+            status, out, err = _run([command, "--format", fmt, str(path)])
+            assert (status, err) == (0, "")
+        assert str(big) in _run(["analyze", "--format", "machine", str(path)])[1]
+
     def test_huge_common_denominator_refused_early(self, tmp_path):
         # 4,095 coalitions, each worth 1/(10^4000 + rank): neighbouring
         # denominators are coprime, so their lcm would have millions of

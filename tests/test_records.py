@@ -6,8 +6,13 @@ class name, so that their reprs compare as they are. Built from the same
 field values, a record and its twin must agree on equality, hash equality
 and repr, on which fields are hidden, on defaults, and on which calls are
 refused.
+
+``TestKeptIntegers`` then checks the records whose rationals the kernels
+keep as integers against the same records built from Fractions, and the
+CLI's renderer of those integers against ``str`` and ``float``.
 """
 
+import random
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from itertools import product, takewhile
@@ -19,7 +24,9 @@ from hypothesis import strategies as st
 
 import pgindex as pg
 from pgindex import cli
-from pgindex.games import DEFAULT_CAP
+from pgindex.games import DEFAULT_CAP, _rational_str, profile_index
+
+from gamegen import random_monotone_jk
 
 
 @dataclass(frozen=True)
@@ -287,3 +294,133 @@ def test_tu_labels_are_keyword_only():
     with pytest.raises(TypeError):
         pg.TUGame(1, worths, (1,))
     assert pg.TUGame(1, worths, labels=(3,)).labels == (3,)
+
+
+# ---------------------------------------------------------------------------
+# one representation, two views: the integers the kernels keep against the
+# Fractions the public constructors take
+
+
+@st.composite
+def _tu_worths(draw):
+    """A TU game's worths by coalition, as Fractions, the empty one 0."""
+    n = draw(st.integers(0, 4))
+    worth = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    worths = {S: draw(worth) for S in pg.games.all_coalitions(n)}
+    worths[frozenset()] = Fraction(0)
+    return n, worths
+
+
+def _summed_report(variant, players, listing, credit) -> pg.IndexReport:
+    """A report built from Fractions: each listed coalition or vector x of
+    worth w credits ``credit(x, p, w)`` to each supporter p, and adds w to
+    the potential and w times its supporters to the distributed total."""
+    values = [Fraction(0)] * len(players)
+    potential = lam = Fraction(0)
+    for x, w in listing.pairs():
+        support = sorted(x) if isinstance(x, frozenset) else [p + 1 for p, a in enumerate(x) if a]
+        potential += w
+        lam += w * len(support)
+        for p in support:
+            values[p - 1] += credit(x, p, w)
+    return pg.IndexReport(variant, players, tuple(values), potential, lam, listing)
+
+
+def _shares(variant, report) -> pg.IndexReport:
+    """A report's values over their sum, by the public constructor."""
+    total = sum(report.player_values)
+    shares = tuple(q / total for q in report.player_values)
+    return pg.IndexReport(
+        variant, report.players, shares, report.potential, report.lambda_total, report.listing
+    )
+
+
+def _agree(kernel, public):
+    # hash and repr first, while the kernel's record holds only integers
+    assert kernel._rational and "_ints" in kernel.__dict__
+    assert not set(kernel._rational) & kernel.__dict__.keys()
+    assert hash(kernel) == hash(public)
+    assert repr(kernel) == repr(public)
+    assert kernel == public and public == kernel
+
+
+class TestKeptIntegers:
+    @settings(max_examples=80, deadline=None)
+    @given(data=_tu_worths(), family=st.sampled_from(("mcc", "rgc")))
+    def test_tu_listing_and_report(self, data, family):
+        n, worths = data
+        game = pg.make_tu_game(n, worths)
+        listing = pg.critical._listing(game, family)
+        public = pg.CoalitionSet(listing.coalitions, tuple(map(worths.get, listing.coalitions)))
+        report = pg.pgv_tu(game, family)
+        _agree(listing, public)
+        _agree(report, _summed_report("tu_pgv", game.labels, public, lambda S, p, w: w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 4), j=st.integers(2, 3), k=st.integers(2, 4), seed=st.integers(0, 10**6)
+    )
+    def test_jk_reports(self, n, j, k, seed):
+        game = random_monotone_jk(n, j, k, random.Random(seed))
+        listing = pg.minimal_critical_vectors(game)
+        strides = [j ** (n - p) for p in range(1, n + 1)]
+
+        def surplus(x, p, w):
+            return w - game.levels[profile_index(x, j) - strides[p - 1]]
+
+        value = _summed_report("potential_value", game.labels, listing, lambda x, p, w: w)
+        variant = _summed_report("surplus_variant", game.labels, listing, surplus)
+        _agree(pg.public_good_value_jk(game), value)
+        _agree(pg.variant_value(game), variant)
+        if not game.trivial:
+            _agree(pg.normalized_variant(game), _shares("normalized_variant", variant))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 10 ** 6))
+    def test_simple_reports(self, n, seed):
+        rng = random.Random(seed)
+        count = rng.randint(1, 3)
+        generators = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(count)]
+        game = pg.simple_game_from_generators(n, generators)
+        listing = pg.critical._listing(game)
+        raw = _summed_report("raw_pgi", tuple(game.players()), listing, lambda S, p, w: w)
+        _agree(pg.pgi_raw(game), raw)
+        _agree(pg.pgi_normalized(game), _shares("normalized_pgi", raw))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        weights=st.lists(st.fractions(0, 7, max_denominator=9), min_size=0, max_size=4),
+        thresholds=st.lists(
+            st.fractions(1, 20, max_denominator=9), min_size=1, max_size=3, unique=True
+        ),
+        form=st.sampled_from((Fraction, str)),
+    )
+    def test_weighted_rule(self, weights, thresholds, form):
+        thresholds = sorted(thresholds)
+        k = len(thresholds) + 1
+        game = pg.make_weighted_game(list(map(form, weights)), list(map(form, thresholds)), 2, k)
+        _agree(game.provenance, pg.WeightedRule(tuple(weights), tuple(thresholds)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.fractions()
+        | st.integers(-(10 ** 20), 10 ** 20).map(Fraction)
+        | st.builds(Fraction, st.integers(-(10 ** 700), 10 ** 700), st.integers(1, 10 ** 40)),
+        scale=st.integers(1, 10 ** 6),
+    )
+    def test_renderer(self, q, scale):
+        # the kernels pass p/d as they summed it, not in lowest terms
+        p, d = q.numerator * scale, q.denominator * scale
+        assert _rational_str(p, d) == str(q)
+        cell = cli._frac_table(p, d)
+        if q.denominator == 1:
+            assert cell == str(q)
+            return
+        try:
+            approx = f"{float(q):.6f}"
+        except OverflowError:
+            from decimal import Context, Decimal
+
+            quotient = Context(prec=7).divide(Decimal(q.numerator), Decimal(q.denominator))
+            approx = f"{quotient:.6e}"
+        assert cell == f"{q} (~{approx})"
