@@ -157,12 +157,6 @@ def _values_table(reports: list[IndexReport]) -> list[str]:
     return _aligned(rows)
 
 
-def _oracle_line(agrees: bool | None, note: str | None = None) -> str:
-    if agrees is None:
-        return f"oracle cross-check: skipped ({note})"
-    return f"oracle cross-check: {'agrees' if agrees else 'DISAGREES'}"
-
-
 def _json_default(obj):
     """The JSON form of every result object a machine document holds (a
     comparison's average game is the document's "average_game"); a rational
@@ -197,9 +191,15 @@ def _game_json(game) -> dict:
 
 def _render(request: AnalysisRequest, doc: dict, blocks: list[list[str]]) -> str:
     """The machine document as JSON, or the table blocks separated by
-    blank lines."""
+    blank lines, closed by the document's oracle cross-check if it has one."""
     if request.format == "machine":
         return _dumps(doc, _json_default) + "\n"
+    if "oracle_agrees" in doc:
+        agrees = doc["oracle_agrees"]
+        verdict = "agrees" if agrees else "DISAGREES"
+        if agrees is None:
+            verdict = f"skipped ({doc['oracle_note']})"
+        blocks = [*blocks, [f"oracle cross-check: {verdict}"]]
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 
 
@@ -281,8 +281,6 @@ def _structure_doc(game, request: AnalysisRequest, listing, reports=None, error=
                 f"distributed total = {_frac_table(*_kept(reports[0], 'lambda_total'))}",
             ])
         blocks.append(_values_table(reports))
-    if request.oracle:
-        blocks.append([_oracle_line(doc["oracle_agrees"], doc["oracle_note"])])
     return _render(request, doc, blocks), error
 
 
@@ -307,11 +305,9 @@ def _cmd_potential(games, request: AnalysisRequest):
     if jk:
         lines.append(f"potential (recursive) = {_frac_table(*recursive)}")
         lines.append(f"routes agree: {'yes' if match else 'NO'}")
-    blocks = [[_game_heading(games[0])], lines]
     if request.oracle:  # on the listing the potential sums
         doc["oracle_agrees"], doc["oracle_note"] = _oracle(game, _listing(game))
-        blocks.append([_oracle_line(doc["oracle_agrees"], doc["oracle_note"])])
-    return _render(request, doc, blocks), None
+    return _render(request, doc, [[_game_heading(games[0])], lines]), None
 
 
 def _require_jk(games, command: str) -> list[JKGame]:
@@ -397,14 +393,12 @@ def _cmd_average(games, request: AnalysisRequest):
         verdict.append("comparison degenerate: constant-0 game")
     scale = [f"scale = {_rational_str(result.scale.numerator, result.scale.denominator)}"]
     scale += _aligned(worths)
-    blocks = [[_game_heading(game)], scale, verdict]
     if request.oracle:
         doc["oracle_agrees"] = all(
             w == average_worth_oracle(game, S)
             for S, w in zip(all_coalitions(game.n), result.tu.worths)
         )
-        blocks.append([_oracle_line(doc["oracle_agrees"])])
-    return _render(request, doc, blocks), None
+    return _render(request, doc, [[_game_heading(game)], scale, verdict]), None
 
 
 def _cmd_embed(games, request: AnalysisRequest):
@@ -460,8 +454,16 @@ def run(
     return 1
 
 
-#: the choices of the options that have them
-_CHOICES = {"--format": ("table", "machine"), "--family": ("mcc", "rgc")}
+#: every option: its choices, or the reader of its value (bool: a flag,
+#: with none), and its help; each sets the request field of its name but
+#: --output, main's target, and each default is the request's
+_OPTIONS = {
+    "--format": (("table", "machine"), "human table or deterministic JSON (default: %(default)s)"),
+    "--family": (("mcc", "rgc"), "TU coalition family (default: %(default)s)"),
+    "--output": (str, "write the report here instead of stdout"),
+    "--oracle": (bool, "run brute-force cross-checks and report agreement"),
+    "--cap": (int, "override the enumeration cap (default: 2**24)"),
+}
 #: (fewest, most) game files of each command; axioms takes "+" but two at most
 _ARITY = {name: (1, 2) if nargs == "+" else (nargs, nargs) for name, nargs, _, _ in _COMMANDS}
 
@@ -474,23 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Public Good indices and values for simple, TU, and (j,k) simple games.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=_CHOICES["--format"], default="table",
-        help="human table or deterministic JSON (default: table)",
-    )
-    common.add_argument(
-        "--family", choices=_CHOICES["--family"], default="mcc",
-        help="TU coalition family (default: mcc)",
-    )
-    common.add_argument("--output", help="write the report here instead of stdout")
-    common.add_argument(
-        "--oracle", action="store_true",
-        help="run brute-force cross-checks and report agreement",
-    )
-    common.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP,
-        help="override the enumeration cap (default: 2**24)",
-    )
+    for flag, (read, help_text) in _OPTIONS.items():
+        if read is bool:
+            how = {"action": "store_true"}
+        else:
+            how = {"choices" if isinstance(read, tuple) else "type": read}
+        default = AnalysisRequest._defaults.get(flag[2:])
+        common.add_argument(flag, default=default, help=help_text, **how)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, nargs, help_text, _ in _COMMANDS:
         sub = subparsers.add_parser(name, parents=[common], help=help_text)
@@ -498,15 +490,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _request(command: str, paths, options: dict) -> tuple[AnalysisRequest, str | None] | None:
+    """The request and output path of the option values read, by field
+    name, or None when the cap is not positive."""
+    output = options.pop("output", None)
+    request = AnalysisRequest(command, tuple(paths), **options)
+    return (request, output) if request.cap > 0 else None
+
+
 def _accept(argv: list[str]) -> tuple[AnalysisRequest, str | None] | None:
     """The request and output path of a canonical argv, or None.
 
     Canonical: the command, then one contiguous run of game files within
-    its arity, and around it each option at most once, spelled out in
-    full, with a separate value that does not start with "-" (one of the
-    choices, or for --cap what ``int`` reads as positive). argparse reads
-    such an argv the same way (tests/test_cli.py compares the two); any
-    other argv, help and every usage error included, goes to
+    its arity, and around it each option of ``_OPTIONS`` at most once,
+    spelled out in full, with a separate value that does not start with
+    "-" (one of the choices, or what the reader reads; a positive cap).
+    argparse reads such an argv the same way (tests/test_cli.py compares
+    the two); any other argv, help and every usage error included, goes to
     :func:`build_parser`, which a canonical one never imports."""
     if not argv or argv[0] not in _ARITY:
         return None
@@ -519,52 +519,32 @@ def _accept(argv: list[str]) -> tuple[AnalysisRequest, str | None] | None:
             paths.append(token)
             continue
         closed = bool(paths)  # an option after the game files ends their run
-        if token in options:
+        if token not in _OPTIONS or token[2:] in options:
             return None
-        if token == "--oracle":
-            options[token] = True
-        elif token in ("--format", "--family", "--output", "--cap"):
-            value = options[token] = next(tokens, "")
-            if value[:1] in ("", "-") or token in _CHOICES and value not in _CHOICES[token]:
-                return None
-        else:
+        read = _OPTIONS[token][0]
+        if read is bool:
+            options[token[2:]] = True
+            continue
+        value = next(tokens, "")
+        if value[:1] in ("", "-") or isinstance(read, tuple) and value not in read:
+            return None
+        try:  # as argparse's type= reads it
+            options[token[2:]] = value if isinstance(read, tuple) else read(value)
+        except ValueError:
             return None
     fewest, most = _ARITY[argv[0]]
-    try:
-        cap = int(options.get("--cap", DEFAULT_CAP))  # argparse's type=int
-    except ValueError:
-        return None
-    if not (fewest <= len(paths) <= most and cap > 0):
-        return None
-    request = AnalysisRequest(
-        command=argv[0],
-        input_paths=tuple(paths),
-        format=options.get("--format", "table"),
-        family=options.get("--family", "mcc"),
-        oracle="--oracle" in options,
-        cap=cap,
-    )
-    return request, options.get("--output")
+    return _request(argv[0], paths, options) if fewest <= len(paths) <= most else None
 
 
 def _parse(argv) -> tuple[AnalysisRequest, str | None]:
     """The request and output path by argparse, which prints help and exits
     2 on every usage error."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "axioms" and len(args.paths) > 2:
+    options = vars(parser.parse_args(argv))
+    command, paths = options.pop("command"), options.pop("paths")
+    if command == "axioms" and len(paths) > 2:
         parser.error("axioms takes one game plus an optional second game")  # exits 2
-    if args.cap <= 0:
-        parser.error("--cap must be positive")
-    request = AnalysisRequest(
-        command=args.command,
-        input_paths=tuple(args.paths),
-        format=args.format,
-        family=args.family,
-        oracle=args.oracle,
-        cap=args.cap,
-    )
-    return request, args.output
+    return _request(command, paths, options) or parser.error("--cap must be positive")
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -193,8 +192,12 @@ def _flagged(flags: int, width: int) -> list[int]:
     """Ranks in table order of the lanes of ``width`` bytes whose top bit
     is set in ``flags``, which sets no other bit."""
     ones = flags >> (8 * width - 1)  # a flagged lane reads 1, so its first byte is 1
-    found = re.finditer(b"\x01", ones.to_bytes((ones.bit_length() + 7) // 8, "little"))
-    return [m.start() // width for m in found]
+    data = ones.to_bytes((ones.bit_length() + 7) // 8, "little")
+    found, i = [], data.find(1)
+    while i >= 0:
+        found.append(i // width)
+        i = data.find(1, i + width)
+    return found
 
 
 def _lane_view(game) -> tuple[int, int, int, list[tuple[int, int]]]:
@@ -249,6 +252,8 @@ def _check_exponent(value, what: str) -> None:
     """Refuse a decimal exponent beyond ``sys.get_int_max_str_digits()`` in
     magnitude: ``Fraction`` would build ten to that power (12 s for
     ``"1e10000000"``), more digits than that limit allows an integer."""
+    import re  # here, as only a string on its way to Fraction (which imports re) gets here
+
     match = isinstance(value, str) and re.search(r"e[-+]?0*(\d[\d_]*)\s*\Z", value, re.I)
     limit = sys.get_int_max_str_digits()  # 0: no limit
     digits = match[1].replace("_", "") if match and limit else "0"

@@ -513,6 +513,10 @@ class TestInProcess:
         assert args.format == "table"
         assert args.family == "mcc"
         assert args.oracle is False
+        # every option's default is the request's (--output, no field, None)
+        request = AnalysisRequest(command="analyze", input_paths=("g.json",))
+        for flag in cli._OPTIONS:
+            assert getattr(args, flag[2:]) == getattr(request, flag[2:], None), flag
 
     def test_main_returns_status(self, capsys):
         assert main(["potential", str(EXAMPLE)]) == 0
@@ -568,10 +572,10 @@ def test_request_loads_no_argparse():
 _OPTIONAL_MODULES = (
     "pgindex.algebra", "pgindex.average", "json", "json.decoder", "json.encoder", "json.scanner",
     "argparse", "gettext", "locale", "typing", "pathlib",
-    "fractions", "decimal", "_decimal", "numbers",
+    "fractions", "decimal", "_decimal", "numbers", "re", "enum",
 )
 #: fractions and what it imports, loaded by a request that builds a Fraction
-_RATIONAL_MODULES = ["_decimal", "decimal", "fractions", "numbers"]
+_RATIONAL_MODULES = ["_decimal", "decimal", "enum", "fractions", "numbers", "re"]
 
 
 def _request_modules(argv, cwd) -> tuple[str, str]:
@@ -653,11 +657,12 @@ def test_refused_embedding_loads_no_rational_modules(name):
 
 def test_malformed_file_loads_json_for_its_error(tmp_path):
     # one error line, with json's message and position: json is loaded for it
-    # (the scanner builds this message, unlike "Expecting value")
+    # (the scanner builds this message, unlike "Expecting value"), and with
+    # json.decoder re and enum
     (tmp_path / "bad.json").write_text('{"kind": "jk",\n "n" [1]}')
     stdout, stderr = _request_modules(["analyze", "bad.json"], tmp_path)
     assert stdout == ""
-    json_modules = ["json", "json.decoder", "json.encoder", "json.scanner"]
+    json_modules = ["enum", "json", "json.decoder", "json.encoder", "json.scanner", "re"]
     assert stderr == f"error: bad.json:2:6: Expecting ':' delimiter\n1 {json_modules}\n"
 
 
@@ -877,6 +882,10 @@ class TestAcceptor:
     def test_other_argv_goes_to_argparse(self, argv):
         assert _accept(argv) is None
 
+    def test_fuzzed_options_are_the_table(self):
+        # an option added to cli._OPTIONS without values to fuzz fails here
+        assert {option[0] for option in OPTIONS} == set(cli._OPTIONS) <= set(TOKENS)
+
     def test_benchmark_and_bytecheck_requests_take_the_fast_path(self, bytecheck):
         workloads = bytecheck.workloads
         for name in workloads.WORKLOADS:
@@ -888,6 +897,29 @@ class TestAcceptor:
             matrix = list(bytecheck.requests(Path(tmp), dirs))
         assert len(matrix) > 1000
         assert all(_accept(argv) is not None for argv in matrix)
+
+
+#: (golden name, argv, exit status) of help and usage errors: the golden
+#: tests/golden/<name>.txt is the stdout of help, the stderr of an error
+USAGE_CASES = (
+    ("help", ["--help"], 0),
+    *((f"help_{name}", [name, "--help"], 0) for name in COMMANDS),
+    ("usage_cap_zero", ["mcv", "--cap", "0", "g.json"], 2),
+    ("usage_bad_choice", ["mcv", "--fo", "x", "g.json"], 2),
+    ("usage_axioms_arity", ["axioms", "a", "b", "c"], 2),
+)
+
+
+@pytest.mark.parametrize("name, argv, status", USAGE_CASES, ids=[c[0] for c in USAGE_CASES])
+def test_help_and_usage_match_golden(name, argv, status, monkeypatch, capsys):
+    # argparse wraps to the terminal's width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert exc.value.code == status
+    assert (out, err) == ((golden, "") if status == 0 else ("", golden))
 
 
 def _old_rows(listing) -> list[dict]:
