@@ -32,8 +32,8 @@ import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, partial
-from itertools import compress, count
-from operator import floordiv, mul
+from itertools import accumulate, compress, count
+from operator import add, floordiv, mul
 
 from .errors import (
     CapExceeded,
@@ -192,12 +192,10 @@ def _flagged(flags: int, width: int) -> list[int]:
     """Ranks in table order of the lanes of ``width`` bytes whose top bit
     is set in ``flags``, which sets no other bit."""
     ones = flags >> (8 * width - 1)  # a flagged lane reads 1, so its first byte is 1
-    data = ones.to_bytes((ones.bit_length() + 7) // 8, "little")
-    found, i = [], data.find(1)
-    while i >= 0:
-        found.append(i // width)
-        i = data.find(1, i + width)
-    return found
+    firsts = ones.to_bytes((ones.bit_length() + 7) // 8, "little")[::width]
+    # the run of unflagged lanes before each flagged one; the last run is empty
+    gaps = map(len, firsts.split(b"\x01")[:-1])
+    return list(map(add, accumulate(gaps), count()))
 
 
 def _lane_view(game) -> tuple[int, int, int, list[tuple[int, int]]]:
@@ -472,7 +470,7 @@ class SimpleGame(_Record):
 
     def __init__(self, n, levels):
         self._fill(n, levels)
-        _check_holes(self)
+        _check_levels(self)
 
     def _fill(self, n, levels):
         _check_shape(n, 2, 2)
@@ -609,37 +607,24 @@ def _check_entries(n: int, j: int, k: int, levels: Sequence) -> None:
     _check_origin(n, j, levels)
 
 
-def _check_levels(game: JKGame | SimpleGame) -> None:
+def _check_levels(game: JKGame | SimpleGame, error=MonotonicityViolation, why: str = "") -> None:
     """:func:`_check_entries` on the game's table, and no one-step raise
     lowers the output, which by transitivity makes the table monotone;
-    the lane view this packs stays on the game."""
+    the lane view this packs stays on the game. A descent is refused as
+    ``error``: on a (j,k) game a profile pair, counted after ``why``; on a
+    simple game a hole, named by its coalitions."""
     n, levels = game.n, game.levels
     j, k = (game.j, game.k) if isinstance(game, JKGame) else (2, 2)
     _check_entries(n, j, k, levels)
     # in table order, first axis first
     violations = sorted(_descents(_lane_view(game)), key=lambda d: (d[0], -d[1]))
     if violations:
-        raise MonotonicityViolation(
-            f"{len(violations)} profile pairs where raising a level lowers the output",
-            witnesses=[
-                (index_profile(rank, n, j), index_profile(rank + s, n, j))
-                for rank, s in violations
-            ],
-        )
-
-
-def _check_holes(game: SimpleGame) -> None:
-    """:func:`_check_levels` on a simple game's 0/1 coalition table, so every
-    superset of a winning coalition wins; a descent is a hole, named by its
-    coalitions."""
-    try:
-        _check_levels(game)
-    except MonotonicityViolation as exc:
-        holes = [tuple(map(coalition_of_profile, pair)) for pair in exc.witnesses]
-        raise MonotonicityViolation(
-            f"winning set is not closed under supersets ({len(holes)} holes)",
-            witnesses=holes,
-        ) from None
+        pairs = [(index_profile(r, n, j), index_profile(r + s, n, j)) for r, s in violations]
+        words = f"{why}{len(pairs)} profile pairs where raising a level lowers the output"
+        if isinstance(game, SimpleGame):
+            words = f"winning set is not closed under supersets ({len(pairs)} holes)"
+            pairs = [tuple(map(coalition_of_profile, pair)) for pair in pairs]
+        raise error(words, witnesses=pairs)
 
 
 def make_table_game(
@@ -704,17 +689,14 @@ def make_weighted_game(
         sums = [s + o for s in sums for o in offsets]
     levels = tuple(map(partial(bisect_right, scaled), sums))
     rule = WeightedRule._from_ints((steps, scale), (scaled, scale))
+    game = _trusted(JKGame, n, j, k, levels, rule)  # checked below, as far as the weights need
     if all(step >= 0 for step in steps):
         # threshold counts lie in 0..k-1 and grow with the levels; only the origin can fail
         _check_origin(n, j, levels)
-        return _trusted(JKGame, n, j, k, levels, rule)
-    try:
-        return JKGame(n, j, k, levels, rule)
-    except MonotonicityViolation as exc:
-        raise NegativeWeightNonMonotone(
-            f"negative weights make the table non-monotone: {exc}",
-            witnesses=exc.witnesses,
-        ) from None
+    else:
+        why = "negative weights make the table non-monotone: "
+        _check_levels(game, NegativeWeightNonMonotone, why)
+    return game
 
 
 def evaluate(game: JKGame, x: Sequence[int]) -> int:

@@ -88,17 +88,17 @@ def _tally(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> tuple[Ind
         variants = ("potential_value", "surplus_variant") if jk else ("raw_pgi",)
     high, low = _halves(n, j, lambda x, first: [p for p, level in enumerate(x, first - 1) if level])
     strides = [j ** (n - 1 - p) for p in range(n)]
-    values, surplus, potential, lam = [0] * n, [0] * n, 0, 0
+    values, surplus, potential = [0] * n, [0] * n, 0
     for rank in listing.__dict__["_ranks"]:
         h, q = divmod(rank, len(low))
         w, positions = table[rank], high[h] + low[q]
         potential += w
-        lam += w * len(positions)
         for p in positions:
             values[p] += w
         if jk:
             for p in positions:
                 surplus[p] += w - table[rank - strides[p]]
+    lam = sum(values)  # each worth once per supporter
     limit = sys.get_int_max_str_digits()
     # in-limit worths can sum beyond it, in lowest terms; no surplus sum exceeds its value sum
     for v in (potential, lam, *values):

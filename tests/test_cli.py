@@ -20,6 +20,7 @@ from pgindex import (
     cli,
     critical,
     dump_game,
+    games,
     make_simple_game,
     single_mcv_game,
     zero_game,
@@ -39,6 +40,7 @@ from pgindex.cli import (
 from pgindex.critical import CoalitionSet, MCVSet
 from pgindex.gamefile import _dumps
 from pgindex.games import all_coalitions
+from pgindex.indices import IndexReport
 
 from conftest import DATA, GOLDEN, SRC
 from gamegen import random_monotone_jk, random_tu
@@ -966,6 +968,26 @@ def _listings():
     # {1}, {2,10} and {3,11,12} of 12 players; equal worths, distinct objects
     ranks = (1 << 11, 1 << 10 | 1 << 2, 1 << 9 | 3)
     yield _ranked(12, ranks, (Fraction(-1, 3), Fraction(5), Fraction(-1, 3)))
+
+
+def test_caller_built_report_renders_its_fractions():
+    # built from its Fraction values, not by the value pass: its integers are
+    # read from the values on first render, a scalar as its own numerator over
+    # its denominator and a tuple over the lcm of theirs
+    report = IndexReport(
+        "raw_pgi", (1, 2), (Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 6), Fraction(-7, 4),
+        CoalitionSet((), ()),
+    )
+    fields = _json_default(report)
+    assert fields["potential"] == "5/6" and fields["lambda_total"] == "-7/4"
+    assert fields["player_values"] == ["1/2", "-1/3"]
+    assert games._kept(report, "potential") == (5, 6)
+    assert games._kept(report, "player_values") == ((3, -2), 6)
+    assert _dumps(report, _json_default) == _dumps(
+        {"variant": "raw_pgi", "players": [1, 2], "player_values": ["1/2", "-1/3"],
+         "potential": "5/6", "lambda_total": "-7/4", "listing": CoalitionSet((), ())},
+        _json_default,
+    )
 
 
 class TestListingEncoders:

@@ -83,6 +83,19 @@ class TestMCVSet:
         assert (2, 1, 0) in mcv
         assert len(mcv) == 5
 
+    def test_worth_of_a_vector_not_held(self, example33):
+        mcv = minimal_critical_vectors(example33)
+        with pytest.raises(KeyError) as info:
+            mcv.worth_of((2, 2, 1))
+        assert info.value.args == ((2, 2, 1),)
+
+
+def test_coalition_set_membership():
+    listing = critical._listing(make_tu_game(2, {(): 0, (1,): 1, (2,): 0, (1, 2): 1}))
+    assert listing.coalitions == (frozenset({1}),)
+    assert {1} in listing and (1,) in listing and [1] in listing
+    assert {2} not in listing and {1, 2} not in listing and () not in listing
+
 
 class TestMCVEnumeration:
     def test_example(self, example33):
@@ -366,6 +379,11 @@ class TestCriticality:
     def test_rejects_unknown_player(self, example33):
         with pytest.raises(UnknownPlayer):
             is_critical_for(example33, (2, 2, 2), 4, 1)
+
+    @pytest.mark.parametrize("tau", [0, 3, -1])
+    def test_rejects_tau_outside_the_output_levels(self, example33, tau):
+        with pytest.raises(LevelOutOfRange, match=rf"^tau={tau} outside 1\.\.2$"):
+            is_critical_for(example33, (2, 2, 2), 1, tau)
 
     def test_minimal_critical_below(self, example33):
         x = minimal_critical_below(example33, (2, 2, 1))

@@ -1,5 +1,6 @@
 import random
 import sys
+import traceback
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -108,6 +109,26 @@ class TestTableGames:
         with pytest.raises(NonZeroAtOrigin):
             make_table_game(1, 2, 2, [1, 1])
 
+    def test_jk_game_table_and_labels_lengths(self):
+        with pytest.raises(ValidationError, match="^table has 8 entries, expected 9$"):
+            JKGame(2, 3, 2, (0,) * 8)
+        with pytest.raises(ValidationError, match="^one label per player required$"):
+            JKGame(2, 2, 2, (0, 0, 0, 1), labels=(1, 2, 3))
+        assert JKGame(2, 2, 2, (0, 0, 0, 1), labels=(7, 9)).labels == (7, 9)
+
+    @pytest.mark.parametrize(
+        "j, k, message",
+        [
+            (1, 2, "need at least 2 input levels, got j=1"),
+            (2, 1, "need at least 2 output levels, got k=1"),
+        ],
+    )
+    def test_fewer_than_two_levels(self, j, k, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make_table_game(1, j, k, [0] * j)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            JKGame(1, j, k, [0] * j)
+
     def test_out_of_range_levels_collected(self):
         with pytest.raises(OutOfRangeOutput) as info:
             make_table_game(1, 3, 2, [0, 2, 5])
@@ -183,6 +204,12 @@ class TestWeightedGames:
         with pytest.raises(NegativeWeightNonMonotone):
             make_weighted_game((2, -1), (2,), 2, 2)
 
+    @pytest.mark.parametrize("thresholds", [(), (1,), (1, 2, 3)])
+    def test_weighted_threshold_count(self, thresholds):
+        message = f"^need k-1 = 2 thresholds, got {len(thresholds)}$"
+        with pytest.raises(ValidationError, match=message):
+            make_weighted_game((1, 1), thresholds, 2, 3)
+
     @settings(max_examples=150, deadline=None)
     @given(
         weights=st.lists(
@@ -255,6 +282,13 @@ class TestSimpleGames:
     def test_trivial_flag(self):
         assert simple_game_from_generators(2, []).trivial
         assert not simple_game_from_generators(2, [{1}]).trivial
+
+    def test_simple_game_wins(self):
+        game = simple_game_from_generators(3, [{1}, {2, 3}])
+        assert game.wins({1, 2}) and game.wins([3, 2])
+        assert not game.wins({2}) and not game.wins(())
+        with pytest.raises(UnknownPlayer, match=r"^player 4 is not one of 1\.\.3$"):
+            game.wins({4})
 
     def test_hand_built_game_with_a_hole_refused(self):
         # {1} and {1,2,3} win, {1,2} and {1,3} lose
@@ -541,6 +575,11 @@ class TestSubgames:
         with pytest.raises(UnknownPlayer):
             remove_player(example33, 9)
 
+    def test_no_subgame_of_a_simple_game(self):
+        game = simple_game_from_generators(2, [{1}])
+        with pytest.raises(TypeError, match="^no subgames for SimpleGame$"):
+            subgame(game, {1})
+
     def test_tu_subgame(self):
         worths = {S: Fraction(len(S) ** 2) for S in all_coalitions(3)}
         tu = make_tu_game(3, worths)
@@ -568,3 +607,71 @@ def test_labels_default_and_frozen():
     assert game.labels == (1, 2)
     with pytest.raises(AttributeError):
         game.n = 5
+
+
+_HOLES = (
+    (frozenset({2}), frozenset({2, 3})),
+    (frozenset({1, 3}), frozenset({1, 2, 3})),
+    (frozenset({1, 2}), frozenset({1, 2, 3})),
+)
+# (1,1) drops on both axes: by rank, then the larger stride first
+_JK_PAIRS = (((0, 1), (0, 2)), ((1, 1), (2, 1)), ((1, 1), (1, 2)), ((2, 0), (2, 1)))
+_JK_TABLE = (0, 1, 0, 1, 1, 0, 1, 0, 1)
+_JK_WORDS = "profile pairs where raising a level lowers the output"
+_NEGATIVE = "negative weights make the table non-monotone: "
+
+
+@pytest.mark.parametrize(
+    "build, error, message, witnesses",
+    [
+        (
+            lambda: make_table_game(2, 3, 2, _JK_TABLE),
+            MonotonicityViolation,
+            f"4 {_JK_WORDS}",
+            _JK_PAIRS,
+        ),
+        (lambda: JKGame(2, 3, 2, _JK_TABLE), MonotonicityViolation, f"4 {_JK_WORDS}", _JK_PAIRS),
+        (
+            lambda: make_simple_game(3, [{2}, {1, 3}, {1, 2}]),
+            MonotonicityViolation,
+            "winning set is not closed under supersets (3 holes)",
+            _HOLES,
+        ),
+        (
+            lambda: SimpleGame(3, (0, 0, 1, 0, 0, 1, 1, 0)),
+            MonotonicityViolation,
+            "winning set is not closed under supersets (3 holes)",
+            _HOLES,
+        ),
+        (
+            lambda: make_weighted_game((2, -1), (2,), 2, 2),
+            NegativeWeightNonMonotone,
+            f"{_NEGATIVE}1 {_JK_WORDS}",
+            (((1, 0), (1, 1)),),
+        ),
+        (
+            lambda: make_weighted_game((3, -2, 1), (1, 2), 3, 3),
+            NegativeWeightNonMonotone,
+            f"{_NEGATIVE}6 {_JK_WORDS}",
+            (
+                ((0, 0, 1), (0, 1, 1)),
+                ((0, 0, 2), (0, 1, 2)),
+                ((1, 0, 0), (1, 1, 0)),
+                ((1, 1, 0), (1, 2, 0)),
+                ((1, 1, 1), (1, 2, 1)),
+                ((1, 1, 2), (1, 2, 2)),
+            ),
+        ),
+    ],
+    ids=["table", "jkgame", "simple", "simplegame", "weighted", "weighted3"],
+)
+def test_descent_refusal_wordings(build, error, message, witnesses):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert info.value.witnesses == witnesses
+    # one exception in the traceback, with no other behind it
+    shown = traceback.format_exception(info.value)
+    assert not any("During handling" in line or "direct cause" in line for line in shown)
+

@@ -11,6 +11,8 @@ axis, also kept here as the reference, on every 0/1 table. The rank codec
 ``gamefile._coalition_keys`` and the profiles of a listing) must agree
 with ``coalition_from_index``, ``coalition_key`` and ``index_profile``,
 which read one rank at a time.
+``games._flagged``, which reads the flagged lanes of every lane kernel,
+must agree with ``_find_flagged``, the ``bytes.find`` loop it replaced.
 The real gaining route of ``_predecessor_ranks`` (its down-max on lanes)
 must agree with ``critical._real_gaining``, the literal all-subsets scan
 that stays in the package as the TU oracle. ``games._descents``, the
@@ -56,6 +58,7 @@ from pgindex.games import (
     _axis_lanes,
     _coalitions,
     _descents,
+    _flagged,
     _halves,
     _rank_lanes,
     _up_closure,
@@ -135,6 +138,26 @@ def _entry_descents(n: int, j: int, table) -> list:
             if x[p] < j - 1 and table[rank] > table[rank + stride]:
                 found.append((rank, stride))
     return found
+
+
+def _find_flagged(flags: int, width: int) -> list[int]:
+    """The flagged lanes found one ``bytes.find`` at a time, the reference
+    ``games._flagged`` must agree with."""
+    ones = flags >> (8 * width - 1)
+    data = ones.to_bytes((ones.bit_length() + 7) // 8, "little")
+    found, i = [], data.find(1)
+    while i >= 0:
+        found.append(i // width)
+        i = data.find(1, i + width)
+    return found
+
+
+def _flags(ranks, lanes: int, width: int) -> int:
+    """The top bit of each lane of ``width`` bytes whose rank is in ``ranks``."""
+    packed = bytearray(lanes * width)
+    for r in ranks:
+        packed[r * width + width - 1] = 0x80
+    return int.from_bytes(packed, "little")
 
 
 def _table(n, j, k, kind, rng):
@@ -251,6 +274,27 @@ class TestLaneScan:
         assert minimal_critical_vectors(game) == minimal_critical_vectors_oracle(game)
         game = make_simple_game(3, [{1}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}])
         assert minimal_winning_coalitions(game) == {frozenset({1}), frozenset({2, 3})}
+
+
+class TestFlagged:
+    @pytest.mark.parametrize("width", (1, 2, 4))
+    @pytest.mark.parametrize("density", (0, 0.001, 0.05, 0.5, 0.95, 1))
+    @pytest.mark.parametrize("lanes", (1, 7, 4099))
+    def test_matches_find_loop(self, width, density, lanes):
+        rng = random.Random(lanes * 31 + width)
+        ranks = [r for r in range(lanes) if rng.random() < density]
+        flags = _flags(ranks, lanes, width)
+        assert _flagged(flags, width) == _find_flagged(flags, width) == ranks
+
+    @pytest.mark.parametrize("width", (1, 2, 4))
+    def test_no_flags(self, width):
+        assert _flagged(0, width) == _find_flagged(0, width) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranks=st.sets(st.integers(0, 300)), width=st.sampled_from((1, 2, 4)))
+    def test_any_ranks(self, ranks, width):
+        flags = _flags(ranks, 301, width)
+        assert _flagged(flags, width) == _find_flagged(flags, width) == sorted(ranks)
 
 
 @pytest.mark.parametrize("n", range(13))
