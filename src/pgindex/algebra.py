@@ -26,6 +26,8 @@ from .critical import minimal_critical_vectors
 from .games import (
     DEFAULT_CAP,
     JKGame,
+    _kept,
+    _Rational,
     _Record,
     _check_players,
     _lane_view,
@@ -53,11 +55,24 @@ class MergeReport(_Record):
         return not self.violations
 
 
+class _Witnesses(_Rational):
+    """A failing check's witnesses, kept as tuples of ints and (p, d) pairs."""
+
+    def _fractions(self, record):
+        from fractions import Fraction  # here, as only a reader of the field needs it
+
+        rows = record.__dict__["_ints"][self.attrname]
+        return tuple(tuple(c if type(c) is int else Fraction(*c) for c in row) for row in rows)
+
+
 class AxiomResult(_Record):
     axiom: str
     status: str  # "pass" | "fail" | "vacuous" | "skipped"
     detail: str
-    witnesses: tuple = ()
+    witnesses: tuple = _Witnesses()
+
+    def __init__(self, axiom, status, detail, witnesses=()):
+        super().__init__(axiom, status, detail, witnesses)
 
 
 class AxiomReport(_Record):
@@ -187,8 +202,8 @@ def axiom_report(v: JKGame, w: JKGame | None = None) -> AxiomReport:
         raise TrivialGame("axioms are stated for games with at least one critical vector")
     if w is not None and w.trivial:
         raise TrivialGame("the second game is constant-0; merging adds nothing")
-    norm_v = normalized_variant(v)
-    results = [_axiom_null(v, norm_v), _axiom_efficiency(norm_v), _axiom_shares(v, norm_v)]
+    values, d = _kept(normalized_variant(v), "player_values")  # d: the values' sum
+    results = [_axiom_null(v, values, d), _axiom_efficiency(values, d), _axiom_shares(v, values, d)]
     if w is None:
         results.append(AxiomResult("A4", "skipped", "no second game given"))
     else:
@@ -196,48 +211,44 @@ def axiom_report(v: JKGame, w: JKGame | None = None) -> AxiomReport:
     return AxiomReport(tuple(results))
 
 
-def _axiom_null(v: JKGame, norm_v) -> AxiomResult:
+def _axiom_null(v: JKGame, values, d: int) -> AxiomResult:
     nulls = _null_players(v)
     if not nulls:
         return AxiomResult("A1", "vacuous", "no null players")
-    bad = tuple(
-        (i, norm_v.player_values[i - 1])
-        for i in nulls
-        if norm_v.player_values[i - 1] != 0
-    )
+    bad = tuple((i, (values[i - 1], d)) for i in nulls if values[i - 1] != 0)
     if bad:
-        return AxiomResult("A1", "fail", "null players with nonzero value", bad)
+        return AxiomResult._from_ints("A1", "fail", "null players with nonzero value", bad)
     return AxiomResult("A1", "pass", f"null players {nulls} all get 0")
 
 
-def _axiom_efficiency(norm_v) -> AxiomResult:
-    total = sum(norm_v.player_values)
-    if total != 1:
-        return AxiomResult("A2", "fail", f"values sum to {total}, not 1", (total,))
+def _axiom_efficiency(values, d: int) -> AxiomResult:
+    total = sum(values)
+    if total != d:  # never, on the normalized shares (values over their sum)
+        from fractions import Fraction  # here, as no normalized value gets here
+
+        q = Fraction(total, d)
+        return AxiomResult("A2", "fail", f"values sum to {q}, not 1", (q,))
     return AxiomResult("A2", "pass", "values sum to 1")
 
 
-def _axiom_shares(v: JKGame, norm_v) -> AxiomResult:
+def _axiom_shares(v: JKGame, values, d: int) -> AxiomResult:
     mcv = minimal_critical_vectors(v)
     if len(mcv) != 1:
         return AxiomResult("A3", "vacuous", f"{len(mcv)} minimal critical vectors")
     x = mcv.vectors[0]
     support = [i for i in v.players() if x[i - 1]]
-    shares = {norm_v.player_values[i - 1] for i in support}
-    if len(shares) != 1:
-        return AxiomResult(
-            "A3",
-            "fail",
-            "supporters of the single vector get unequal shares",
-            tuple((i, norm_v.player_values[i - 1]) for i in support),
-        )
+    if len({values[i - 1] for i in support}) != 1:  # over one d: equal numerators
+        detail = "supporters of the single vector get unequal shares"
+        bad = tuple((i, (values[i - 1], d)) for i in support)
+        return AxiomResult._from_ints("A3", "fail", detail, bad)
     return AxiomResult("A3", "pass", f"all {len(support)} supporters share equally")
 
 
 def _axiom_merge(v: JKGame, w: JKGame) -> AxiomResult:
     """A4: the normalized surplus value of v⊕w against the average of v's
     and w's weighted by total criticality, for each player the surplus
-    credits s over the credits' totals c: (s_v + s_w)/(c_v + c_w).
+    credits s over the credits' totals c: (s_v + s_w)/(c_v + c_w), each
+    against the merged share m/d by cross-multiplying.
 
     By the union lemma MCV(v⊕w) = MCV(v) ⊎ MCV(w), worths kept. So the
     potential-based value adds up under ⊕: each vector credits its worth to
@@ -255,11 +266,11 @@ def _axiom_merge(v: JKGame, w: JKGame) -> AxiomResult:
             f"A4 requested on a non-mergeable pair ({len(report.violations)} violations)"
         )
     cv, cw = total_criticality(v), total_criticality(w)
-    merged = normalized_variant(oplus(v, w)).player_values
-    credits = zip(variant_value(v).player_values, variant_value(w).player_values)
-    expected = [(a + b) / (cv + cw) for a, b in credits]
-    bad = tuple((i, q, e) for i, q, e in zip(v.players(), merged, expected) if q != e)
+    merged, d = _kept(normalized_variant(oplus(v, w)), "player_values")
+    sv, sw = (_kept(variant_value(g), "player_values")[0] for g in (v, w))
+    rows, c = zip(v.players(), merged, sv, sw), cv + cw
+    bad = tuple((i, (m, d), (a + b, c)) for i, m, a, b in rows if m * c != (a + b) * d)
     if bad:
         detail = "merged value is not the criticality-weighted average"
-        return AxiomResult("A4", "fail", detail, bad)
+        return AxiomResult._from_ints("A4", "fail", detail, bad)
     return AxiomResult("A4", "pass", f"weighted average holds with weights {cv} and {cw}")

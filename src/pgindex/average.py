@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable
-from fractions import Fraction
 from operator import sub
 
 from .errors import DigitLimitExceeded, InvariantViolation
@@ -25,6 +24,8 @@ from .games import (
     DEFAULT_CAP,
     JKGame,
     TUGame,
+    _kept,
+    _Rational,
     _Record,
     _check_players,
     _lowest_terms,
@@ -39,7 +40,7 @@ class AverageGameResult(_Record):
     """The reduced TU game and the scale 1/(j^n (k-1))."""
 
     tu: TUGame
-    scale: Fraction
+    scale: Fraction = _Rational()
 
 
 class ValueComparison(_Record):
@@ -80,11 +81,13 @@ def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
         raise InvariantViolation("averaging a monotone game must stay monotone")
     if not all(0 <= p <= tu.denominator for p in tu.numerators):
         raise InvariantViolation("average worths must lie in [0, 1]")
-    return AverageGameResult(tu, Fraction(1, unit))
+    return AverageGameResult._from_ints(tu, (1, unit))
 
 
 def average_worth_oracle(game: JKGame, coalition: Iterable[int]) -> Fraction:
     """One coalition's average worth by the reduced outside-profile sum."""
+    from fractions import Fraction  # here, as only the oracle builds one
+
     members = _check_players(coalition, game.n)
     outside = [p for p in game.players() if p not in members]
     total = 0
@@ -117,7 +120,8 @@ def compare_pgv_vs_jk(game: JKGame, *, cap: int = DEFAULT_CAP) -> ValueCompariso
     if degenerate:
         equal = False
     else:
-        # each value report's credits sum to its distributed total
-        shares = [[q / r.lambda_total for q in r.player_values] for r in (pgv, jk)]
-        equal = shares[0] == shares[1]
+        # each value report's credits sum to its distributed total: shares (p/d)/(l/e)
+        (a, da), (la, ea) = _kept(pgv, "player_values"), _kept(pgv, "lambda_total")
+        (b, db), (lb, eb) = _kept(jk, "player_values"), _kept(jk, "lambda_total")
+        equal = all(p * ea * db * lb == q * eb * da * la for p, q in zip(a, b))
     return ValueComparison(average, pgv, jk, variant, equal, degenerate)

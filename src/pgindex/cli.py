@@ -38,6 +38,7 @@ from .games import (
     _Record,
     _coalitions,
     _rational_str,
+    _witness_str,
     all_coalitions,
     check_cap,
     coalition_of_profile,
@@ -159,8 +160,9 @@ def _values_table(reports: list[IndexReport]) -> list[str]:
 
 def _json_default(obj):
     """The JSON form of every result object a machine document holds (a
-    comparison's average game is the document's "average_game"); a rational
-    is its text, a record's rational field read from its kept integers."""
+    comparison's average game is the document's "average_game"); a record's
+    rational field is its text, read from its kept integers. A document
+    holds no bare Fraction: each command writes its rationals as text."""
     if isinstance(obj, (JKGame, SimpleGame, TUGame)):
         return _game_json(obj)
     if isinstance(obj, (MCVSet, CoalitionSet)):  # JSON text, by the pad
@@ -168,16 +170,16 @@ def _json_default(obj):
     if isinstance(obj, _Record):  # an index report, a comparison or an axiom result
         fields = {}
         for f in obj._fields:
-            if f in obj._rational:
+            if f == "witnesses":  # an axiom result's: kept as ints and (p, d) pairs, or given
+                rows = obj.__dict__.get("_ints", {}).get(f)
+                texts = map(str, obj.witnesses) if rows is None else map(_witness_str, rows)
+                fields[f] = [*texts]
+            elif f in obj._rational:
                 nums, d = _kept(obj, f)
                 fields[f] = _rational_str(nums, d) if type(nums) is int else _rational_texts(obj, f)
             elif f != "average":
                 fields[f] = getattr(obj, f)
-        if "witnesses" in fields:
-            fields["witnesses"] = [str(w) for w in obj.witnesses]
         return fields
-    if hasattr(obj, "denominator"):  # a Fraction
-        return _rational_str(obj.numerator, obj.denominator)
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -351,15 +353,9 @@ def _cmd_axioms(games, request: AnalysisRequest):
     from .algebra import axiom_report
 
     games = _require_jk(games, "axioms")
-    v = games[0]
-    w = games[1] if len(games) > 1 else None
+    v, w = (*games, None)[:2]
     report = axiom_report(v, w)
-    doc = {
-        "command": "axioms",
-        "game": v,
-        "second_game": w,
-        "axioms": report.results,
-    }
+    doc = {"command": "axioms", "game": v, "second_game": w, "axioms": report.results}
     rows = [("axiom", "status", "detail")]
     rows += [(r.axiom, r.status, r.detail) for r in report.results]
     headings = [_game_heading(g) for g in games]
@@ -377,7 +373,7 @@ def _cmd_average(games, request: AnalysisRequest):
     doc = {
         "command": "average",
         "game": game,
-        "scale": result.scale,
+        "scale": _rational_str(*_kept(result, "scale")),
         "average_game": game_to_dict(result.tu),
         "comparison": comparison,
     }
@@ -385,14 +381,11 @@ def _cmd_average(games, request: AnalysisRequest):
     worths = [("coalition", "worth"), *zip(keys, _rational_texts(result.tu, "worths", _frac_table))]
     reports = [comparison.pgv_of_average, comparison.jk_value, comparison.variant]
     verdict = _values_table(reports)
-    verdict.append(
-        "equal after normalization: "
-        + ("yes" if comparison.equal_after_normalization else "no")
-    )
+    equal = "yes" if comparison.equal_after_normalization else "no"
+    verdict.append(f"equal after normalization: {equal}")
     if comparison.degenerate:
         verdict.append("comparison degenerate: constant-0 game")
-    scale = [f"scale = {_rational_str(result.scale.numerator, result.scale.denominator)}"]
-    scale += _aligned(worths)
+    scale = [f"scale = {doc['scale']}", *_aligned(worths)]
     if request.oracle:
         doc["oracle_agrees"] = all(
             w == average_worth_oracle(game, S)

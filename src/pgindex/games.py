@@ -306,6 +306,13 @@ def _rational_str(p: int, d: int) -> str:
     return str(p // g) if g == d else f"{p // g}/{d // g}"
 
 
+def _witness_str(row: tuple) -> str:
+    """``str`` of a witness tuple of two or more ints and Fractions kept as (p, d), d > 0."""
+    fraction = "Fraction({}, {})".format
+    parts = [str(c) if type(c) is int else fraction(*(e // math.gcd(*c) for e in c)) for c in row]
+    return "(" + ", ".join(parts) + ")"
+
+
 # ---------------------------------------------------------------------------
 # game types
 

@@ -4,12 +4,15 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pgindex import (
+    AxiomResult,
+    IndexReport,
     TrivialGame,
     axiom_report,
+    compare_pgv_vs_jk,
     decompose,
     is_mergeable,
     is_null_player,
@@ -25,6 +28,7 @@ from pgindex import (
     variant_value,
     zero_game,
 )
+from pgindex import cli
 from pgindex.algebra import CLAUSE_GE, CLAUSE_LE, CLAUSE_SHARED, _union_holds
 from pgindex.errors import (
     CapExceeded,
@@ -309,3 +313,104 @@ class TestMergeAdditivity:
         w = make_table_game(2, 2, 3, [0, 0, 1, 1])
         assert is_mergeable(v, w).mergeable
         assert _added(public_good_value_jk, v, w) and not _added(variant_value, v, w)
+
+
+# ---------------------------------------------------------------------------
+# the checks decide in integers; their Fraction expressions are the reference
+
+
+def _fraction_axioms(v, w, norm_v) -> tuple:
+    """A1-A4 by comparing and dividing Fractions, as the checks read before
+    they kept integers, with ``norm_v`` as v's normalized variant."""
+    values = norm_v.player_values
+    nulls = [i for i in v.players() if is_null_player(v, i)]
+    bad = tuple((i, values[i - 1]) for i in nulls if values[i - 1] != 0)
+    if not nulls:
+        a1 = AxiomResult("A1", "vacuous", "no null players")
+    elif bad:
+        a1 = AxiomResult("A1", "fail", "null players with nonzero value", bad)
+    else:
+        a1 = AxiomResult("A1", "pass", f"null players {nulls} all get 0")
+    total = sum(values)
+    a2 = AxiomResult("A2", "pass", "values sum to 1")
+    if total != 1:
+        a2 = AxiomResult("A2", "fail", f"values sum to {total}, not 1", (total,))
+    mcv = minimal_critical_vectors(v)
+    support = [i for i in v.players() if mcv.vectors[0][i - 1]] if len(mcv) == 1 else []
+    if len(mcv) != 1:
+        a3 = AxiomResult("A3", "vacuous", f"{len(mcv)} minimal critical vectors")
+    elif len({values[i - 1] for i in support}) != 1:
+        unequal = tuple((i, values[i - 1]) for i in support)
+        detail = "supporters of the single vector get unequal shares"
+        a3 = AxiomResult("A3", "fail", detail, unequal)
+    else:
+        a3 = AxiomResult("A3", "pass", f"all {len(support)} supporters share equally")
+    if w is None:
+        return a1, a2, a3, AxiomResult("A4", "skipped", "no second game given")
+    cv, cw = total_criticality(v), total_criticality(w)
+    merged = normalized_variant(oplus(v, w)).player_values
+    credits = zip(variant_value(v).player_values, variant_value(w).player_values)
+    expected = [(a + b) / (cv + cw) for a, b in credits]
+    bad = tuple((i, q, e) for i, q, e in zip(v.players(), merged, expected) if q != e)
+    a4 = AxiomResult("A4", "pass", f"weighted average holds with weights {cv} and {cw}")
+    if bad:
+        a4 = AxiomResult("A4", "fail", "merged value is not the criticality-weighted average", bad)
+    return a1, a2, a3, a4
+
+
+def _fraction_equal(game) -> bool:
+    """``equal_after_normalization`` by dividing Fractions: each report's
+    values over its distributed total."""
+    if game.trivial:
+        return False
+    comparison = compare_pgv_vs_jk(game)
+    reports = (comparison.pgv_of_average, comparison.jk_value)
+    shares = [[q / r.lambda_total for q in r.player_values] for r in reports]
+    return shares[0] == shares[1]
+
+
+def _same_axioms(results, expected) -> None:
+    # the witnesses' text first, while the results hold only their integers
+    texts = [cli._json_default(r)["witnesses"] for r in results]
+    assert texts == [[*map(str, r.witnesses)] for r in expected]
+    assert results == expected
+    assert [*map(repr, results)] == [*map(repr, expected)]
+
+
+class TestChecksInIntegers:
+    """``axiom_report`` and ``compare_pgv_vs_jk`` decide on kept integers;
+    the Fraction expressions above give the same results."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), pair=st.booleans())
+    def test_random_games_and_mergeable_pairs(self, seed, pair):
+        if pair:
+            v, w = _mergeable_pair(seed)
+            games = (v, w, oplus(v, w))
+        else:
+            rng = random.Random(seed)
+            n, j, k = rng.choice((1, 2, 3)), rng.choice((2, 3)), rng.choice((2, 3, 4))
+            v, w = _sparse_or_random(n, j, k, rng), None
+            games = (v,)
+        for game in games:
+            assert compare_pgv_vs_jk(game).equal_after_normalization == _fraction_equal(game)
+        assume(not v.trivial)
+        _same_axioms(axiom_report(v, w).results, _fraction_axioms(v, w, normalized_variant(v)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_failing_branches_on_any_shares(self, seed, data):
+        # normalized shares always pass A1-A3; other values over other
+        # denominators reach every failing branch and its witnesses
+        rng = random.Random(seed)
+        v = _sparse_or_random(rng.choice((1, 2, 3)), rng.choice((2, 3)), 3, rng)
+        assume(not v.trivial)
+        values = data.draw(st.tuples(*[st.integers(-3, 3)] * v.n))
+        d = data.draw(st.integers(1, 6))
+        shares = IndexReport._from_ints(
+            "normalized_variant", v.labels, (values, d), (0, 1), (0, 1), None
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("pgindex.algebra.normalized_variant", lambda game: shares)
+            results = axiom_report(v).results
+        _same_axioms(results, _fraction_axioms(v, None, shares))

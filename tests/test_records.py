@@ -9,7 +9,7 @@ refused.
 
 ``TestKeptIntegers`` then checks the records whose rationals the kernels
 keep as integers against the same records built from Fractions, and the
-CLI's renderer of those integers against ``str`` and ``float``.
+CLI's renderers of those integers against ``str`` and ``float``.
 """
 
 import random
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import pgindex as pg
 from pgindex import cli
-from pgindex.games import DEFAULT_CAP, _rational_str, profile_index
+from pgindex.games import DEFAULT_CAP, _rational_str, _witness_str, profile_index
 
 from gamegen import random_monotone_jk
 
@@ -424,3 +424,36 @@ class TestKeptIntegers:
             quotient = Context(prec=7).divide(Decimal(q.numerator), Decimal(q.denominator))
             approx = f"{quotient:.6e}"
         assert cell == f"{q} (~{approx})"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(((0, 2, 2), (1, 3, 3), (2, 2, 3), (3, 3, 3), (4, 2, 4))),
+        seed=st.integers(0, 10 ** 6),
+    )
+    def test_average_game_result(self, shape, seed):
+        n, j, k = shape
+        result = pg.average_game(random_monotone_jk(n, j, k, random.Random(seed)))
+        _agree(result, pg.AverageGameResult(result.tu, Fraction(1, j ** n * (k - 1))))
+
+    def test_failing_merge_axiom(self):
+        # (1,1) of v at worth 2 has predecessor (1,0), which w lifts to 1
+        v = pg.make_table_game(2, 2, 3, [0, 0, 0, 2])
+        w = pg.make_table_game(2, 2, 3, [0, 0, 1, 1])
+        witnesses = ((1, Fraction(3, 4), Fraction(3, 5)), (2, Fraction(1, 4), Fraction(2, 5)))
+        detail = "merged value is not the criticality-weighted average"
+        _agree(pg.axiom_report(v, w).results[-1], pg.AxiomResult("A4", "fail", detail, witnesses))
+        assert pg.AxiomResult("A4", "skipped", "no second game given").witnesses == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        row=st.lists(
+            st.integers(-(10 ** 30), 10 ** 30)
+            | st.tuples(st.integers(-(10 ** 30), 10 ** 30), st.integers(1, 10 ** 30)),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def test_witness_renderer(self, row):
+        # a witness as the checks keep it: ints, and each Fraction as a (p, d) pair
+        value = tuple(c if type(c) is int else Fraction(*c) for c in row)
+        assert _witness_str(tuple(row)) == str(value)
