@@ -196,7 +196,10 @@ def axiom_report(v: JKGame, w: JKGame | None = None) -> AxiomReport:
     sum to 1. A3: with a single minimal critical vector, every supporter
     gets the same share (vacuous otherwise). A4: given a second game
     mergeable with v, the merged value is the criticality-weighted average
-    of both values; requesting it on a non-mergeable pair raises.
+    of both values; requesting it on a non-mergeable pair raises. A1-A3
+    hold by definition, so a pass checks the code, not the game: a null
+    player supports no minimal critical vector, the shares are numerators
+    over their own sum, and each supporter of a single vector gets its worth.
     """
     if v.trivial:
         raise TrivialGame("axioms are stated for games with at least one critical vector")

@@ -292,7 +292,7 @@ def _cmd_potential(games, request: AnalysisRequest):
         game, note = embed_simple(game), "via the (2,2) embedding"
     jk = isinstance(game, JKGame)
     direct = _kept(public_good_value_jk(game) if jk else pgv_tu(game), "potential")
-    recursive = _recursive_potential(game, request.cap) if jk else None
+    recursive = _recursive_potential(game) if jk else None
     match = direct[0] * recursive[1] == recursive[0] * direct[1] if jk else None
     doc = {
         "command": "potential",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import add, mul
 
 from .errors import DigitLimitExceeded, TrivialGame
 from .critical import (
@@ -30,7 +29,6 @@ from .critical import (
     minimal_critical_vectors,
 )
 from .games import (
-    DEFAULT_CAP,
     JKGame,
     SimpleGame,
     TUGame,
@@ -40,8 +38,6 @@ from .games import (
     _check_players,
     _halves,
     _over_digit_limit,
-    check_cap,
-    profile_index,
 )
 
 
@@ -168,46 +164,36 @@ def public_good_value_jk(game: JKGame) -> IndexReport:
     return _tally(game)[0]
 
 
-def jk_potential_recursive(game: JKGame, *, cap: int = DEFAULT_CAP) -> Fraction:
+def jk_potential_recursive(game: JKGame) -> Fraction:
     """The potential by the averaging recursion over all subgames:
     P(v_S) = (Lambda(v_S) + sum over i in S of P(v_{S without i})) / |S|,
-    with P = 0 at the empty coalition; capped at ``cap`` coalition totals,
-    2^n. The subgame on S keeps the minimal critical vectors supported
-    inside S (the scan decides x from x's entry and its predecessors along
-    x's positive coordinates), so one subset-sum pass over the cached
-    listing, w·|supp x| at its support's rank, gives every Lambda(v_S).
-    In the integers Q(S) = |S|!·P(v_S) the recursion reads
-    Q(S) = (|S|-1)!·Lambda(v_S) + sum over i in S of Q(S without i), which
-    counts each chain from T up to N once: Q(N) is the sum over T of
-    (|T|-1)!·(n-|T|)!·Lambda(v_T), a coefficient per coalition size.
+    with P = 0 at the empty coalition. The subgame on S keeps the listed
+    vectors supported inside S (the scan decides x from x's entry and its
+    predecessors along supp x), so Lambda(v_S) sums w·|supp x| over them.
+    Q(S) = |S|!·P(v_S) counts each chain from T up to N once: Q(N) sums
+    (|T|-1)!·(n-|T|)!·Lambda(v_T) over T. Summed over T first, each listed
+    x adds w·s·K(s), s = |supp x|, with K(s) = sum over t = s..n of
+    C(n-s, t-s)·(t-1)!·(n-t)!, the chains from size s up to N. K(s)·s = n!,
+    so this is the direct sum; K(s) is summed, not n!/s, to stay a computation.
     """
     from fractions import Fraction
 
-    return Fraction(*_recursive_potential(game, cap))
+    return Fraction(*_recursive_potential(game))
 
 
-def _recursive_potential(game: JKGame, cap: int) -> tuple[int, int]:
+def _recursive_potential(game: JKGame) -> tuple[int, int]:
     """:func:`jk_potential_recursive` as the numerator and denominator of
-    Q(N) / n! in lowest terms."""
-    n = game.n
-    size = check_cap(n, 2, cap, "recursion would hold {} coalition totals")
-    lam = [0] * size
+    Q(N) / n! in lowest terms, from the listed worth per support size."""
+    n, f = game.n, math.factorial
+    worth = [0] * (n + 1)  # the listed worth by support size
     for x, w in minimal_critical_vectors(game).pairs():
-        support = [level > 0 for level in x]
-        lam[profile_index(support, 2)] += w * sum(support)
-    row = [0, *(math.factorial(t - 1) * math.factorial(n - t) for t in range(1, n + 1))]
-    coefficients = map(row.__getitem__, map(int.bit_count, range(size)))
-    total, whole = sum(map(mul, coefficients, _subset_sums(lam, n))), math.factorial(n)
-    g = math.gcd(total, whole)
-    return total // g, whole // g
-
-
-def _subset_sums(table: list[int], n: int) -> list[int]:
-    """Each coalition's sum of the entries of its subsets, in rank order:
-    each pass sums along the last axis and moves it to the front."""
-    for _ in range(n):
-        table = [*table[::2], *map(add, table[::2], table[1::2])]
-    return table
+        worth[n - x.count(0)] += w
+    total = 0
+    for s in range(1, n + 1):  # each listed x of support size s adds w·s·K(s)
+        chains = sum(math.comb(n - s, t - s) * f(t - 1) * f(n - t) for t in range(s, n + 1))
+        total += worth[s] * s * chains
+    g = math.gcd(total, f(n))
+    return total // g, f(n) // g
 
 
 def variant_value(game: JKGame) -> IndexReport:

@@ -1,7 +1,7 @@
 import functools
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +17,7 @@ from pgindex import (
     is_mergeable,
     is_null_player,
     make_table_game,
+    make_weighted_game,
     mcv_union_check,
     minimal_critical_vectors,
     normalized_variant,
@@ -313,6 +314,47 @@ class TestMergeAdditivity:
         w = make_table_game(2, 2, 3, [0, 0, 1, 1])
         assert is_mergeable(v, w).mergeable
         assert _added(public_good_value_jk, v, w) and not _added(variant_value, v, w)
+
+
+def _summed(report, games, n: int) -> tuple:
+    """Each player's ``report`` values summed over ``games``."""
+    return tuple(sum(report(g).player_values[p] for g in games) for p in range(n))
+
+
+class TestUniquenessByDecomposition:
+    """The steps of the uniqueness argument for the potential-based value:
+    v's single-vector components are pairwise mergeable and their ⊕ is v;
+    on each component null players get 0 and every supporter the worth; the
+    values sum to Λ, and the value of v is the sum of the components'."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), weighted=st.booleans())
+    def test_components_merge_back_and_add_up(self, seed, weighted):
+        rng = random.Random(seed)
+        n, j, k = rng.randrange(1, 4), rng.randrange(2, 4), rng.randrange(2, 5)
+        if weighted:
+            weights = [rng.randrange(5) for _ in range(n)]
+            v = make_weighted_game(weights, sorted(rng.sample(range(1, 13), k - 1)), j, k)
+        else:
+            v = random_monotone_jk(n, j, k, rng)
+        parts = decompose(v)
+        for a, b in combinations(parts, 2):
+            assert is_mergeable(a, b).mergeable
+        assert functools.reduce(oplus, parts, zero_game(n, j, k)).levels == v.levels
+        report = public_good_value_jk(v)
+        assert report.player_values == _summed(public_good_value_jk, parts, n)
+        assert sum(report.player_values) == report.lambda_total  # efficiency w.r.t. Λ
+        for part in parts:  # null players get 0, each supporter the full worth
+            [(x, w)] = minimal_critical_vectors(part).pairs()
+            assert public_good_value_jk(part).player_values == tuple(w if a else 0 for a in x)
+
+    def test_the_variant_does_not_add_up(self, example33):
+        # the same sum over components gives the value, but not the variant
+        parts = decompose(example33)
+        assert _summed(public_good_value_jk, parts, 3) == (6, 5, 4)
+        assert public_good_value_jk(example33).player_values == (6, 5, 4)
+        assert _summed(variant_value, parts, 3) == (6, 5, 4)
+        assert variant_value(example33).player_values == (5, 4, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,8 @@ class TestPotential:
         assert doc["match"] is True
 
     def test_recursion_beyond_twenty_players(self, capsys, tmp_path):
-        # 2^21 coalition totals are within the default cap, so the recursive
-        # line is printed for a 21-player unanimity game
+        # the recursion sums the listing by support size and has no cap of its
+        # own, so the recursive line is printed for a 21-player unanimity game
         path = tmp_path / "w21.json"
         rule = {"weights": [1] * 21, "thresholds": [21]}
         path.write_text(json.dumps({"kind": "jk", "n": 21, "j": 2, "k": 2, "weighted": rule}))
@@ -442,8 +442,8 @@ class TestErrorPaths:
         assert code == 2
 
     def test_potential_recursion_over_cap(self):
-        # the table has 27 entries and the recursion holds 2^3 = 8 totals, so
-        # a cap that admits the table admits the recursion
+        # the cap bounds the 27-entry table only: the recursion holds one sum
+        # per support size, so a cap that admits the table admits it
         code, stdout, stderr = invoke("potential", str(EXAMPLE), "--cap", "27")
         assert (code, stderr) == (0, "")
         assert stdout == invoke("potential", str(EXAMPLE))[1]

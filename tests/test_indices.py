@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from pgindex import (
     zero_game,
 )
 from pgindex.critical import _listing
-from pgindex.errors import CapExceeded, DigitLimitExceeded, UnknownPlayer
+from pgindex.errors import DigitLimitExceeded, UnknownPlayer
 from pgindex.games import JKGame, SimpleGame, decrement, profile_index
 from pgindex.indices import IndexReport, _tally
 
@@ -151,18 +152,9 @@ class TestPotentialIdentity:
             assert jk_potential_recursive(game) == jk_potential(game)
 
     def test_recursion_cap(self):
-        # no player count is refused as such: 2^21 totals are within the default cap
+        # the recursion holds one sum per support size, so it refuses no
+        # player count: the 2^21 entries loaded, the recursive line follows
         assert jk_potential_recursive(zero_game(21, 2, 2)) == 0
-
-    def test_recursion_respects_table_cap(self, example33):
-        # the recursion holds 2^n = 8 coalition totals; for base 2, check_cap's
-        # guard refuses every n >= cap.bit_length() before sizing, naming n
-        assert jk_potential_recursive(example33, cap=8) == 6
-        with pytest.raises(CapExceeded, match="3 players are beyond the cap 7"):
-            jk_potential_recursive(example33, cap=7)
-        with pytest.raises(CapExceeded) as info:
-            jk_potential_recursive(zero_game(21, 2, 2), cap=1)
-        assert str(info.value) == "21 players are beyond the cap 1"
 
     def test_lambda_decomposes_over_supports(self, example33):
         # Lambda counts each MCV worth once per supporter
@@ -170,17 +162,26 @@ class TestPotentialIdentity:
         assert sum(public_good_value_jk(example33).player_values) == 15
 
 
+def _subset_sums(table: list[int], n: int) -> list[int]:
+    """Each coalition's sum of the entries of its subsets, in rank order:
+    each pass sums along the last axis and moves it to the front."""
+    for _ in range(n):
+        table = [*table[::2], *map(add, table[::2], table[1::2])]
+    return table
+
+
 def _memo_potential(game):
     """The averaging recursion step by step over the ranks in increasing
-    order, the loop the closed form replaced: the memo holds the integers
-    Q(S) = |S|!·P(v_S), each the sum of Q over S's predecessors plus
-    (|S|-1)!·Lambda(v_S), with Lambda from the same subset sums."""
+    order: the memo holds the integers Q(S) = |S|!·P(v_S), each the sum of
+    Q over S's predecessors plus (|S|-1)!·Lambda(v_S), with every
+    Lambda(v_S) from one subset-sum pass over the 2^n coalition totals,
+    w·|supp x| at the rank of each listed vector's support."""
     size = 1 << game.n
     lam = [0] * size
     for x, w in minimal_critical_vectors(game).pairs():
         support = [level > 0 for level in x]
         lam[profile_index(support, 2)] += w * sum(support)
-    lam = indices._subset_sums(lam, game.n)
+    lam = _subset_sums(lam, game.n)
     memo = [0] * size
     for rank in range(1, size):
         below = sum(memo[rank ^ 1 << p] for p in range(game.n) if rank >> p & 1)

@@ -18,8 +18,9 @@ must agree with ``critical._real_gaining``, the literal all-subsets scan
 that stays in the package as the TU oracle. ``games._descents``, the
 monotone and hole checks on the same lane view, must agree with
 ``_entry_descents``, the entry-by-entry compare kept here, and so must
-``algebra._null_players`` with the entry compare along each axis and
-``indices._subset_sums`` with the sum over each coalition's subsets.
+``algebra._null_players`` with the entry compare along each axis, and
+the subset-sum pass behind ``tests/test_indices.py``'s memo reference
+with the sum over each coalition's subsets.
 """
 
 import random
@@ -67,9 +68,8 @@ from pgindex.games import (
     index_profile,
     profile_index,
 )
-from pgindex.indices import _subset_sums
-
 from gamegen import random_monotone_jk, random_monotone_tu, random_tu
+from test_indices import _subset_sums
 
 
 def _lane_scan(n: int, j: int, table) -> list:
