@@ -152,7 +152,9 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     rank order: minimal critical vectors of a (j,k) game, minimal winning
     coalitions, or for a TU game the minimal critical
     (``family="mcc"``) or real gaining (``"rgc"``) coalitions. Cached on
-    the game, one entry per family; ``family`` matters for TU games only."""
+    the game, one entry per family; ``family`` matters for TU games only.
+    A simple game that kept its minimal generators lists them, at worth 1,
+    with no table; every other game scans its lane view."""
     if not isinstance(game, TUGame):
         family = "mcc"
     elif family not in ("mcc", "rgc"):
@@ -161,12 +163,13 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     cached = game.__dict__.get(key)
     if cached is not None:
         return cached
-    if isinstance(game, TUGame):
-        table, d = game.numerators, game.denominator
-    else:
-        table, d = game.levels, 1
-    ranks = _predecessor_ranks(_lane_view(game), family == "rgc")
-    listed = tuple(map(table.__getitem__, ranks))
+    ranks, d = game.__dict__.get("_minimal"), getattr(game, "denominator", 1)
+    if ranks is None:
+        ranks = _predecessor_ranks(_lane_view(game), family == "rgc")
+        table = game.numerators if isinstance(game, TUGame) else game.levels
+        listed = tuple(map(table.__getitem__, ranks))
+    else:  # kept by games.simple_game_from_generators, in rank order
+        listed = (1,) * len(ranks)
     if isinstance(game, JKGame):
         high, low = _halves(game.n, game.j, lambda x, first: x)
         parts = map(divmod, ranks, itertools.repeat(len(low)))

@@ -356,8 +356,9 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._rational = tuple(f for f in cls._fields if isinstance(cls.__dict__.get(f), _Rational))
-        defaults = cls.__dict__.keys() - set(cls._rational)
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in defaults}
+        # a derived field (a cached_property) is no default
+        given = {f: v for f, v in cls.__dict__.items() if not isinstance(v, cached_property)}
+        cls._defaults = {f: given[f] for f in cls._fields if f in given}
 
     def __init__(self, *args, **kwargs):
         cls, fields, defaults = type(self), self._fields, self._defaults
@@ -469,11 +470,19 @@ class JKGame(_Record):
 class SimpleGame(_Record):
     """A monotone yes/no voting game, valid by type: the constructor refuses
     any other table. ``levels`` is its (2,2) table, 1 for each winning
-    coalition and 0 for each losing one in coalition-rank order;
-    ``winning`` is derived from it on first use."""
+    coalition and 0 for each losing one in coalition-rank order; on a game
+    built by :func:`simple_game_from_generators` it is derived on first
+    read, as ``winning`` is from it."""
 
     n: int
     levels: tuple[int, ...]
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        marks = bytearray(1 << self.n)
+        for rank in self.__dict__["_generators"]:
+            marks[rank] = 1
+        return tuple(_up_closure(self.n, 2, marks))
 
     def __init__(self, n, levels):
         self._fill(n, levels)
@@ -722,29 +731,44 @@ def evaluate(game: JKGame, x: Sequence[int]) -> int:
 
 
 def _marked(n: int, coalitions: Iterable[Iterable[int]], cap: int, message: str) -> list[int]:
-    """The 0/1 coalition table with 1 at each given nonempty coalition."""
+    """The distinct ranks of the given nonempty coalitions, ascending."""
     _check_shape(n, 2, 2)
-    levels = [0] * check_cap(n, 2, cap, message)
+    check_cap(n, 2, cap, message)
+    ranks = set()
     for S in coalitions:
         members = _check_players(S, n)
         if not members:
             raise NonZeroAtOrigin("the empty coalition cannot win")
-        levels[coalition_index(members, n)] = 1
-    return levels
+        ranks.add(coalition_index(members, n))
+    return sorted(ranks)
 
 
 def make_simple_game(n: int, winning: Iterable[Iterable[int]]) -> SimpleGame:
     """Build a simple game from its full set of winning coalitions."""
-    return SimpleGame(n, tuple(_marked(n, winning, DEFAULT_CAP, "table would need {} entries")))
+    ranks = _marked(n, winning, DEFAULT_CAP, "table would need {} entries")
+    levels = bytearray(1 << n)
+    for rank in ranks:
+        levels[rank] = 1
+    return SimpleGame(n, levels)
 
 
 def simple_game_from_generators(
     n: int, generators: Iterable[Iterable[int]], *, cap: int = DEFAULT_CAP
 ) -> SimpleGame:
-    """Build a simple game as the upward closure of the given coalitions."""
-    levels = _marked(n, generators, cap, "closure would enumerate {} coalitions")
+    """Build a simple game as the upward closure of the given coalitions,
+    its table derived on first read. With g generators, g² ≤ 2^n, it keeps
+    the inclusion-minimal ones (T ⊆ S iff ``T & S == T``), the minimal
+    winning coalitions, which :func:`critical._listing` then lists."""
+    ranks = _marked(n, generators, cap, "closure would enumerate {} coalitions")
+    game = object.__new__(SimpleGame)
     # an upward closure of nonempty coalitions: no hole, and the empty coalition loses
-    return _trusted(SimpleGame, n, tuple(_up_closure(n, 2, bytes(levels))))
+    game.__dict__.update(n=n, _generators=ranks)
+    if len(ranks) ** 2 <= 1 << n:
+        minimal = game.__dict__["_minimal"] = []
+        for S in ranks:  # ascending, so each proper subset of S is listed before it
+            if all(T & S != T for T in minimal):
+                minimal.append(S)
+    return game
 
 
 def make_tu_game(n: int, worth: Mapping, *, cap: int = DEFAULT_CAP) -> TUGame:

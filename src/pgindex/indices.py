@@ -71,23 +71,23 @@ def _tally(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> tuple[Ind
     """The one value pass of a game and family, kept on its listing: the value
     report, and for a (j,k) game the surplus report. Each rank of the listing
     joins its supporters from :func:`games._halves` and reads its worth w from
-    the integer table, a TU game's numerators over d; each supporter p gets w,
-    and in the surplus report w - v(x - e_p), read one stride of p below."""
+    the listing's kept integers, a TU game's numerators over d; each supporter
+    p gets w, and in the surplus report w - v(x - e_p), read from the table one
+    stride of p below."""
     listing = minimal_critical_vectors(game) if isinstance(game, JKGame) else _listing(game, family)
     if "_reports" in listing.__dict__:
         return listing.__dict__["_reports"]
     n, j, jk = game.n, getattr(game, "j", 2), isinstance(game, JKGame)
-    if isinstance(game, TUGame):
-        table, d, variants = game.numerators, game.denominator, ("tu_pgv",)
-    else:
-        table, d = game.levels, 1
-        variants = ("potential_value", "surplus_variant") if jk else ("raw_pgi",)
+    worths, d = (listing.worths, 1) if jk else _kept(listing, "worths")
+    variants = ("tu_pgv",) if isinstance(game, TUGame) else ("raw_pgi",)
+    if jk:
+        table, variants = game.levels, ("potential_value", "surplus_variant")
     high, low = _halves(n, j, lambda x, first: [p for p, level in enumerate(x, first - 1) if level])
     strides = [j ** (n - 1 - p) for p in range(n)]
     values, surplus, potential = [0] * n, [0] * n, 0
-    for rank in listing.__dict__["_ranks"]:
+    for rank, w in zip(listing.__dict__["_ranks"], worths):
         h, q = divmod(rank, len(low))
-        w, positions = table[rank], high[h] + low[q]
+        positions = high[h] + low[q]
         potential += w
         for p in positions:
             values[p] += w

@@ -332,6 +332,9 @@ class TestRankCodec:
         ranks = [*range((1 << n) - 1, -1, -3), 0, 0]
         want = [coalition_key(coalition_from_index(r, n)).replace(",", ",\n  ") for r in ranks]
         assert _coalition_keys(n, ranks, ",\n  ") == want
+        # every rank, at that separator: the nested product of the halves
+        every = [coalition_key(S).replace(",", ",\n  ") for S in coalitions]
+        assert _coalition_keys(n, range(1 << n), ",\n  ") == every
 
     @pytest.mark.parametrize("n, j", CODEC_SHAPES)
     def test_listing_profiles(self, n, j):
@@ -594,7 +597,8 @@ class TestNullPlayers:
 class TestOnePackPerGame:
     """The lane view is packed once per game and kept on it: the
     constructor check, the listings, ``TUGame.monotone`` and the null
-    players all read that one view."""
+    players all read that one view. A simple game built from few generators
+    lists its minimal ones and packs none."""
 
     @pytest.fixture
     def packs(self, monkeypatch):
@@ -630,7 +634,8 @@ class TestOnePackPerGame:
         packs.clear()
         assert cli.main(["analyze", "--format", fmt, "--oracle", str(path)]) == 0
         capsys.readouterr()
-        assert len(packs) == 1
+        # the oracle reads the simple game's table through the (2,2) embedding, unpacked
+        assert len(packs) == (0 if kind == "simple" else 1)
 
 
 class TestSubsetSums:
