@@ -153,8 +153,11 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     coalitions, or for a TU game the minimal critical
     (``family="mcc"``) or real gaining (``"rgc"``) coalitions. Cached on
     the game, one entry per family; ``family`` matters for TU games only.
-    A simple game that kept its minimal generators lists them, at worth 1,
-    with no table; every other game scans its lane view."""
+    A simple game built from g generators, g² ≤ 2^(n+1), lists the
+    inclusion-minimal ones (T ⊆ S iff ``T & S == T``) at worth 1, with no
+    table: below 2^(n+1) those subset tests cost less than the table's
+    lane scan at every n from 10 to 21 (see the README). Every other game
+    scans its lane view."""
     if not isinstance(game, TUGame):
         family = "mcc"
     elif family not in ("mcc", "rgc"):
@@ -163,13 +166,17 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
     cached = game.__dict__.get(key)
     if cached is not None:
         return cached
-    ranks, d = game.__dict__.get("_minimal"), getattr(game, "denominator", 1)
-    if ranks is None:
+    generators, d = game.__dict__.get("_generators"), getattr(game, "denominator", 1)
+    if generators is not None and len(generators) ** 2 <= 2 << game.n:
+        ranks = []
+        for S in generators:  # ascending, so each proper subset of S is listed before it
+            if all(T & S != T for T in ranks):
+                ranks.append(S)
+        listed = (1,) * len(ranks)
+    else:
         ranks = _predecessor_ranks(_lane_view(game), family == "rgc")
         table = game.numerators if isinstance(game, TUGame) else game.levels
         listed = tuple(map(table.__getitem__, ranks))
-    else:  # kept by games.simple_game_from_generators, in rank order
-        listed = (1,) * len(ranks)
     if isinstance(game, JKGame):
         high, low = _halves(game.n, game.j, lambda x, first: x)
         parts = map(divmod, ranks, itertools.repeat(len(low)))

@@ -275,12 +275,9 @@ def _key_rank(key: str, path, canon: dict[str, int]) -> int | frozenset[int]:
 
 def _coalition_keys(n: int, ranks: range | list[int], sep: str = ",") -> list[str]:
     """The members of each rank's coalition, ascending and joined by ``sep``
-    ("1,3", the canonical worth key, by default), from its halves' texts;
-    for every rank, by the nested product of the halves."""
+    ("1,3", the canonical worth key, by default), from its halves' texts."""
     high, low = _halves(n, 2, lambda x, first: sep.join(map(str, compress(count(first), x))))
     tails = ["", *(sep + q for q in low[1:])]
-    if ranks == range(1 << n):
-        return low + [h + t for h in high[1:] for t in tails]
     return [high[h] + tails[q] if h else low[q] for h, q in map(divmod, ranks, repeat(len(low)))]
 
 

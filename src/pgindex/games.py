@@ -356,9 +356,8 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._rational = tuple(f for f in cls._fields if isinstance(cls.__dict__.get(f), _Rational))
-        # a derived field (a cached_property) is no default
-        given = {f: v for f, v in cls.__dict__.items() if not isinstance(v, cached_property)}
-        cls._defaults = {f: given[f] for f in cls._fields if f in given}
+        defaults = cls.__dict__.keys() - set(cls._rational)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in defaults}
 
     def __init__(self, *args, **kwargs):
         cls, fields, defaults = type(self), self._fields, self._defaults
@@ -756,18 +755,12 @@ def simple_game_from_generators(
     n: int, generators: Iterable[Iterable[int]], *, cap: int = DEFAULT_CAP
 ) -> SimpleGame:
     """Build a simple game as the upward closure of the given coalitions,
-    its table derived on first read. With g generators, g² ≤ 2^n, it keeps
-    the inclusion-minimal ones (T ⊆ S iff ``T & S == T``), the minimal
-    winning coalitions, which :func:`critical._listing` then lists."""
+    kept as their distinct ranks, ascending; its table is derived on first
+    read, and :func:`critical._listing` may list from the ranks instead."""
     ranks = _marked(n, generators, cap, "closure would enumerate {} coalitions")
     game = object.__new__(SimpleGame)
     # an upward closure of nonempty coalitions: no hole, and the empty coalition loses
     game.__dict__.update(n=n, _generators=ranks)
-    if len(ranks) ** 2 <= 1 << n:
-        minimal = game.__dict__["_minimal"] = []
-        for S in ranks:  # ascending, so each proper subset of S is listed before it
-            if all(T & S != T for T in minimal):
-                minimal.append(S)
     return game
 
 

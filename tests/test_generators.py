@@ -1,13 +1,13 @@
 """Simple games from generators, listed without their table.
 
-``simple_game_from_generators`` keeps the distinct generator ranks and,
-for g generators with g² ≤ 2^n, the inclusion-minimal ones, which
-``critical._listing`` lists as the minimal winning coalitions; the table
-is derived on first read. The same game built from its closure, taken by
+``simple_game_from_generators`` keeps the distinct generator ranks; for
+g generators with g² ≤ 2^(n+1), ``critical._listing`` lists the
+inclusion-minimal ones as the minimal winning coalitions, and otherwise
+scans the lanes of the table, which is derived on first read. The same game built from its closure, taken by
 the table route (``games._up_closure`` on the marked ranks) and given to
 ``SimpleGame``, lists by the lane scan. The two must give the same
 listing, reports, game file, ``==``, hash and repr, on both sides of
-g² ≤ 2^n. The load-time checks keep their order on both constructors, and
+g² ≤ 2^(n+1). The load-time checks keep their order on both constructors, and
 ``analyze`` on a 24-player file stays far below the size of its table.
 """
 
@@ -41,8 +41,8 @@ def _members(rank: int, n: int) -> list[int]:
 
 def _draw(n: int, few: bool, rng: random.Random) -> list[list[int]]:
     """Generators with repeats, supersets and singletons, as member lists in
-    any order: at most sqrt(2^n) distinct ranks when ``few``, more otherwise."""
-    full, bound = (1 << n) - 1, math.isqrt(1 << n)
+    any order: at most sqrt(2^(n+1)) distinct ranks when ``few``, more otherwise."""
+    full, bound = (1 << n) - 1, math.isqrt(2 << n)
     distinct = rng.randint(0, min(bound, full)) if few else rng.randint(bound + 1, full)
     ranks = rng.sample(range(1, full + 1), distinct)
     for r in ranks[: distinct // 2]:  # a superset or a singleton of a drawn rank, or a repeat
@@ -76,12 +76,12 @@ class TestGeneratorRoute:
     @example(n=10, few=True, seed=2)
     def test_listing_matches_table_route(self, n, few, seed):
         if not few and n < 2:
-            few = True  # at most one nonempty coalition: g² ≤ 2^n always
+            few = True  # at most one nonempty coalition: g² ≤ 2^(n+1) always
         generators = _draw(n, few, random.Random(seed))
         fast, table = _pair(n, generators)
         distinct = len({coalition_index(S, n) for S in generators})
-        assert ("_minimal" in fast.__dict__) == few == (distinct ** 2 <= 1 << n)
         listed, scanned = _listing(fast), _listing(table)
+        assert ("_lanes" not in fast.__dict__) == few == (distinct ** 2 <= 2 << n)
         assert listed.__dict__["_ranks"] == scanned.__dict__["_ranks"]
         assert _kept(listed, "worths") == _kept(scanned, "worths")
         assert listed == scanned
@@ -153,7 +153,7 @@ class TestNoTable:
         capsys.readouterr()
         (game,) = loaded
         minimal = sorted(coalition_index(S, 12) for S in ({1, 2}, {3, 4, 5}))  # in rank order
-        assert game.__dict__["_minimal"] == minimal
+        assert game.__dict__["_listing_mcc"].__dict__["_ranks"] == minimal
         assert "levels" not in game.__dict__ and "_lanes" not in game.__dict__
 
     def test_24_players_in_little_memory(self, tmp_path, capsys):
