@@ -21,7 +21,6 @@ from operator import sub
 
 from .errors import DigitLimitExceeded, InvariantViolation
 from .games import (
-    DEFAULT_CAP,
     JKGame,
     TUGame,
     _kept,
@@ -31,7 +30,6 @@ from .games import (
     _lowest_terms,
     _over_digit_limit,
     all_profiles,
-    check_cap,
 )
 from .indices import IndexReport, pgv_tu, public_good_value_jk, variant_value
 
@@ -66,9 +64,8 @@ def _pin_or_sum(levels: tuple[int, ...], n: int, j: int, pin: int) -> list[int]:
     return table
 
 
-def average_game(game: JKGame, *, cap: int = DEFAULT_CAP) -> AverageGameResult:
+def average_game(game: JKGame) -> AverageGameResult:
     """Reduce to a TU game by averaging top-versus-bottom pinning gains."""
-    check_cap(game.n, game.j, cap, "averaging would reduce {} table entries")
     unit = game.j ** game.n * (game.k - 1)
     top = _pin_or_sum(game.levels, game.n, game.j, game.j - 1)
     bottom = _pin_or_sum(game.levels, game.n, game.j, 0)
@@ -105,14 +102,14 @@ def average_worth_oracle(game: JKGame, coalition: Iterable[int]) -> Fraction:
     return Fraction(total * multiplicity, game.j ** game.n * (game.k - 1))
 
 
-def compare_pgv_vs_jk(game: JKGame, *, cap: int = DEFAULT_CAP) -> ValueComparison:
+def compare_pgv_vs_jk(game: JKGame) -> ValueComparison:
     """Compare the TU Public Good value of the average game against the
     direct potential-based and surplus values of the source game. Equality
     is judged after normalizing the PGV and the potential-based value to
     sum 1; the constant-0 game is flagged degenerate instead. The average
     game is monotone, so its minimal critical and real gaining coalitions
     coincide and the PGV is that of either family."""
-    average = average_game(game, cap=cap)
+    average = average_game(game)
     pgv = pgv_tu(average.tu)
     jk = public_good_value_jk(game)
     variant = variant_value(game)

@@ -18,6 +18,7 @@ from itertools import chain
 from .critical import (
     CoalitionSet,
     MCVSet,
+    _check_oracle_cap,
     _listing,
     _real_gaining,
     minimal_critical_vectors_oracle,
@@ -28,7 +29,7 @@ from .errors import (
     TrivialGame,
     ValidationError,
 )
-from .gamefile import _coalition_keys, _dumps, _rational_texts, dumps_game, game_to_dict, load_game
+from .gamefile import _dumps, _rational_texts, dumps_game, game_to_dict, load_game
 from .games import (
     DEFAULT_CAP,
     JKGame,
@@ -37,6 +38,8 @@ from .games import (
     _kept,
     _Record,
     _coalitions,
+    _levels,
+    _rank_texts,
     _rational_str,
     _witness_str,
     all_coalitions,
@@ -102,16 +105,20 @@ def _aligned(rows) -> list[str]:
     ]
 
 
+def _listing_texts(listing, sep: str, render) -> tuple[str, Iterator[str], Iterable[str]]:
+    """A listing's head; each listed vector's levels or coalition's members,
+    joined by ``sep``; and each worth's text, a coalition's p/d by ``render``."""
+    n, j, ranks = (listing.__dict__[key] for key in ("_n", "_j", "_ranks"))
+    if isinstance(listing, MCVSet):
+        return "vector", _rank_texts(n, j, ranks, sep, _levels), map(str, listing.worths)
+    return "coalition", _rank_texts(n, j, ranks, sep), _rational_texts(listing, "worths", render)
+
+
 def _listing_rows(listing, title: str) -> list[str]:
     if not len(listing):
         return [f"no {title}"]
-    if isinstance(listing, MCVSet):
-        head, cells = "vector", [*map(_profile_str, listing.vectors)]
-        worths = map(str, listing.worths)
-    else:
-        keys = _coalition_keys(listing.__dict__["_n"], listing.__dict__["_ranks"])
-        head, cells = "coalition", [*map("{%s}".__mod__, keys)]
-        worths = _rational_texts(listing, "worths", _frac_table)
+    head, items, worths = _listing_texts(listing, ",", _frac_table)
+    cells = [*map(("(%s)" if head == "vector" else "{%s}").__mod__, items)]
     row = f"  %-{max(len(head), *map(len, cells))}s  %s"  # _aligned's, as no worth is blank
     return [f"{title} ({len(listing)})", *map(row.__mod__, [(head, "worth"), *zip(cells, worths)])]
 
@@ -124,16 +131,10 @@ def _listing_json(listing, pad: str) -> str:
     if pad in cache or not len(listing):
         return cache.get(pad, "[]")
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
-    if isinstance(listing, MCVSet):
-        field = ("," + i3).join(["%d"] * len(listing.vectors[0]))
-        row = f'{{{i2}"vector": [{i3}{field}{i2}],{i2}"worth": %d{i1}}}'
-        flat = chain.from_iterable(map(tuple.__add__, listing.vectors, zip(listing.worths)))
-    else:
-        row = f'{{{i2}"coalition": [{i3}%s{i2}],{i2}"worth": %s{i1}}}'
-        members = _coalition_keys(listing.__dict__["_n"], listing.__dict__["_ranks"], "," + i3)
-        worths = _rational_texts(listing, "worths", lambda p, d: _dumps(_rational_str(p, d)))
-        flat = chain.from_iterable(zip(members, worths))
-    text = cache[pad] = "[" + i1 + ("," + i1).join([row] * len(listing)) % tuple(flat) + pad + "]"
+    head, items, worths = _listing_texts(listing, "," + i3, lambda p, d: _dumps(_rational_str(p, d)))
+    row = f'{{{i2}"{head}": [{i3}%s{i2}],{i2}"worth": %s{i1}}}'
+    flat = tuple(chain.from_iterable(zip(items, worths)))
+    text = cache[pad] = "[" + i1 + ("," + i1).join([row] * len(listing)) % flat + pad + "]"
     return text
 
 
@@ -239,6 +240,7 @@ def _oracle(game, listing):
         if isinstance(game, JKGame):
             return minimal_critical_vectors_oracle(game) == listing, "full down-set scan"
         if isinstance(game, SimpleGame):
+            _check_oracle_cap(game.n, 2)  # before the embedding derives the table
             oracle_mcv = minimal_critical_vectors_oracle(embed_simple(game))
             image = frozenset(coalition_of_profile(x) for x in oracle_mcv.vectors)
             return image == frozenset(listing.coalitions), "via the (2,2) embedding"
@@ -368,7 +370,7 @@ def _cmd_average(games, request: AnalysisRequest):
     (game,) = _require_jk(games, "average")
     if request.oracle:
         check_cap(game.n, game.j + 1, request.cap, "the oracle would take {} evaluations")
-    comparison = compare_pgv_vs_jk(game, cap=request.cap)
+    comparison = compare_pgv_vs_jk(game)
     result = comparison.average
     doc = {
         "command": "average",
@@ -377,7 +379,7 @@ def _cmd_average(games, request: AnalysisRequest):
         "average_game": game_to_dict(result.tu),
         "comparison": comparison,
     }
-    keys = map("{%s}".__mod__, _coalition_keys(result.tu.n, range(1 << result.tu.n)))
+    keys = map("{%s}".__mod__, _rank_texts(result.tu.n, 2, range(1 << result.tu.n)))
     worths = [("coalition", "worth"), *zip(keys, _rational_texts(result.tu, "worths", _frac_table))]
     reports = [comparison.pgv_of_average, comparison.jk_value, comparison.variant]
     verdict = _values_table(reports)

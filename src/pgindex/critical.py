@@ -32,8 +32,9 @@ from .games import (
     _check_players,
     _coalitions,
     _flagged,
-    _halves,
+    _joined,
     _lane_view,
+    _levels,
     decrement,
     evaluate,
 )
@@ -177,14 +178,13 @@ def _listing(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> MCVSet 
         ranks = _predecessor_ranks(_lane_view(game), family == "rgc")
         table = game.numerators if isinstance(game, TUGame) else game.levels
         listed = tuple(map(table.__getitem__, ranks))
+    j = getattr(game, "j", 2)
     if isinstance(game, JKGame):
-        high, low = _halves(game.n, game.j, lambda x, first: x)
-        parts = map(divmod, ranks, itertools.repeat(len(low)))
-        listing = MCVSet(tuple(high[h] + low[q] for h, q in parts), listed)
+        listing = MCVSet(tuple(_joined(game.n, j, ranks, _levels)), listed)
     else:
         listing = CoalitionSet._from_ints(_coalitions(game.n, ranks), (listed, d))
-    # for indices._tally and the coalition texts of the CLI; records keep a __dict__
-    listing.__dict__.update(_ranks=ranks, _n=game.n)
+    # for indices._tally and the listing texts of the CLI; records keep a __dict__
+    listing.__dict__.update(_ranks=ranks, _n=game.n, _j=j)
     game.__dict__[key] = listing
     return listing
 
@@ -237,12 +237,15 @@ def _down_max(packed: int, guard: int, bits: int, lanes) -> int:
     return packed
 
 
+def _check_oracle_cap(n: int, j: int) -> None:
+    """Refuse a table of j^n profiles beyond ``ORACLE_CAP`` for the oracle."""
+    if j ** n > ORACLE_CAP:
+        raise OracleCapExceeded(f"oracle is capped at {ORACLE_CAP} profiles, table has {j ** n}")
+
+
 def minimal_critical_vectors_oracle(game: JKGame) -> MCVSet:
     """Reference enumeration scanning the entire down-set of every profile."""
-    if game.j ** game.n > ORACLE_CAP:
-        raise OracleCapExceeded(
-            f"oracle is capped at {ORACLE_CAP} profiles, table has {game.j ** game.n}"
-        )
+    _check_oracle_cap(game.n, game.j)
     pairs = []
     for x in game.profiles():
         if not any(x):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from _json import encode_basestring_ascii, make_scanner
 from collections import Counter
-from itertools import compress, count, repeat
 
 from .critical import minimal_winning_coalitions
 from .errors import ParseError, ValidationError
@@ -25,9 +24,9 @@ from .games import (
     TUGame,
     _check_players,
     _check_shape,
-    _halves,
     _kept,
     _rank_filled,
+    _rank_texts,
     _rational_pair,
     _rational_str,
     check_cap,
@@ -223,7 +222,7 @@ def _load_tu(doc: dict, path, cap: int) -> TUGame:
     fill = len(worth) + 1  # coalitions named at most, the empty one included
     canon = {}
     if n >= 0 and fill >> n:
-        canon = dict(zip(_coalition_keys(n, range(1 << n)), range(1 << n)))
+        canon = dict(zip(_rank_texts(n, 2, range(1 << n)), range(1 << n)))
     nums, dens = {0: 0}, {0: 1}  # "": 0 implied; an explicit "" overrides it
     names, general, read = {}, [], {}  # read: each distinct worth's pair, once it reads
     for key, value in worth.items():
@@ -273,14 +272,6 @@ def _key_rank(key: str, path, canon: dict[str, int]) -> int | frozenset[int]:
 # writing
 
 
-def _coalition_keys(n: int, ranks: range | list[int], sep: str = ",") -> list[str]:
-    """The members of each rank's coalition, ascending and joined by ``sep``
-    ("1,3", the canonical worth key, by default), from its halves' texts."""
-    high, low = _halves(n, 2, lambda x, first: sep.join(map(str, compress(count(first), x))))
-    tails = ["", *(sep + q for q in low[1:])]
-    return [high[h] + tails[q] if h else low[q] for h, q in map(divmod, ranks, repeat(len(low)))]
-
-
 def game_to_dict(game: Game) -> dict:
     """Game-file document for any of the three kinds."""
     if isinstance(game, JKGame):
@@ -300,7 +291,7 @@ def game_to_dict(game: Game) -> dict:
         )
         return {"kind": "simple", "n": game.n, "winning": generators}
     if isinstance(game, TUGame):
-        worths = zip(_coalition_keys(game.n, range(1 << game.n)), _rational_texts(game, "worths"))
+        worths = zip(_rank_texts(game.n, 2, range(1 << game.n)), _rational_texts(game, "worths"))
         return {"kind": "tu", "n": game.n, "worth": dict(worths)}
     raise TypeError(f"cannot serialize {type(game).__name__}")
 

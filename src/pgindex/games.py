@@ -10,8 +10,8 @@ worths with the empty coalition worth 0.
 Profiles are plain int tuples with player 1 first; tables are flat tuples
 ordered by the profile rank with the first coordinate most significant, so
 ``itertools.product(range(j), repeat=n)`` walks them in storage order.
-A rank is split in one place, :func:`_halves`, into players 1..n//2 and the
-rest; listings, winning sets and worth keys are joined from the two halves.
+A rank is split in one place, :func:`_joined`, into players 1..n//2 and the
+rest; listings, supporters, winning sets and texts are joined from the halves.
 Coalitions are frozensets of 1-based player ids. Worths are exact: every
 rational is read by one checked reader, :func:`_rational_pair`, kept as
 integers over one common denominator (a TU game's worths, a weighted rule,
@@ -33,7 +33,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, partial
 from itertools import accumulate, compress, count
-from operator import add, floordiv, mul
+from operator import add, floordiv, mul, or_
 
 from .errors import (
     CapExceeded,
@@ -116,22 +116,58 @@ def coalition_of_profile(x: Profile) -> Coalition:
     return frozenset(i for i, level in enumerate(x, start=1) if level)
 
 
-def _halves(n: int, j: int, part) -> tuple[list, list]:
-    """``part(x, first)`` of every profile x of players 1..n//2 and of
-    players n//2 + 1..n, each list in table order, ``first`` the id of x's
-    first player. The profile of rank r joins the parts at ``divmod(r,
+def _members(x: Profile, first: int) -> Iterator[int]:
+    """The players at a positive level in x, whose first player is ``first``."""
+    return compress(count(first), x)
+
+
+def _levels(x: Profile, first: int) -> Profile:
+    return x
+
+
+def _joined(n: int, j: int, ranks: Iterable[int], part, join=add) -> Iterator:
+    """``join(high, low)`` of each rank, lazily, for ``high`` and ``low`` the
+    ``part(x, first)`` of its profile's halves: x of players 1..n//2 and of
+    players n//2 + 1..n, ``first`` the id of x's first player. ``part`` runs
+    once per profile of each half, and rank r joins the parts at ``divmod(r,
     len(low))``; for n < 2 the high half is the one empty profile."""
     half = n // 2
-    return (
-        [part(x, 1) for x in all_profiles(half, j)],
-        [part(x, half + 1) for x in all_profiles(n - half, j)],
-    )
+    high = [part(x, 1) for x in all_profiles(half, j)]
+    low = [part(x, half + 1) for x in all_profiles(n - half, j)]
+    pairs = map(divmod, ranks, itertools.repeat(len(low)))
+    if join is add:  # the operator: a call of it per rank adds a tenth to a text's join
+        return (high[h] + low[q] for h, q in pairs)
+    return (join(high[h], low[q]) for h, q in pairs)
 
 
 def _coalitions(n: int, ranks: Iterable[int]) -> tuple[Coalition, ...]:
     """The coalition of each rank, joined from the coalitions of the halves."""
-    high, low = _halves(n, 2, lambda x, first: frozenset(compress(count(first), x)))
-    return tuple(high[h] | low[q] for h, q in map(divmod, ranks, itertools.repeat(len(low))))
+    return tuple(_joined(n, 2, ranks, lambda x, first: frozenset(_members(x, first)), or_))
+
+
+class _Bare(str):
+    """The empty text of an all-zero low half: added to a high half's text,
+    which ends in the separator ``sep`` unless it is empty, it takes that off."""
+
+    def __radd__(self, text: str) -> str:
+        return text.removesuffix(self.sep)
+
+
+def _rank_texts(n: int, j: int, ranks: Iterable[int], sep: str = ",", part=_members) -> Iterator:
+    """The text of each rank's profile, lazily: what ``part`` gives of it,
+    joined by ``sep``; by default its members ("1,3", the canonical worth
+    key), with ``part=_levels`` its levels ("0,2,1"). Joined from the texts
+    of the halves (:func:`_joined`), a nonempty high one followed by ``sep``."""
+    bare, names, half = _Bare(), [*map(str, range(max(n + 1, j)))], n // 2
+    bare.sep = sep
+
+    def text(x, first):
+        items = sep.join(map(names.__getitem__, part(x, first)))
+        if first > half:  # the low half's; at n < 2 also the high half's one empty profile
+            return items or bare
+        return items and items + sep
+
+    return _joined(n, j, ranks, text)
 
 
 def check_cap(n: int, base: int, cap: int, message: str) -> int:
@@ -505,7 +541,9 @@ class SimpleGame(_Record):
 
     @property
     def trivial(self) -> bool:
-        return not any(self.levels)
+        """True when no coalition wins; a game kept as generators has none."""
+        generators = self.__dict__.get("_generators")
+        return not (any(self.levels) if generators is None else generators)
 
 
 class TUGame(_Record):

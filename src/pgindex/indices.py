@@ -36,7 +36,8 @@ from .games import (
     _Rational,
     _Record,
     _check_players,
-    _halves,
+    _joined,
+    _members,
     _over_digit_limit,
 )
 
@@ -69,11 +70,11 @@ def _normalized(report: IndexReport, variant: str) -> IndexReport:
 
 def _tally(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> tuple[IndexReport, ...]:
     """The one value pass of a game and family, kept on its listing: the value
-    report, and for a (j,k) game the surplus report. Each rank of the listing
-    joins its supporters from :func:`games._halves` and reads its worth w from
-    the listing's kept integers, a TU game's numerators over d; each supporter
-    p gets w, and in the surplus report w - v(x - e_p), read from the table one
-    stride of p below."""
+    report, and for a (j,k) game the surplus report. The supporters of each
+    rank of the listing stream from :func:`games._joined`, and its worth w is
+    read from the listing's kept integers, a TU game's numerators over d; each
+    supporter p gets w, and in the surplus report w - v(x - e_p), read from the
+    table one stride of p below."""
     listing = minimal_critical_vectors(game) if isinstance(game, JKGame) else _listing(game, family)
     if "_reports" in listing.__dict__:
         return listing.__dict__["_reports"]
@@ -82,12 +83,11 @@ def _tally(game: JKGame | SimpleGame | TUGame, family: str = "mcc") -> tuple[Ind
     variants = ("tu_pgv",) if isinstance(game, TUGame) else ("raw_pgi",)
     if jk:
         table, variants = game.levels, ("potential_value", "surplus_variant")
-    high, low = _halves(n, j, lambda x, first: [p for p, level in enumerate(x, first - 1) if level])
+    ranks = listing.__dict__["_ranks"]
+    supporters = _joined(n, j, ranks, lambda x, first: [*_members(x, first - 1)])  # 0-based
     strides = [j ** (n - 1 - p) for p in range(n)]
     values, surplus, potential = [0] * n, [0] * n, 0
-    for rank, w in zip(listing.__dict__["_ranks"], worths):
-        h, q = divmod(rank, len(low))
-        positions = high[h] + low[q]
+    for rank, w, positions in zip(ranks, worths, supporters):
         potential += w
         for p in positions:
             values[p] += w

@@ -10,6 +10,7 @@ from pgindex import (
     average_game,
     average_worth_oracle,
     compare_pgv_vs_jk,
+    make_table_game,
     minimal_critical_coalitions,
     pgv_tu,
     zero_game,
@@ -71,13 +72,12 @@ class TestAverageProperties:
         tu = average_game(zero_game(2, 3, 3)).tu
         assert all(tu.worth(S) == 0 for S in all_coalitions(2))
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            average_game(zero_game(3, 3, 3), cap=10)
-
     def test_cap_counts_table_entries(self):
-        # the reduction holds at most j^n = 27 entries, not the oracle's (2j)^n
-        tu = average_game(zero_game(3, 3, 3), cap=27).tu
+        # the reduction holds at most j^n = 27 entries, not the oracle's (2j)^n: the
+        # game's own table, which passed the cap when the game was built
+        with pytest.raises(CapExceeded):
+            make_table_game(3, 3, 3, [0] * 27, cap=26)
+        tu = average_game(make_table_game(3, 3, 3, [0] * 27, cap=27)).tu
         assert tu.worths == (0,) * 8
 
     @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ from pgindex.cli import (
 )
 from pgindex.critical import CoalitionSet, MCVSet
 from pgindex.gamefile import _dumps
-from pgindex.games import all_coalitions
+from pgindex.games import all_coalitions, index_profile
 from pgindex.indices import IndexReport
 
 from conftest import DATA, GOLDEN, SRC
@@ -954,12 +954,16 @@ def _cell(q: Fraction) -> str:
     return cli._frac_table(q.numerator, q.denominator)
 
 
-def _ranked(n: int, ranks, worths) -> CoalitionSet:
-    """The coalitions of ``ranks`` among n players with their worths, keeping
-    the ranks and n as ``critical._listing`` keeps them for the codec."""
-    coalitions = [frozenset(i for i in range(1, n + 1) if r >> (n - i) & 1) for r in ranks]
-    listing = CoalitionSet(tuple(coalitions), tuple(worths))
-    listing.__dict__.update(_ranks=list(ranks), _n=n)
+def _ranked(n: int, ranks, worths, j: int = 0) -> CoalitionSet | MCVSet:
+    """The coalitions of ``ranks`` among n players with their worths, or with
+    a ``j`` the vectors of ``ranks`` in {0..j-1}^n, keeping the ranks, n and j
+    as ``critical._listing`` keeps them for the codec."""
+    if j:
+        listing = MCVSet(tuple(index_profile(r, n, j) for r in ranks), tuple(worths))
+    else:
+        coalitions = [frozenset(i for i in range(1, n + 1) if r >> (n - i) & 1) for r in ranks]
+        listing = CoalitionSet(tuple(coalitions), tuple(worths))
+    listing.__dict__.update(_ranks=list(ranks), _n=n, _j=j or 2)
     return listing
 
 
@@ -1022,6 +1026,26 @@ class TestListingEncoders:
         assert _dumps(_nested(listing, depth), _json_default) == old
         reference = [("coalition", "worth")]
         reference += [("{%s}" % _coalition_text(S), _cell(w)) for S, w in listing.pairs()]
+        want = [f"t ({len(ranks)})", *cli._aligned(reference)] if ranks else ["no t"]
+        assert _listing_rows(listing, "t") == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.sampled_from([(n, j) for j in (2, 3, 4) for n in range(13) if j ** n <= 3 ** 12]
+                              + [(n, 12) for n in range(5)]),
+        depth=st.integers(0, 3),
+    )
+    def test_any_vector_listing(self, data, shape, depth):
+        # nonzero profiles of {0..j-1}^n, as listed, in any order and with repeats
+        n, j = shape
+        top = j ** n - 1
+        ranks = data.draw(st.lists(st.integers(1, top), max_size=8) if top else st.just([]))
+        worths = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=len(ranks), max_size=len(ranks)))
+        listing = _ranked(n, ranks, worths, j)
+        old = json.dumps(_nested(_old_rows(listing), depth), indent=2)
+        assert _dumps(_nested(listing, depth), _json_default) == old
+        reference = [("vector", "worth")] + [(cli._profile_str(x), str(w)) for x, w in listing.pairs()]
         want = [f"t ({len(ranks)})", *cli._aligned(reference)] if ranks else ["no t"]
         assert _listing_rows(listing, "t") == want
 

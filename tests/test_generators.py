@@ -92,6 +92,15 @@ class TestGeneratorRoute:
             assert "levels" not in fast.__dict__ and "_lanes" not in fast.__dict__
         assert (fast, hash(fast), repr(fast)) == (table, hash(table), repr(table))
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 8), few=st.booleans(), seed=st.integers(0, 10 ** 6))
+    def test_trivial_reads_the_generators(self, n, few, seed):
+        # a game kept as generators wins nowhere iff it has none; _draw gives none at times
+        generators = _draw(n, few or n < 2, random.Random(seed))
+        fast, table = _pair(n, generators)
+        assert fast.trivial == table.trivial == (not generators)
+        assert "levels" not in fast.__dict__
+
     def test_equal_before_any_listing(self):
         fast, table = _pair(4, [[1, 2], [3, 4], [2, 1, 3]])
         assert (fast, hash(fast), repr(fast)) == (table, hash(table), repr(table))
@@ -155,6 +164,26 @@ class TestNoTable:
         minimal = sorted(coalition_index(S, 12) for S in ({1, 2}, {3, 4, 5}))  # in rank order
         assert game.__dict__["_listing_mcc"].__dict__["_ranks"] == minimal
         assert "levels" not in game.__dict__ and "_lanes" not in game.__dict__
+
+    def test_trivial_builds_no_table(self):
+        game = simple_game_from_generators(22, [[1, 2, 3]])
+        tracemalloc.start()
+        try:
+            assert game.trivial is False
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "levels" not in game.__dict__ and peak < 2 ** 20
+
+    @pytest.mark.parametrize("fmt", ("table", "machine"))
+    def test_oracle_refuses_before_the_embedding(self, loaded, fmt, tmp_path, capsys):
+        # the (2,2) embedding would derive the 2^22-entry table the oracle then refuses
+        path = tmp_path / "s22.json"
+        path.write_text('{"kind": "simple", "n": 22, "winning": [[1, 2, 3]]}')
+        assert cli.main(["analyze", "--oracle", "--format", fmt, str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "oracle is capped at 19683 profiles, table has 4194304" in out
+        assert "levels" not in loaded[0].__dict__
 
     def test_24_players_in_little_memory(self, tmp_path, capsys):
         # the table alone would be 2^24 entries, 128 MB as a tuple

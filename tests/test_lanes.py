@@ -7,10 +7,10 @@ replaced, is kept here as the reference it must agree with on every
 table, monotone or not.
 ``games._up_closure`` must agree with the running maximum along each
 axis, also kept here as the reference, on every 0/1 table. The rank codec
-(``games._halves`` and what is joined from it: ``games._coalitions``,
-``gamefile._coalition_keys`` and the profiles of a listing) must agree
-with ``coalition_from_index``, ``coalition_key`` and ``index_profile``,
-which read one rank at a time.
+(``games._joined`` and what is joined by it: ``games._coalitions``,
+``games._rank_texts`` and the profiles of a listing) must agree with
+``coalition_from_index``, ``coalition_key`` and ``index_profile``, which
+read one rank at a time.
 ``games._flagged``, which reads the flagged lanes of every lane kernel,
 must agree with ``_find_flagged``, the ``bytes.find`` loop it replaced.
 The real gaining route of ``_predecessor_ranks`` (its down-max on lanes)
@@ -24,6 +24,7 @@ with the sum over each coalition's subsets.
 """
 
 import random
+from itertools import compress, repeat
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -54,14 +55,15 @@ from pgindex.critical import (
     _real_gaining,
 )
 from pgindex.errors import MonotonicityViolation
-from pgindex.gamefile import _coalition_keys
 from pgindex.games import (
     _axis_lanes,
     _coalitions,
     _descents,
     _flagged,
-    _halves,
+    _joined,
+    _levels,
     _rank_lanes,
+    _rank_texts,
     _up_closure,
     all_coalitions,
     all_profiles,
@@ -304,34 +306,78 @@ def test_coalitions_join_the_halves_of_each_rank(n):
     assert _coalitions(n, ranks) == tuple(coalition_from_index(r, n) for r in ranks)
 
 
-#: n = 0..12 for j = 2, 3, 4, up to 3^12 profiles: the references take a step per profile
+#: n = 0..12 for j = 2, 3, 4, up to 3^12 profiles: the references take a step per profile;
+#: and j = 12 up to n = 4, whose levels take two digits
 CODEC_SHAPES = [(n, j) for j in (2, 3, 4) for n in range(13) if j ** n <= 3 ** 12]
+CODEC_SHAPES += [(n, 12) for n in range(5)]
+
+
+def _sparse(size: int) -> list[int]:
+    """Ranks out of order, with repeats."""
+    return [*range(size - 1, -1, -3), 0, 0]
+
+
+def _members_text(x, sep: str = ",") -> str:
+    """The members of a profile's support joined by ``sep``, one at a time: a reference."""
+    return sep.join(str(i) for i, level in enumerate(x, 1) if level)
 
 
 class TestRankCodec:
-    """Every rank's profile and worth key joined from the halves, and each
+    """Every rank's profile and text joined from the halves by
+    ``games._joined`` and ``games._rank_texts``, and each listed profile and
     winning coalition, against the one-rank references (the coalitions of
     any ranks are checked above); at n = 0 and n = 1 the high half is the
     one empty profile."""
 
     @pytest.mark.parametrize("n, j", CODEC_SHAPES)
     def test_halves_split_each_rank(self, n, j):
-        high, low = _halves(n, j, lambda x, first: (x, first))
-        assert [x for x, _ in high] == list(all_profiles(n // 2, j))
-        assert [x for x, _ in low] == list(all_profiles(n - n // 2, j))
-        assert {first for _, first in high} == {1}
-        assert {first for _, first in low} == {n // 2 + 1}
-        joined = [high[h][0] + low[q][0] for h, q in (divmod(r, len(low)) for r in range(j ** n))]
-        assert joined == [index_profile(r, n, j) for r in range(j ** n)]
+        seen = []
+        joined = _joined(n, j, range(j ** n), lambda x, first: seen.append((x, first)) or x)
+        # part runs once per profile of each half, in table order, before any rank is read
+        half = j ** (n // 2)
+        assert seen[:half] == [(x, 1) for x in all_profiles(n // 2, j)]
+        assert seen[half:] == [(x, n // 2 + 1) for x in all_profiles(n - n // 2, j)]
+        assert iter(joined) is joined  # lazy
+        profiles = [index_profile(r, n, j) for r in range(j ** n)]
+        assert list(joined) == profiles
+        # any join, of the parts at each rank, high first; any ranks
+        ranks = _sparse(j ** n)
+        pairs = _joined(n, j, ranks, lambda x, first: x, lambda a, b: (a, b))
+        assert list(pairs) == [(profiles[r][: n // 2], profiles[r][n // 2 :]) for r in ranks]
 
     @pytest.mark.parametrize("n", range(13))
     def test_worth_keys(self, n):
         coalitions = [coalition_from_index(r, n) for r in range(1 << n)]
-        assert _coalition_keys(n, range(1 << n)) == [*map(coalition_key, coalitions)]
+        assert list(_rank_texts(n, 2, range(1 << n))) == [*map(coalition_key, coalitions)]
         # any separator, as the CLI's JSON member lists take the pad's; any ranks
-        ranks = [*range((1 << n) - 1, -1, -3), 0, 0]
+        ranks = _sparse(1 << n)
         want = [coalition_key(coalition_from_index(r, n)).replace(",", ",\n  ") for r in ranks]
-        assert _coalition_keys(n, ranks, ",\n  ") == want
+        assert list(_rank_texts(n, 2, ranks, ",\n  ")) == want
+
+    @pytest.mark.parametrize("n, j", CODEC_SHAPES)
+    def test_texts_of_every_rank(self, n, j):
+        # each profile's levels, and the names of the players it supports, joined one at a time
+        profiles = list(all_profiles(n, j))
+        names = [str(i) for i in range(1, n + 1)]
+        ranks = range(j ** n)
+        levels = map(",".join, map(map, repeat(str), profiles))
+        assert list(_rank_texts(n, j, ranks, ",", _levels)) == list(levels)
+        members = map(",".join, map(compress, repeat(names), profiles))
+        assert list(_rank_texts(n, j, ranks)) == list(members)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.sampled_from([(n, j) for n, j in CODEC_SHAPES if j ** n <= 4 ** 6]),
+        # any separator: empty, one that a member's digits end in, or the JSON pads'
+        sep=st.text(max_size=3) | st.sampled_from((",\n      ", ",\n          ", "1", "0,")),
+    )
+    def test_texts_any_separator_any_ranks(self, data, shape, sep):
+        n, j = shape
+        ranks = data.draw(st.lists(st.integers(0, j ** n - 1), max_size=30))
+        profiles = [index_profile(r, n, j) for r in ranks]
+        assert list(_rank_texts(n, j, ranks, sep, _levels)) == [sep.join(map(str, x)) for x in profiles]
+        assert list(_rank_texts(n, j, ranks, sep)) == [_members_text(x, sep) for x in profiles]
 
     @pytest.mark.parametrize("n, j", CODEC_SHAPES)
     def test_listing_profiles(self, n, j):
@@ -341,6 +387,7 @@ class TestRankCodec:
         listing = _listing(game)
         assert listing.vectors == tuple(index_profile(r, n, j) for r in range(1, j ** n))
         assert listing.worths == tuple(levels[1:])
+        assert (listing.__dict__["_n"], listing.__dict__["_j"]) == (n, j)
 
     @pytest.mark.parametrize("n", range(13))
     def test_winning_coalitions(self, n):
