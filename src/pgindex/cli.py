@@ -131,7 +131,8 @@ def _listing_json(listing, pad: str) -> str:
     if pad in cache or not len(listing):
         return cache.get(pad, "[]")
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
-    head, items, worths = _listing_texts(listing, "," + i3, lambda p, d: _dumps(_rational_str(p, d)))
+    render = lambda p, d: _dumps(_rational_str(p, d))  # a coalition worth as a JSON string
+    head, items, worths = _listing_texts(listing, "," + i3, render)
     row = f'{{{i2}"{head}": [{i3}%s{i2}],{i2}"worth": %s{i1}}}'
     flat = tuple(chain.from_iterable(zip(items, worths)))
     text = cache[pad] = "[" + i1 + ("," + i1).join([row] * len(listing)) % flat + pad + "]"

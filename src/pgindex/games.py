@@ -135,7 +135,7 @@ def _joined(n: int, j: int, ranks: Iterable[int], part, join=add) -> Iterator:
     high = [part(x, 1) for x in all_profiles(half, j)]
     low = [part(x, half + 1) for x in all_profiles(n - half, j)]
     pairs = map(divmod, ranks, itertools.repeat(len(low)))
-    if join is add:  # the operator: a call of it per rank adds a tenth to a text's join
+    if join is add:  # the operator: a call of add per rank made the 2^12 worth keys 5% slower
         return (high[h] + low[q] for h, q in pairs)
     return (join(high[h], low[q]) for h, q in pairs)
 

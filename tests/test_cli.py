@@ -1041,7 +1041,8 @@ class TestListingEncoders:
         n, j = shape
         top = j ** n - 1
         ranks = data.draw(st.lists(st.integers(1, top), max_size=8) if top else st.just([]))
-        worths = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=len(ranks), max_size=len(ranks)))
+        size = len(ranks)
+        worths = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=size, max_size=size))
         listing = _ranked(n, ranks, worths, j)
         old = json.dumps(_nested(_old_rows(listing), depth), indent=2)
         assert _dumps(_nested(listing, depth), _json_default) == old

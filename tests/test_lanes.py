@@ -376,7 +376,8 @@ class TestRankCodec:
         n, j = shape
         ranks = data.draw(st.lists(st.integers(0, j ** n - 1), max_size=30))
         profiles = [index_profile(r, n, j) for r in ranks]
-        levels, members = list(_rank_texts(n, j, ranks, sep, _levels)), list(_rank_texts(n, j, ranks, sep))
+        levels = list(_rank_texts(n, j, ranks, sep, _levels))
+        members = list(_rank_texts(n, j, ranks, sep))
         assert levels == [sep.join(map(str, x)) for x in profiles]
         assert members == [_members_text(x, sep) for x in profiles]
         assert {*map(type, levels + members)} <= {str}  # no games._Bare is handed out
