@@ -51,6 +51,7 @@ from .games import (
 from .indices import (
     IndexReport,
     _recursive_potential,
+    _tally,
     normalized_variant,
     pgi_normalized,
     pgi_raw,
@@ -290,29 +291,27 @@ def _structure_doc(game, request: AnalysisRequest, listing, reports=None, error=
 
 
 def _cmd_potential(games, request: AnalysisRequest):
-    game, note = games[0], None
-    if isinstance(game, SimpleGame):
-        game, note = embed_simple(game), "via the (2,2) embedding"
-    jk = isinstance(game, JKGame)
-    direct = _kept(public_good_value_jk(game) if jk else pgv_tu(game), "potential")
-    recursive = _recursive_potential(game) if jk else None
-    match = direct[0] * recursive[1] == recursive[0] * direct[1] if jk else None
+    game = games[0]  # a simple game's potential is that of its (2,2) embedding
+    note = "via the (2,2) embedding" if isinstance(game, SimpleGame) else None
+    direct = _kept(_tally(game)[0], "potential")
+    recursive = None if isinstance(game, TUGame) else _recursive_potential(game)
+    match = recursive and direct[0] * recursive[1] == recursive[0] * direct[1]
     doc = {
         "command": "potential",
-        "game": games[0],
+        "game": game,
         "potential": _rational_str(*direct),
-        "recursive": _rational_str(*recursive) if jk else None,
+        "recursive": recursive and _rational_str(*recursive),
         "match": match,
         "note": note,
     }
     lines = [f"({note})"] if note else []
     lines.append(f"potential (direct)    = {_frac_table(*direct)}")
-    if jk:
+    if recursive:
         lines.append(f"potential (recursive) = {_frac_table(*recursive)}")
         lines.append(f"routes agree: {'yes' if match else 'NO'}")
     if request.oracle:  # on the listing the potential sums
         doc["oracle_agrees"], doc["oracle_note"] = _oracle(game, _listing(game))
-    return _render(request, doc, [[_game_heading(games[0])], lines]), None
+    return _render(request, doc, [[_game_heading(game)], lines]), None
 
 
 def _require_jk(games, command: str) -> list[JKGame]:
@@ -380,7 +379,7 @@ def _cmd_average(games, request: AnalysisRequest):
         "average_game": game_to_dict(result.tu),
         "comparison": comparison,
     }
-    keys = map("{%s}".__mod__, _rank_texts(result.tu.n, 2, range(1 << result.tu.n)))
+    keys = map("{%s}".__mod__, doc["average_game"]["worth"])  # its texts, in rank order
     worths = [("coalition", "worth"), *zip(keys, _rational_texts(result.tu, "worths", _frac_table))]
     reports = [comparison.pgv_of_average, comparison.jk_value, comparison.variant]
     verdict = _values_table(reports)
@@ -442,6 +441,9 @@ def run(
             err.write(f"  witness: {witness}\n")
         if len(witnesses) > MAX_WITNESSES:
             err.write(f"  ... and {len(witnesses) - MAX_WITNESSES} more\n")
+        return 1
+    except MemoryError:  # a table beyond what memory holds, under a raised --cap
+        err.write("error: out of memory\n")
         return 1
     out.write(text)
     if errmsg is None:

@@ -181,13 +181,14 @@ def jk_potential_recursive(game: JKGame) -> Fraction:
     return Fraction(*_recursive_potential(game))
 
 
-def _recursive_potential(game: JKGame) -> tuple[int, int]:
-    """:func:`jk_potential_recursive` as the numerator and denominator of
-    Q(N) / n! in lowest terms, from the listed worth per support size."""
-    n, f = game.n, math.factorial
-    worth = [0] * (n + 1)  # the listed worth by support size
-    for x, w in minimal_critical_vectors(game).pairs():
-        worth[n - x.count(0)] += w
+def _recursive_potential(game: JKGame | SimpleGame) -> tuple[int, int]:
+    """:func:`jk_potential_recursive`, a simple game's by its (2,2) embedding, as Q(N) / n!
+    in lowest terms, from the listed worth per support size, joined from the rank halves."""
+    n, f, listing = game.n, math.factorial, _listing(game)
+    worth, ranks = [0] * (n + 1), listing.__dict__["_ranks"]  # the listed worth by support size
+    sizes = _joined(n, getattr(game, "j", 2), ranks, lambda x, first: len(x) - x.count(0))
+    for s, w in zip(sizes, _kept(listing, "worths")[0]):  # worth 1 per minimal winning coalition
+        worth[s] += w
     total = 0
     for s in range(1, n + 1):  # each listed x of support size s adds w·s·K(s)
         chains = sum(math.comb(n - s, t - s) * f(t - 1) * f(n - t) for t in range(s, n + 1))

@@ -150,10 +150,10 @@ class TestAnalyze:
             assert (doc["oracle_agrees"], doc["oracle_note"]) == (True, note)
 
     def test_potential_oracle_checks_the_summed_listing(self, capsys):
-        # simple games sum the listing of their (2,2) embedding
+        # a simple game sums its own listing, which the oracle checks as analyze's
         for name, note in (
             ("example33.json", "full down-set scan"),
-            ("simple_quota.json", "full down-set scan"),
+            ("simple_quota.json", "via the (2,2) embedding"),
             ("tu3.json", "minimal critical vs real gaining"),
         ):
             plain = main_captured(capsys, "potential", str(DATA / name))
@@ -459,6 +459,16 @@ class TestErrorPaths:
         assert code == 1
         assert stdout == ""
         assert stderr.startswith("error: ") and "Traceback" not in stderr
+
+    def test_out_of_memory_is_one_error_line(self, monkeypatch):
+        # as a table beyond memory fails under a raised --cap; asked for in
+        # earnest, it may get the process killed rather than refused
+        def exhausted(games, request):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "embed", exhausted)
+        status, stdout, stderr = run_inproc(AnalysisRequest("embed", (str(EXAMPLE),)))
+        assert (status, stdout, stderr) == (1, "", "error: out of memory\n")
 
     def test_bad_cap(self):
         code, _, _ = invoke("analyze", str(EXAMPLE), "--cap", "0")

@@ -7,13 +7,18 @@ scans the lanes of the table, which is derived on first read. The same game buil
 the table route (``games._up_closure`` on the marked ranks) and given to
 ``SimpleGame``, lists by the lane scan. The two must give the same
 listing, reports, game file, ``==``, hash and repr, on both sides of
-g² ≤ 2^(n+1). The load-time checks keep their order on both constructors, and
-``analyze`` on a 24-player file stays far below the size of its table.
+g² ≤ 2^(n+1). The load-time checks keep their order on both constructors,
+``analyze`` and ``potential`` on a 24-player file stay far below the size of
+its table, and ``potential`` prints what the (2,2) embedding's table gives.
 """
 
+import io
+import json
 import math
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,9 +35,10 @@ from pgindex import (
     pgi_raw,
     simple_game_from_generators,
 )
-from pgindex.critical import _listing
+from pgindex.critical import _listing, minimal_critical_vectors
 from pgindex.errors import CapExceeded, NonZeroAtOrigin, UnknownPlayer, ValidationError
-from pgindex.games import _kept, _up_closure, coalition_index
+from pgindex.games import _kept, _rational_str, _up_closure, coalition_index, embed_simple
+from pgindex.indices import public_good_value_jk
 
 
 def _members(rank: int, n: int) -> list[int]:
@@ -154,7 +160,7 @@ class TestNoTable:
         return games
 
     @pytest.mark.parametrize("fmt", ("table", "machine"))
-    @pytest.mark.parametrize("command", ("analyze", "mcv"))
+    @pytest.mark.parametrize("command", ("analyze", "mcv", "potential"))
     def test_analyze_and_mcv_leave_no_table(self, loaded, command, fmt, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text('{"kind": "simple", "n": 12, "winning": [[1, 2], [3, 4, 5], [1, 2, 6]]}')
@@ -189,11 +195,73 @@ class TestNoTable:
         # the table alone would be 2^24 entries, 128 MB as a tuple
         path = tmp_path / "s24.json"
         path.write_text('{"kind": "simple", "n": 24, "winning": [[1, 2, 3]]}')
-        tracemalloc.start()
-        try:
-            assert cli.main(["analyze", str(path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert "{1,2,3}" in capsys.readouterr().out
-        assert peak < 16 * 2 ** 20
+        for command, shown in (("analyze", "{1,2,3}"), ("potential", "potential (recursive) = 1")):
+            tracemalloc.start()
+            try:
+                assert cli.main([command, str(path)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert shown in capsys.readouterr().out
+            assert peak < 16 * 2 ** 20, command
+
+
+def _embedded_recursive(game) -> tuple[int, int]:
+    """The recursive potential by the route ``potential`` took before it read
+    a simple game's own listing: the listed vectors of the (2,2) embedding,
+    each adding its worth at its support size, read from its zeros; Q(N) / n!
+    in lowest terms (see ``indices.jk_potential_recursive``)."""
+    n, f = game.n, math.factorial
+    embedded, worth = embed_simple(game), [0] * (n + 1)
+    for x, w in minimal_critical_vectors(embedded).pairs():
+        worth[n - x.count(0)] += w
+    total = 0
+    for s in range(1, n + 1):
+        chains = sum(math.comb(n - s, t - s) * f(t - 1) * f(n - t) for t in range(s, n + 1))
+        total += worth[s] * s * chains
+    g = math.gcd(total, f(n))
+    return total // g, f(n) // g
+
+
+class TestPotentialRoute:
+    """``potential`` on a generator file sums the listing ``analyze`` prints.
+    The route it replaced is kept here as the reference: the (2,2) embedding,
+    whose table the lane scan lists."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 10), few=st.booleans(), seed=st.integers(0, 10 ** 6))
+    @example(n=0, few=True, seed=0)  # no generators
+    @example(n=10, few=False, seed=1)
+    @example(n=10, few=True, seed=2)
+    def test_potential_matches_the_embedding(self, n, few, seed):
+        if not few and n < 2:
+            few = True  # at most one nonempty coalition: g² ≤ 2^(n+1) always
+        generators = _draw(n, few, random.Random(seed))
+        game = simple_game_from_generators(n, generators)
+        direct = _kept(public_good_value_jk(embed_simple(game)), "potential")
+        recursive = _embedded_recursive(game)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.json"
+            path.write_text(json.dumps({"kind": "simple", "n": n, "winning": generators}))
+            runs = {}
+            for fmt in ("table", "machine"):
+                out, err = io.StringIO(), io.StringIO()
+                status = cli.run(cli.AnalysisRequest("potential", (str(path),), fmt), out, err)
+                runs[fmt] = status, out.getvalue(), err.getvalue()
+        table = (
+            f"simple game on {n} players\n\n(via the (2,2) embedding)\n"
+            f"potential (direct)    = {cli._frac_table(*direct)}\n"
+            f"potential (recursive) = {cli._frac_table(*recursive)}\n"
+            "routes agree: yes\n"
+        )
+        assert runs["table"] == (0, table, "")
+        status, out, err = runs["machine"]
+        assert (status, err) == (0, "")
+        assert json.loads(out) == {
+            "command": "potential",
+            "game": {"kind": "simple", "n": n, "players": list(range(1, n + 1))},
+            "potential": _rational_str(*direct),
+            "recursive": _rational_str(*recursive),
+            "match": True,
+            "note": "via the (2,2) embedding",
+        }
