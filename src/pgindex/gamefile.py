@@ -132,34 +132,19 @@ _SPACE = " \t\n\r"  # JSON's whitespace
 
 def _read_json(text: str, object_pairs_hook):
     """``json.loads(text, object_pairs_hook=...)``: the C scanner that it
-    runs, and its steps around the scan (a leading BOM, whitespace, "Expecting
-    value" where the scanner stops, "Extra data" after the value). ``json`` is
-    loaded only to raise its ``JSONDecodeError``."""
-    if text.startswith("\ufeff"):
-        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    scan = make_scanner(_Decoding(object_pairs_hook))
+    runs, on the text between JSON whitespace. Any other text goes to
+    ``json.loads`` itself, which raises its own error; only then is ``json``
+    loaded, and on such a refused text the hook may run a second time."""
     start = len(text) - len(text.lstrip(_SPACE))
     try:
-        doc, end = scan(text, start)
-    except StopIteration as exc:
-        raise _decode_error("Expecting value", text, exc.value) from None
-    except SystemError:
-        # on Python 3.11 the scanner raises this in place of a JSONDecodeError
-        # while json.decoder is not loaded; once it is, the same scan raises that
-        import json.decoder  # noqa: F401
+        doc, end = make_scanner(_Decoding(object_pairs_hook))(text, start)
+        if not text[end:].lstrip(_SPACE):
+            return doc
+    except (StopIteration, SystemError):  # no value, or 3.11's scan error before json.decoder loads
+        pass
+    import json
 
-        scan(text, start)
-        raise
-    extra = text[end:].lstrip(_SPACE)
-    if extra:
-        raise _decode_error("Extra data", text, len(text) - len(extra))
-    return doc
-
-
-def _decode_error(message: str, text: str, pos: int) -> ValueError:
-    from json import JSONDecodeError  # here, as only a malformed file needs json
-
-    return JSONDecodeError(message, text, pos)
+    return json.loads(text, object_pairs_hook=object_pairs_hook)
 
 
 def _load_jk(doc: dict, path, cap: int) -> JKGame:

@@ -674,6 +674,9 @@ def test_refused_embedding_loads_no_rational_modules(name):
     assert stderr.startswith("error: ") and stderr.endswith("\n1 []\n")
 
 
+_JSON_MODULES = ["enum", "json", "json.decoder", "json.encoder", "json.scanner", "re"]
+
+
 def test_malformed_file_loads_json_for_its_error(tmp_path):
     # one error line, with json's message and position: json is loaded for it
     # (the scanner builds this message, unlike "Expecting value"), and with
@@ -681,8 +684,45 @@ def test_malformed_file_loads_json_for_its_error(tmp_path):
     (tmp_path / "bad.json").write_text('{"kind": "jk",\n "n" [1]}')
     stdout, stderr = _request_modules(["analyze", "bad.json"], tmp_path)
     assert stdout == ""
-    json_modules = ["enum", "json", "json.decoder", "json.encoder", "json.scanner", "re"]
-    assert stderr == f"error: bad.json:2:6: Expecting ':' delimiter\n1 {json_modules}\n"
+    assert stderr == f"error: bad.json:2:6: Expecting ':' delimiter\n1 {_JSON_MODULES}\n"
+
+
+_VALID_TU = '{"kind": "tu", "n": 1, "worth": {"1": "1/2"}}'
+
+
+@pytest.mark.parametrize(
+    "text, error, loaded",
+    [
+        ("", "bad.json:1:1: Expecting value", _JSON_MODULES),
+        (" \n\t\n ", "bad.json:3:2: Expecting value", _JSON_MODULES),
+        ("\ufeff" + _VALID_TU, "bad.json:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+         _JSON_MODULES),
+        (" \ufeff" + _VALID_TU, "bad.json:1:2: Expecting value", _JSON_MODULES),
+        (_VALID_TU + "\n x", "bad.json:2:2: Extra data", _JSON_MODULES),
+        (_VALID_TU + ' {"a": 1, "a": 2}', "bad.json:1:47: Extra data", _JSON_MODULES),
+        # the hook refuses the repeat while the value is scanned, before json is needed
+        ('{"kind": "tu", "kind": "jk"} x', "bad.json: duplicate key 'kind'", []),
+    ],
+    ids=["empty", "blank", "bom", "bom_after_space", "extra_data", "extra_duplicate_key",
+         "duplicate_key_before_extra"],
+)
+def test_refused_text_has_json_loads_error(tmp_path, text, error, loaded):
+    # where the scan finds no value, or more than whitespace after it,
+    # json.loads reads the text again, in a process that has not loaded json
+    # before, and its error is the one line; a hook error during the scan
+    # comes first
+    (tmp_path / "bad.json").write_text(text, encoding="utf-8")
+    stdout, stderr = _request_modules(["analyze", "bad.json"], tmp_path)
+    assert stdout == ""
+    assert stderr == f"error: {error}\n1 {loaded}\n"
+
+
+def test_padded_valid_file_loads_no_json(tmp_path):
+    # blank lines around the value are read by the scan alone
+    (tmp_path / "padded.json").write_text("\n\n" + _VALID_TU + "\n\n", encoding="utf-8")
+    stdout, stderr = _request_modules(["analyze", "padded.json"], tmp_path)
+    assert stdout.startswith("TU game on 1 players (monotone)\n")
+    assert stderr == "0 []\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ versions of the package byte for byte.
 
 Builds the game files of the three benchmark workloads for the given seeds
 (default 1 and 2) in a temporary directory, with ``bench/workloads.py``
-used read-only, adds ``tests/data/*.json`` and the inline documents of
-``DOCS``, and runs every request through
+used read-only, adds ``tests/data/*.json``, the inline documents of
+``DOCS`` and the verbatim texts of ``RAW``, and runs every request through
 ``pgindex.cli.main`` in-process with file names relative to that
 directory. Prints one ``argv<TAB>sha256(stdout, stderr, exit status)`` line
 per request and writes nothing into the checkout. The package is whichever
@@ -15,7 +15,8 @@ Requests, per file: ``analyze``, ``mcv``, ``embed``, ``average`` and
 ``axioms`` in both formats, each plain, with ``--oracle`` and with
 ``--family rgc``; ``potential`` in both formats; and ``merge`` and
 two-game ``axioms`` in both formats on each pair of neighbouring (j,k)
-files of one directory.
+files of one directory. A ``RAW`` text gets ``analyze`` and ``mcv`` in both
+formats only.
 
     PYTHONPATH=src python tools/bytecheck.py [SEED ...]
 """
@@ -87,6 +88,35 @@ DOCS = {
     "float_range": _tu(1, {"1": "1" + "0" * 400 + "/3"}),
 }
 
+#: Raw game files, name -> text, written verbatim: texts that ``json.dumps``
+#: never writes, each refused while or after it is read as JSON (by the
+#: scanner, ``json.loads`` or the duplicate-key hook) but the padded one.
+_VALID = '{"kind": "tu", "n": 1, "worth": {"1": "1/2"}}'
+RAW = {
+    "empty": "",
+    "blank": " \n\t\r\n ",
+    "bom": "\ufeff" + _VALID,
+    "bom_after_space": " \ufeff" + _VALID,
+    "extra_data": _VALID + "\n x",
+    "extra_duplicate_key": _VALID + ' {"a": 1, "a": 2}',
+    "duplicate_key": '{"kind": "tu", "n": 1, "kind": "jk"}',
+    "duplicate_key_before_extra": '{"kind": "tu", "kind": "jk"} x',
+    "missing_delimiter": '{"kind": "jk",\n "n" [1]}',
+    "control_character": '{"kind": "a\x01"}',
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,
+    "digits": '{"kind": "tu", "n": ' + "9" * 5000 + "}",
+    "nan": '{"kind": "tu", "n": 1, "worth": {"1": NaN}}',
+    "padded": "\n\n" + _VALID + "\n\n",
+}
+
+
+def write_raw(directory: Path) -> list[str]:
+    """Write each ``RAW`` text to ``directory/<name>.json``; their names."""
+    directory.mkdir(exist_ok=True)
+    for name, text in RAW.items():
+        (directory / f"{name}.json").write_text(text, encoding="utf-8")
+    return [f"{name}.json" for name in RAW]
+
 
 def write_files(tmp: Path, seeds) -> dict[str, list[str]]:
     """Game files by directory, as paths relative to ``tmp``."""
@@ -108,13 +138,20 @@ def write_files(tmp: Path, seeds) -> dict[str, list[str]]:
         (tmp / doc["kind"]).mkdir(exist_ok=True)
         (tmp / rel).write_text(json.dumps(doc), encoding="utf-8")
         dirs.setdefault(doc["kind"], []).append(rel)
+    dirs["raw"] = [f"raw/{name}" for name in write_raw(tmp / "raw")]
     for files in dirs.values():
         files.sort()
     return dirs
 
 
 def requests(tmp: Path, dirs: dict[str, list[str]]):
-    for files in dirs.values():
+    for sub, files in dirs.items():
+        if sub == "raw":  # not read here: most of them are not JSON
+            for rel in files:
+                for fmt in FORMATS:
+                    yield ["analyze", "--format", fmt, rel]
+                    yield ["mcv", "--format", fmt, rel]
+            continue
         jk = []
         for rel in files:
             doc = json.loads((tmp / rel).read_text(encoding="utf-8"))
